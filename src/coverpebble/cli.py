@@ -32,14 +32,10 @@ from .constructive import (
 )
 from .errors import (
     BudgetExceeded,
-    DisconnectedGraph,
+    IllegalMoveAt,
     InternalAssertion,
-    InvalidEdge,
-    InvalidSpec,
-    LengthMismatch,
-    ParseError,
+    NotCoveredAtEnd,
     PebblingError,
-    PreconditionViolated,
     StrategyIncomplete,
 )
 from .exact import gamma_exact, solve
@@ -152,18 +148,13 @@ def emit_report(reports, fmt: str = "json") -> str:
     raise UsageError(f"unknown report format {fmt!r}")
 
 
-def parse_graph_file(text: str) -> Graph:
-    """Parse graph file contents (the text format of format_graph_text)."""
-    return parse_graph_text(text)
-
-
 def _load_graph_path(path: str) -> Graph:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
     except OSError as exc:
         raise UsageError(f"cannot read graph file: {exc}") from None
-    return parse_graph_file(text)
+    return parse_graph_text(text)
 
 
 def _parse_range(text: str, what: str) -> list[int]:
@@ -252,8 +243,11 @@ def _formula_value(spec: Optional[FamilySpec], g: Graph) -> Optional[int]:
 
 def _write_out(args, text: str) -> None:
     if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write output file: {exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -304,7 +298,7 @@ def cmd_solve(args) -> int:
 
 def cmd_gamma(args) -> int:
     _, g, _ = _load_graph(args)
-    result = gamma_exact(g, args.upper_hint, worker_count=args.workers)
+    result = gamma_exact(g, worker_count=args.workers)
     print(f"gamma={result.gamma}")
     print(f"witness={format_config(result.witness)}")
     print(f"configs_checked={result.configs_checked}")
@@ -328,7 +322,7 @@ def cmd_verify(args) -> int:
         g = generate(spec)
         started = time.perf_counter()
         bounds = bound_report(g)
-        result = gamma_exact(g, bounds.upper_diameter, worker_count=args.workers)
+        result = gamma_exact(g, worker_count=args.workers)
         elapsed_ms = int((time.perf_counter() - started) * 1000)
         if args.no_timing:
             elapsed_ms = 0
@@ -376,7 +370,10 @@ def cmd_construct(args) -> int:
     else:
         raise UsageError(f"unknown algorithm {args.algorithm!r}")
     # never print a certificate that does not replay cleanly
-    final = validate_certificate(g, cert, weighting)
+    try:
+        final = validate_certificate(g, cert, weighting)
+    except (IllegalMoveAt, NotCoveredAtEnd) as exc:
+        raise InternalAssertion(f"{args.algorithm} certificate fails replay: {exc}") from None
     print(f"moves={len(cert.moves)}")
     for move in cert.moves:
         print(f"{move.src} {move.dst}")
@@ -417,7 +414,6 @@ def build_parser() -> _Parser:
 
     gam = commands.add_parser("gamma", help="exact cover pebbling number")
     _add_graph_args(gam)
-    gam.add_argument("--upper-hint", type=int)
     gam.add_argument("--workers", type=int, default=1)
     gam.set_defaults(func=cmd_gamma)
 
@@ -449,33 +445,15 @@ def build_parser() -> _Parser:
 
 
 def run_cli(argv) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (
-        ParseError,
-        LengthMismatch,
-        InvalidSpec,
-        InvalidEdge,
-        DisconnectedGraph,
-        PreconditionViolated,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except BudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (InternalAssertion, StrategyIncomplete) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
+    except PebblingError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 def main() -> None:

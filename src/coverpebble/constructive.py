@@ -19,18 +19,19 @@ from .errors import (
     DisconnectedGraph,
     InternalAssertion,
     InvalidSpec,
-    LengthMismatch,
     PreconditionViolated,
     StrategyIncomplete,
 )
 from .formulas import diameter_bound, gamma_multipartite, gamma_wheel, weighted_cover_bound
 from .graphs import Graph, Multipartite, Wheel, generate
-from .pebbles import BinaryWeighting, Certificate, Configuration, PebblingMove, is_permissible
-
-
-def _check_length(g: Graph, c: Configuration) -> None:
-    if len(c.counts) != g.n:
-        raise LengthMismatch(f"configuration has {len(c.counts)} entries for order {g.n}")
+from .pebbles import (
+    BinaryWeighting,
+    Certificate,
+    Configuration,
+    PebblingMove,
+    check_length,
+    is_permissible,
+)
 
 
 def shortest_path(g: Graph, src: int, dst: int) -> list[int]:
@@ -81,9 +82,8 @@ def solve_pigeonhole(g: Graph, b: BinaryWeighting, c: Configuration) -> Certific
     covered.  The freshly covered target is then frozen: its pebbles
     stop counting, so the same argument applies to the rest.
     """
-    _check_length(g, c)
-    if len(b.marks) != g.n:
-        raise LengthMismatch(f"weighting has {len(b.marks)} entries for order {g.n}")
+    check_length(c.counts, g.n, "configuration")
+    check_length(b.marks, g.n, "weighting")
     if not is_permissible(c, b):
         raise PreconditionViolated("configuration has pebbles on unmarked vertices")
     threshold = weighted_cover_bound(b.order, g.diam)
@@ -190,7 +190,7 @@ def solve_diameter(g: Graph, c: Configuration) -> tuple[Certificate, DiameterTra
     rich enough.  Afterwards at most diam-1 vertices are settled and the
     remaining pool meets the pigeonhole threshold for the rest.
     """
-    _check_length(g, c)
+    check_length(c.counts, g.n, "configuration")
     n, d = g.n, g.diam
     bound = diameter_bound(n, d)
     if c.size < bound:
@@ -245,7 +245,7 @@ def solve_wheel(g: Graph, c: Configuration) -> Certificate:
     covers the rest; with one or two covered no rim vertex can still
     hold a spare pair, and the hub again covers the rest.
     """
-    _check_length(g, c)
+    check_length(c.counts, g.n, "configuration")
     rim_count = g.n - 1
     if rim_count < 3 or g.edges != generate(Wheel(rim_count)).edges:
         raise PreconditionViolated("graph is not a wheel with hub 0")
@@ -347,7 +347,7 @@ def solve_multipartite(g: Graph, sizes, c: Configuration) -> Certificate:
         raise PreconditionViolated(f"class sizes do not describe this graph: {exc}") from None
     if g.n != expected.n or g.edges != expected.edges:
         raise PreconditionViolated("graph does not match the given class sizes")
-    _check_length(g, c)
+    check_length(c.counts, g.n, "configuration")
     if c.size < threshold:
         raise PreconditionViolated(f"size {c.size} is below the threshold {threshold}")
     class_of = []

@@ -10,23 +10,25 @@ cache lookups.
 Configurations of a fixed size are enumerated in ascending
 colexicographic order on the count vectors.  That order starts with
 every stack on vertex 0, which is where unsolvable witnesses tend to
-live, so failing scans exit early.  The enumerator can also emit any
-contiguous rank range directly, which is what the threshold verifier
-uses to split work across threads deterministically.
+live, so failing scans exit early.  The threshold verifier splits that
+order into contiguous rank ranges, so the split of work across threads
+is deterministic.
 """
 
 from __future__ import annotations
 
+import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import islice
 from math import comb
 from typing import Iterator, Optional
 
-from .errors import BudgetExceeded, InternalAssertion, InvalidSpec, LengthMismatch
-from .formulas import diameter_bound
+from .errors import BudgetExceeded, InternalAssertion, InvalidSpec
+from .formulas import bound_report
 from .graphs import Graph
-from .pebbles import BinaryWeighting, Certificate, Configuration, PebblingMove
+from .pebbles import BinaryWeighting, Certificate, Configuration, PebblingMove, check_length
 
 
 @dataclass(frozen=True)
@@ -205,17 +207,10 @@ class _CoverSearch:
             state = self._apply(state, step)
 
 
-def _checked_counts(g: Graph, c: Configuration) -> tuple[int, ...]:
-    if len(c.counts) != g.n:
-        raise LengthMismatch(f"configuration has {len(c.counts)} entries for order {g.n}")
-    return c.counts
-
-
 def _marked_vertices(g: Graph, b: Optional[BinaryWeighting]):
     if b is None:
         return range(g.n)
-    if len(b.marks) != g.n:
-        raise LengthMismatch(f"weighting has {len(b.marks)} entries for order {g.n}")
+    check_length(b.marks, g.n, "weighting")
     return b.support
 
 
@@ -234,12 +229,12 @@ def solve(
     carries a certificate rebuilt from the memo's win chain; it always
     replays cleanly through validate_certificate.
     """
-    counts = _checked_counts(g, c)
+    check_length(c.counts, g.n, "configuration")
     search = _CoverSearch(g, _marked_vertices(g, b), memo=memo, pruning=pruning)
-    solvable, explored = search.decide(counts, budget)
+    solvable, explored = search.decide(c.counts, budget)
     certificate = None
     if solvable:
-        moves = tuple(PebblingMove(u, x) for u, x in search.winning_moves(counts))
+        moves = tuple(PebblingMove(u, x) for u, x in search.winning_moves(c.counts))
         certificate = Certificate(c, moves)
     return SolveOutcome(solvable, certificate, explored)
 
@@ -258,25 +253,6 @@ def _vectors_all(n: int, k: int) -> Iterator[tuple[int, ...]]:
             yield head + (last,)
 
 
-def _vectors_range(n: int, k: int, start: int, stop: int) -> Iterator[tuple[int, ...]]:
-    if start >= stop:
-        return
-    if n == 1:
-        yield (k,)
-        return
-    offset = 0
-    for last in range(k + 1):
-        block = comb(k - last + n - 2, n - 2)
-        lo = max(start - offset, 0)
-        hi = min(stop - offset, block)
-        if lo < hi:
-            for head in _vectors_range(n - 1, k - last, lo, hi):
-                yield head + (last,)
-        offset += block
-        if offset >= stop:
-            return
-
-
 def iter_count_vectors(
     n: int, k: int, start: int = 0, stop: Optional[int] = None
 ) -> Iterator[tuple[int, ...]]:
@@ -286,14 +262,10 @@ def iter_count_vectors(
         raise InvalidSpec(f"need at least one vertex, got {n}")
     if k < 0:
         raise InvalidSpec(f"size must be nonnegative, got {k}")
-    total = composition_count(n, k)
-    if stop is None or stop > total:
-        stop = total
     start = max(start, 0)
-    if start == 0 and stop == total:
-        yield from _vectors_all(n, k)
-    else:
-        yield from _vectors_range(n, k, start, stop)
+    if stop is not None:
+        stop = max(stop, start)
+    yield from islice(_vectors_all(n, k), start, stop)
 
 
 def enumerate_configs(n: int, k: int) -> Iterator[Configuration]:
@@ -308,7 +280,6 @@ def verify_threshold(
     worker_count: int = 1,
     *,
     memo: Optional[SolveMemo] = None,
-    pruning: bool = True,
 ) -> ThresholdResult:
     """Check every configuration of size k; report the first unsolvable
     one in colexicographic order, if any.
@@ -318,11 +289,12 @@ def verify_threshold(
     already known in a strictly earlier chunk, so the reported witness
     is the colexicographically first one regardless of worker count or
     scheduling.  configs_checked is likewise canonical: the witness rank
-    plus one, or the full count when the size is good.
+    plus one, or the full count when the size is good.  At most
+    os.cpu_count() threads run the chunks.
     """
     if k < 0:
         raise InvalidSpec(f"size must be nonnegative, got {k}")
-    search = _CoverSearch(g, range(g.n), memo=memo, pruning=pruning)
+    search = _CoverSearch(g, range(g.n), memo=memo)
     total = composition_count(g.n, k)
 
     if worker_count <= 1:
@@ -352,7 +324,7 @@ def verify_threshold(
                         best_vec = vec
                 return
 
-    with ThreadPoolExecutor(max_workers=worker_count) as pool:
+    with ThreadPoolExecutor(max_workers=min(worker_count, os.cpu_count() or 1)) as pool:
         list(pool.map(scan, range(worker_count)))
 
     if best_vec is None:
@@ -360,39 +332,34 @@ def verify_threshold(
     return ThresholdResult(Configuration(best_vec), best_rank + 1)
 
 
-def gamma_exact(
-    g: Graph,
-    upper_hint: Optional[int] = None,
-    *,
-    worker_count: int = 1,
-    pruning: bool = True,
-) -> GammaResult:
+def gamma_exact(g: Graph, *, worker_count: int = 1) -> GammaResult:
     """Exact cover pebbling number by exhaustive threshold checks.
 
-    Starts at the hint (the diameter bound when absent), doubles until
-    some size passes, then walks down one size at a time; the first
-    failing size below yields the witness.  All checks share one memo.
+    The scan starts at the worst stack cost L, a proven lower bound, and
+    steps up one size while a scan finds an unsolvable configuration.
+    The cover pebbling theorem (Sjostrand, 2005) says L always passes,
+    so the step is a safeguard, not a search.  When L passes, the scan
+    at L - 1 supplies the witness; the lower bound says it must fail, so
+    a pass there raises InternalAssertion.  The witness is the
+    colexicographically first unsolvable configuration of size
+    gamma - 1.  All scans share one memo.
     """
     memo = SolveMemo()
-    checked = 0
-    k = upper_hint if upper_hint is not None else diameter_bound(g.n, g.diam)
-    if k < 1:
-        k = 1
-    result = verify_threshold(g, k, worker_count, memo=memo, pruning=pruning)
-    checked += result.configs_checked
-    while not result.ok:
-        k *= 2
-        result = verify_threshold(g, k, worker_count, memo=memo, pruning=pruning)
-        checked += result.configs_checked
+    k = bound_report(g).lower_stacked
+    result = verify_threshold(g, k, worker_count, memo=memo)
+    checked = result.configs_checked
     witness = None
-    while k > 0:
-        below = verify_threshold(g, k - 1, worker_count, memo=memo, pruning=pruning)
+    while not result.ok:
+        witness = result.witness
+        k += 1
+        result = verify_threshold(g, k, worker_count, memo=memo)
+        checked += result.configs_checked
+    if witness is None:
+        below = verify_threshold(g, k - 1, worker_count, memo=memo)
         checked += below.configs_checked
         if below.ok:
-            k -= 1
-        else:
-            witness = below.witness
-            break
-    if witness is None:
-        raise InternalAssertion("empty configuration reported solvable on a nonempty graph")
+            raise InternalAssertion(
+                f"every configuration of size {k - 1} is solvable, below the worst stack cost {k}"
+            )
+        witness = below.witness
     return GammaResult(k, witness, checked)

@@ -11,21 +11,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvalidSpec
-from .graphs import Graph
+from .graphs import Graph, check_class_sizes
 
 
 def gamma_multipartite(sizes) -> int:
     """Cover pebbling number of the complete multipartite graph with the
     given class sizes (positive, nonincreasing): 4*s1 + 2*(rest) - 3.
     """
-    sizes = tuple(sizes)
-    if not sizes:
-        raise InvalidSpec("multipartite size list is empty")
-    for s in sizes:
-        if not isinstance(s, int) or s < 1:
-            raise InvalidSpec(f"class sizes must be positive integers, got {s!r}")
-    if any(a < b for a, b in zip(sizes, sizes[1:])):
-        raise InvalidSpec(f"class sizes must be nonincreasing, got {list(sizes)}")
+    sizes = check_class_sizes(sizes)
     return 4 * sizes[0] + 2 * sum(sizes[1:]) - 3
 
 

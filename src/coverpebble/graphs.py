@@ -144,8 +144,10 @@ def generate(spec: FamilySpec) -> Graph:
     raise InvalidSpec(f"unknown family spec: {spec!r}")
 
 
-def _gen_multipartite(sizes: tuple[int, ...]) -> Graph:
-    # classes occupy contiguous index blocks in the order given
+def check_class_sizes(sizes) -> tuple[int, ...]:
+    """Multipartite class sizes as a tuple; raises InvalidSpec unless
+    they are a nonempty, nonincreasing list of positive integers."""
+    sizes = tuple(sizes)
     if not sizes:
         raise InvalidSpec("multipartite size list is empty")
     for s in sizes:
@@ -153,6 +155,12 @@ def _gen_multipartite(sizes: tuple[int, ...]) -> Graph:
             raise InvalidSpec(f"class sizes must be positive integers, got {s!r}")
     if any(a < b for a, b in zip(sizes, sizes[1:])):
         raise InvalidSpec(f"class sizes must be nonincreasing, got {list(sizes)}")
+    return sizes
+
+
+def _gen_multipartite(sizes: tuple[int, ...]) -> Graph:
+    # classes occupy contiguous index blocks in the order given
+    check_class_sizes(sizes)
     n = sum(sizes)
     starts = []
     acc = 0

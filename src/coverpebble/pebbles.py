@@ -80,10 +80,16 @@ class Certificate:
         object.__setattr__(self, "moves", tuple(self.moves))
 
 
+def check_length(values, n: int, what: str) -> None:
+    """Raise LengthMismatch unless a configuration or weighting has one
+    entry per vertex of a graph of order n."""
+    if len(values) != n:
+        raise LengthMismatch(f"{what} has {len(values)} entries for order {n}")
+
+
 def apply_move(g: Graph, c: Configuration, m: PebblingMove) -> Configuration:
     """Apply one move, checking adjacency and the two-pebble cost."""
-    if len(c.counts) != g.n:
-        raise LengthMismatch(f"configuration has {len(c.counts)} entries for order {g.n}")
+    check_length(c.counts, g.n, "configuration")
     if not (0 <= m.src < g.n and 0 <= m.dst < g.n) or m.dst not in g.adj[m.src]:
         raise NonAdjacentMove(f"vertices {m.src} and {m.dst} share no edge")
     if c.counts[m.src] < 2:
@@ -133,12 +139,9 @@ def validate_certificate(
     graph, IllegalMoveAt(index) on the first move that cannot be played,
     and NotCoveredAtEnd when the replay ends with empty targets.
     """
-    if len(cert.initial.counts) != g.n:
-        raise LengthMismatch(
-            f"certificate start has {len(cert.initial.counts)} entries for order {g.n}"
-        )
-    if b is not None and len(b.marks) != g.n:
-        raise LengthMismatch(f"weighting has {len(b.marks)} entries for order {g.n}")
+    check_length(cert.initial.counts, g.n, "certificate start")
+    if b is not None:
+        check_length(b.marks, g.n, "weighting")
     counts = list(cert.initial.counts)
     for index, move in enumerate(cert.moves):
         if not (0 <= move.src < g.n and 0 <= move.dst < g.n):
@@ -161,20 +164,23 @@ def format_config(c: Configuration) -> str:
     return " ".join(str(x) for x in c.counts)
 
 
-def parse_config(text: str, n: int) -> Configuration:
-    """Parse a space-separated count line for a graph of order n."""
-    parts = text.split()
+def _parse_line(text: str, n: int, what: str) -> tuple[int, ...]:
     values = []
-    for p in parts:
+    for p in text.split():
         try:
             values.append(int(p))
         except ValueError:
-            raise ParseError(f"configuration entries must be integers, got {p!r}") from None
-    if len(values) != n:
-        raise LengthMismatch(f"expected {n} counts, got {len(values)}")
+            raise ParseError(f"{what} entries must be integers, got {p!r}") from None
+    check_length(values, n, what)
+    return tuple(values)
+
+
+def parse_config(text: str, n: int) -> Configuration:
+    """Parse a space-separated count line for a graph of order n."""
+    values = _parse_line(text, n, "configuration")
     if any(v < 0 for v in values):
         raise ParseError("configuration entries must be nonnegative")
-    return Configuration(tuple(values))
+    return Configuration(values)
 
 
 def format_weighting(b: BinaryWeighting) -> str:
@@ -183,15 +189,7 @@ def format_weighting(b: BinaryWeighting) -> str:
 
 def parse_weighting(text: str, n: int) -> BinaryWeighting:
     """Parse a space-separated 0/1 line for a graph of order n."""
-    parts = text.split()
-    values = []
-    for p in parts:
-        try:
-            values.append(int(p))
-        except ValueError:
-            raise ParseError(f"weighting entries must be integers, got {p!r}") from None
-    if len(values) != n:
-        raise LengthMismatch(f"expected {n} marks, got {len(values)}")
+    values = _parse_line(text, n, "weighting")
     if any(v not in (0, 1) for v in values):
         raise ParseError("weighting entries must be 0 or 1")
-    return BinaryWeighting(tuple(values))
+    return BinaryWeighting(values)

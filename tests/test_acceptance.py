@@ -98,7 +98,7 @@ def test_criterion_3_tree_formula(record_property):
     names = []
     for name, g in tree_representatives():
         formula = max(stack_cost(g, v) for v in range(g.n))
-        result = gamma_exact(g, formula)
+        result = gamma_exact(g)
         assert result.gamma == formula, name
         names.append(name)
     elapsed = time.perf_counter() - started

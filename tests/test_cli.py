@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -5,13 +6,14 @@ import sys
 from coverpebble import (
     Configuration,
     Wheel,
+    cli,
     format_graph_text,
     generate,
+    parse_graph_text,
 )
 from coverpebble.cli import (
     VerificationReport,
     emit_report,
-    parse_graph_file,
     report_status,
     run_cli,
 )
@@ -30,10 +32,10 @@ REPORT_FIELDS = (
 
 
 def test_parse_graph_file_contents():
-    g = parse_graph_file("2 1\n0 1\n")
+    g = parse_graph_text("2 1\n0 1\n")
     assert g.n == 2
     assert g.edges == ((0, 1),)
-    p3 = parse_graph_file("3 2\n0 1\n1 2\n")
+    p3 = parse_graph_text("3 2\n0 1\n1 2\n")
     assert p3.edges == ((0, 1), (1, 2))
     assert p3.diam == 2
 
@@ -92,7 +94,7 @@ def test_gen_to_stdout(capsys):
     assert run_cli(["gen", "--family", "wheel", "--n", "3"]) == 0
     out = capsys.readouterr().out
     assert out == format_graph_text(generate(Wheel(3)))
-    assert parse_graph_file(out).edges == generate(Wheel(3)).edges
+    assert parse_graph_text(out).edges == generate(Wheel(3)).edges
 
 
 def test_gen_rejects_ranges(capsys):
@@ -167,6 +169,8 @@ def test_usage_errors_exit_two(capsys):
         ["gamma", "--family", "wheel", "--n", "5..3"],
         ["construct", "--family", "wheel", "--n", "3",
          "--config", "7 0 0 0", "--algorithm", "pigeonhole"],
+        ["gamma", "--family", "wheel", "--n", "4", "--upper-hint", "9"],
+        ["gen", "--family", "wheel", "--n", "4", "--out", "/nonexistent/dir/w4.txt"],
     ]
     for argv in cases:
         assert run_cli(argv) == 2, argv
@@ -290,6 +294,25 @@ def test_construct_wheel(capsys):
     assert lines[0] == "moves=4"
     assert lines[1:5] == ["0 1", "0 2", "0 3", "0 4"]
     assert lines[5] == "final=3 1 1 1 1"
+
+
+def test_construct_replay_failure_exits_three(capsys, monkeypatch):
+    real = cli.solve_wheel
+
+    def short(g, c):
+        cert = real(g, c)
+        return dataclasses.replace(cert, moves=cert.moves[:-1])
+
+    monkeypatch.setattr(cli, "solve_wheel", short)
+    code = run_cli(
+        ["construct", "--family", "wheel", "--n", "4",
+         "--config", "11 0 0 0 0", "--algorithm", "wheel"]
+    )
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("internal error:")
+    assert len(captured.err.splitlines()) == 1
 
 
 def test_construct_diameter_prints_trace(capsys):

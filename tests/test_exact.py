@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import pytest
@@ -7,6 +8,7 @@ from coverpebble import (
     BinaryWeighting,
     BudgetExceeded,
     Configuration,
+    InternalAssertion,
     InvalidSpec,
     LengthMismatch,
     Multipartite,
@@ -15,6 +17,7 @@ from coverpebble import (
     Wheel,
     composition_count,
     enumerate_configs,
+    exact,
     gamma_exact,
     generate,
     iter_count_vectors,
@@ -154,6 +157,32 @@ def test_verify_threshold_worker_determinism():
             assert again == baseline
 
 
+def test_verify_threshold_caps_threads_not_chunks(monkeypatch):
+    started = []
+
+    class RecordingPool:
+        # runs the chunks in order on the calling thread
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(exact, "ThreadPoolExecutor", RecordingPool)
+    for cpus, expected in ((2, 2), (None, 1)):
+        monkeypatch.setattr(exact.os, "cpu_count", lambda: cpus)
+        for k in (6, 7):
+            assert verify_threshold(W3, k, 64) == verify_threshold(W3, k, 1)
+            assert started.pop() == expected
+        assert started == []
+
+
 def test_verify_threshold_shared_memo_speedup_is_consistent():
     memo = SolveMemo()
     first = verify_threshold(P3, 7, memo=memo)
@@ -182,14 +211,30 @@ def test_gamma_w4():
     assert result.gamma == 11
 
 
-def test_gamma_with_hints():
-    # a low hint doubles upward, a high hint walks downward; both land
-    # on the same value and witness
+def _shift_stack_bound(monkeypatch, delta):
+    real = exact.bound_report
+
+    def shifted(g):
+        report = real(g)
+        return dataclasses.replace(report, lower_stacked=report.lower_stacked + delta)
+
+    monkeypatch.setattr(exact, "bound_report", shifted)
+
+
+def test_gamma_steps_up_from_a_low_start(monkeypatch):
+    # a start below the worst stack cost must still land on the same
+    # value and witness
     plain = gamma_exact(P3)
-    low = gamma_exact(P3, upper_hint=2)
-    high = gamma_exact(P3, upper_hint=25)
-    assert plain.gamma == low.gamma == high.gamma == 7
-    assert plain.witness == low.witness == high.witness
+    _shift_stack_bound(monkeypatch, -2)
+    stepped = gamma_exact(P3)
+    assert (stepped.gamma, stepped.witness) == (plain.gamma, plain.witness)
+    assert stepped.configs_checked > plain.configs_checked
+
+
+def test_gamma_rejects_a_passing_size_below_the_stack_bound(monkeypatch):
+    _shift_stack_bound(monkeypatch, 1)
+    with pytest.raises(InternalAssertion):
+        gamma_exact(P3)
 
 
 def test_gamma_single_vertex():

@@ -1,5 +1,8 @@
+import types
+
 import pytest
 
+import coverpebble
 from coverpebble import (
     Fuse,
     InvalidSpec,
@@ -116,3 +119,12 @@ def test_oracle_cross_checks():
     assert gamma_exact(generate(Multipartite((1, 1)))).gamma == gamma_multipartite((1, 1))
     p3 = generate(Path(3))
     assert gamma_exact(p3).gamma == stack_cost(p3, 0)
+
+
+def test_package_exports_every_public_name():
+    public = {
+        name
+        for name, value in vars(coverpebble).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert public == set(coverpebble.__all__)

@@ -23,6 +23,7 @@ from coverpebble import (
     bound_report,
     enumerate_configs,
     gamma_exact,
+    iter_count_vectors,
     solve,
     stack_cost,
     stacked,
@@ -150,10 +151,23 @@ def test_gamma_equals_worst_stack_on_small_trees():
     for n in range(1, 5):
         for g in labeled_trees(n):
             report = bound_report(g)
-            result = gamma_exact(g, report.lower_stacked)
+            result = gamma_exact(g)
             assert result.gamma == report.lower_stacked, g.edges
             assert result.gamma <= report.upper_diameter
             assert result.witness.size == result.gamma - 1
+
+
+def test_gamma_witness_is_the_colex_first_failure():
+    # pins the witness independently of the order gamma_exact scans sizes:
+    # a fresh, unpruned solve per configuration shares nothing with it
+    for g in small_catalog(4):
+        result = gamma_exact(g)
+        first = next(
+            vec
+            for vec in iter_count_vectors(g.n, result.gamma - 1)
+            if not solve(g, Configuration(vec), pruning=False).solvable
+        )
+        assert result.witness.counts == first, g.edges
 
 
 def test_gamma_within_bounds_on_a_cyclic_graph():
@@ -171,7 +185,7 @@ def test_gamma_within_bounds_on_a_cyclic_graph():
 def test_gamma_equals_worst_stack_on_order5_trees():
     for g in labeled_trees(5):
         report = bound_report(g)
-        result = gamma_exact(g, report.lower_stacked)
+        result = gamma_exact(g)
         assert result.gamma == report.lower_stacked, g.edges
 
 
@@ -187,5 +201,5 @@ def test_gamma_equals_worst_stack_on_order6_trees():
         assert stack_cost(g, worst) == formula, name
         assert not solve(g, stacked(g, worst, formula - 1)).solvable, name
         if report.upper_diameter > formula:
-            result = gamma_exact(g, formula)
+            result = gamma_exact(g)
             assert result.gamma == formula, name

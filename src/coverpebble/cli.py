@@ -383,6 +383,21 @@ def cmd_construct(args) -> int:
     return 0
 
 
+def _int_at_least(low: int):
+    """argparse type for an integer no smaller than low."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
+
+
 def _add_graph_args(sub, with_family_ranges: bool = False) -> None:
     sub.add_argument("--graph", metavar="FILE", help="graph text file")
     sub.add_argument(
@@ -409,17 +424,17 @@ def build_parser() -> _Parser:
     slv.add_argument("--config", help="space separated pebble counts")
     slv.add_argument("--config-file", metavar="FILE")
     slv.add_argument("--weighting", help="space separated 0/1 marks")
-    slv.add_argument("--budget", type=int, help="state budget for the search")
+    slv.add_argument("--budget", type=_int_at_least(0), help="state budget for the search")
     slv.set_defaults(func=cmd_solve)
 
     gam = commands.add_parser("gamma", help="exact cover pebbling number")
     _add_graph_args(gam)
-    gam.add_argument("--workers", type=int, default=1)
+    gam.add_argument("--workers", type=_int_at_least(1), default=1)
     gam.set_defaults(func=cmd_gamma)
 
     ver = commands.add_parser("verify", help="formulas against the search")
     _add_graph_args(ver, with_family_ranges=True)
-    ver.add_argument("--workers", type=int, default=1)
+    ver.add_argument("--workers", type=_int_at_least(1), default=1)
     ver.add_argument("--format", choices=["json", "csv"], default="json")
     ver.add_argument("--no-timing", action="store_true", help="report elapsed_ms as 0")
     ver.add_argument("--out", metavar="FILE")

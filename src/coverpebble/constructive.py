@@ -16,14 +16,12 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import (
-    DisconnectedGraph,
     InternalAssertion,
-    InvalidSpec,
     PreconditionViolated,
     StrategyIncomplete,
 )
 from .formulas import diameter_bound, gamma_multipartite, gamma_wheel, weighted_cover_bound
-from .graphs import Graph, Multipartite, Wheel, generate
+from .graphs import Graph, multipartite_edges, wheel_edges
 from .pebbles import (
     BinaryWeighting,
     Certificate,
@@ -247,7 +245,7 @@ def solve_wheel(g: Graph, c: Configuration) -> Certificate:
     """
     check_length(c.counts, g.n, "configuration")
     rim_count = g.n - 1
-    if rim_count < 3 or g.edges != generate(Wheel(rim_count)).edges:
+    if rim_count < 3 or g.edges != wheel_edges(rim_count):
         raise PreconditionViolated("graph is not a wheel with hub 0")
     if c.size < 4 * rim_count - 5:
         raise PreconditionViolated(
@@ -341,11 +339,7 @@ def solve_multipartite(g: Graph, sizes, c: Configuration) -> Certificate:
     """
     sizes = tuple(sizes)
     threshold = gamma_multipartite(sizes)
-    try:
-        expected = generate(Multipartite(sizes))
-    except (InvalidSpec, DisconnectedGraph) as exc:
-        raise PreconditionViolated(f"class sizes do not describe this graph: {exc}") from None
-    if g.n != expected.n or g.edges != expected.edges:
+    if g.n != sum(sizes) or g.edges != multipartite_edges(sizes):
         raise PreconditionViolated("graph does not match the given class sizes")
     check_length(c.counts, g.n, "configuration")
     if c.size < threshold:

@@ -23,6 +23,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import islice
 from math import comb
+from operator import mul
 from typing import Iterator, Optional
 
 from .errors import BudgetExceeded, InternalAssertion, InvalidSpec
@@ -92,22 +93,44 @@ class SolveMemo:
 
 class _CoverSearch:
     """Depth-first cover-solvability search bound to one graph and
-    target set, with optional sound pruning."""
+    target set, with optional sound pruning.
+
+    The search is fixed by its move order: from each state it tries the
+    moves off the biggest piles first, then those stepping onto a vertex
+    nearest an uncovered target, then by source and destination index.
+    States, memo entries and certificates follow from that order alone,
+    so any rewrite of the hot path must keep it exactly.
+
+    Tables built once per search, read-only afterwards, so threads
+    sharing one search need no lock:
+
+    - ``adj``: the graph's adjacency lists.
+    - ``nearest``: per vertex x, the pairs (dist(x, t), t) over the
+      targets t, sorted, so the first uncovered one gives x's distance to
+      the nearest uncovered target.
+    - ``targets``: per target t, the triple (t, weight row, demand) that
+      the pruning test compares.
+    """
 
     def __init__(self, g: Graph, marked, memo: Optional[SolveMemo] = None, pruning: bool = True):
-        self.g = g
         self.marked = tuple(sorted(marked))
         self.pruning = pruning
         self.memo = memo if memo is not None else SolveMemo()
         self.memo.bind((g.n, g.edges, self.marked, pruning))
         self.full_cover = len(self.marked) == g.n
+        self.adj = g.adj
+        dist = g.dist
+        self.nearest = tuple(
+            tuple(sorted((dist[x][t], t) for t in self.marked)) for x in range(g.n)
+        )
         # weight of a pebble at v toward target t: 2**(diam - dist(v, t)).
         # No move increases the weighted total toward a fixed target, so a
         # configuration below the demand of some empty target cannot win.
-        self.weight = {
-            t: tuple(1 << (g.diam - g.dist[v][t]) for v in range(g.n)) for t in self.marked
-        }
-        self.demand = {t: sum(self.weight[t][u] for u in self.marked) for t in self.marked}
+        targets = []
+        for t in self.marked:
+            row = tuple(1 << (g.diam - dist[v][t]) for v in range(g.n))
+            targets.append((t, row, sum(row[u] for u in self.marked)))
+        self.targets = tuple(targets)
 
     def _covered(self, state: tuple[int, ...]) -> bool:
         if self.full_cover:
@@ -117,30 +140,24 @@ class _CoverSearch:
     def _prunable(self, state: tuple[int, ...]) -> bool:
         if sum(state) < len(self.marked):
             return True
-        for t in self.marked:
-            if state[t]:
-                continue
-            wt = self.weight[t]
-            have = 0
-            for v, c in enumerate(state):
-                if c:
-                    have += c * wt[v]
-            if have < self.demand[t]:
+        for t, row, demand in self.targets:
+            if not state[t] and sum(map(mul, state, row)) < demand:
                 return True
         return False
 
     def _ordered_moves(self, state: tuple[int, ...]) -> list[tuple[int, int]]:
         # big piles first, stepping toward the nearest uncovered target;
         # index order breaks ties so the search is deterministic
-        dist = self.g.dist
-        uncovered = [t for t in self.marked if not state[t]]
-        ranked = []
-        for u, cu in enumerate(state):
-            if cu < 2:
-                continue
-            for x in self.g.adj[u]:
-                near = min(dist[x][t] for t in uncovered) if uncovered else 0
-                ranked.append((-cu, near, u, x))
+        near = []
+        for pairs in self.nearest:
+            for d, t in pairs:
+                if not state[t]:
+                    near.append(d)
+                    break
+            else:
+                near.append(0)
+        adj = self.adj
+        ranked = [(-cu, near[x], u, x) for u, cu in enumerate(state) if cu > 1 for x in adj[u]]
         ranked.sort()
         return [(u, x) for _, _, u, x in ranked]
 

@@ -158,31 +158,39 @@ def check_class_sizes(sizes) -> tuple[int, ...]:
     return sizes
 
 
-def _gen_multipartite(sizes: tuple[int, ...]) -> Graph:
-    # classes occupy contiguous index blocks in the order given
-    check_class_sizes(sizes)
+def multipartite_edges(sizes) -> tuple[tuple[int, int], ...]:
+    """Sorted edge list of the complete multipartite graph with the given
+    class sizes.  Classes occupy contiguous index blocks in the order
+    given; raises InvalidSpec as check_class_sizes does."""
+    sizes = check_class_sizes(sizes)
     n = sum(sizes)
-    starts = []
-    acc = 0
-    for s in sizes:
-        starts.append(acc)
-        acc += s
     edges = []
-    for i, si in enumerate(sizes):
-        for j in range(i + 1, len(sizes)):
-            for u in range(starts[i], starts[i] + si):
-                for v in range(starts[j], starts[j] + sizes[j]):
-                    edges.append((u, v))
-    return build_graph(n, edges)
+    end = 0
+    for s in sizes:
+        start, end = end, end + s
+        edges += [(u, v) for u in range(start, end) for v in range(end, n)]
+    return tuple(edges)
 
 
-def _gen_wheel(n: int) -> Graph:
+def wheel_edges(n: int) -> tuple[tuple[int, int], ...]:
+    """Sorted edge list of the wheel with n rim vertices: hub 0 joined to
+    every rim vertex, rim cycle 1..n."""
     if n < 3:
         raise InvalidSpec(f"wheel needs at least 3 rim vertices, got {n}")
     edges = [(0, i) for i in range(1, n + 1)]
-    edges += [(i, i + 1) for i in range(1, n)]
-    edges.append((1, n))
-    return build_graph(n + 1, edges)
+    edges += [(1, 2), (1, n)]
+    edges += [(i, i + 1) for i in range(2, n)]
+    return tuple(edges)
+
+
+def _gen_multipartite(sizes: tuple[int, ...]) -> Graph:
+    # the builder validates the sizes before they are summed
+    edges = multipartite_edges(sizes)
+    return build_graph(sum(sizes), edges)
+
+
+def _gen_wheel(n: int) -> Graph:
+    return build_graph(n + 1, wheel_edges(n))
 
 
 def _gen_fuse(n: int, d: int) -> Graph:

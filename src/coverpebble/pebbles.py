@@ -107,15 +107,13 @@ def is_covered(c: Configuration, b: Optional[BinaryWeighting] = None) -> bool:
     """
     if b is None:
         return all(x > 0 for x in c.counts)
-    if len(b.marks) != len(c.counts):
-        raise LengthMismatch("weighting and configuration lengths differ")
+    check_length(b.marks, len(c.counts), "weighting")
     return all(x > 0 for x, m in zip(c.counts, b.marks) if m)
 
 
 def is_permissible(c: Configuration, b: BinaryWeighting) -> bool:
     """True when pebbles sit only on marked vertices."""
-    if len(b.marks) != len(c.counts):
-        raise LengthMismatch("weighting and configuration lengths differ")
+    check_length(b.marks, len(c.counts), "weighting")
     return all(m == 1 for x, m in zip(c.counts, b.marks) if x > 0)
 
 

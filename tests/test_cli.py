@@ -171,6 +171,11 @@ def test_usage_errors_exit_two(capsys):
          "--config", "7 0 0 0", "--algorithm", "pigeonhole"],
         ["gamma", "--family", "wheel", "--n", "4", "--upper-hint", "9"],
         ["gen", "--family", "wheel", "--n", "4", "--out", "/nonexistent/dir/w4.txt"],
+        ["gamma", "--family", "wheel", "--n", "4", "--workers", "-2"],
+        ["gamma", "--family", "wheel", "--n", "4", "--workers", "0"],
+        ["verify", "--family", "wheel", "--n", "4", "--workers", "0"],
+        ["solve", "--family", "wheel", "--n", "4", "--config", "0 9 0 0 0", "--budget", "-5"],
+        ["solve", "--family", "wheel", "--n", "4", "--config", "0 9 0 0 0", "--budget", "x"],
     ]
     for argv in cases:
         assert run_cli(argv) == 2, argv

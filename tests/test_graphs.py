@@ -16,6 +16,7 @@ from coverpebble import (
     generate,
     parse_graph_text,
 )
+from coverpebble.graphs import multipartite_edges, wheel_edges
 
 
 def test_build_single_edge():
@@ -113,6 +114,25 @@ def test_generate_rejects_bad_specs():
         generate(Path(0))
     with pytest.raises(InvalidSpec):
         generate(Star(0))
+
+
+def test_family_edge_lists_match_the_definition():
+    # the recognisers in constructive compare these lists with g.edges,
+    # so they must equal build_graph's normalised, sorted edge tuple
+    for n in range(3, 12):
+        spokes = [(0, i) for i in range(1, n + 1)]
+        rim = [(i, i % n + 1) for i in range(1, n + 1)]
+        assert wheel_edges(n) == build_graph(n + 1, rim + spokes).edges
+        assert generate(Wheel(n)).edges == wheel_edges(n)
+    for sizes in [(1,), (1, 1), (2, 1), (2, 2), (2, 1, 1), (3, 2, 2), (4, 3, 2, 1)]:
+        cls = [i for i, s in enumerate(sizes) for _ in range(s)]
+        pairs = [(u, v) for u in range(len(cls)) for v in range(len(cls)) if cls[u] != cls[v]]
+        assert multipartite_edges(sizes) == build_graph(len(cls), pairs).edges
+        assert generate(Multipartite(sizes)).edges == multipartite_edges(sizes)
+    with pytest.raises(InvalidSpec):
+        wheel_edges(2)
+    with pytest.raises(InvalidSpec):
+        multipartite_edges((1, 2))
 
 
 def test_multipartite_diameter_rule():

@@ -83,6 +83,14 @@ def test_is_permissible_examples():
     assert is_permissible(Configuration((0, 0)), BinaryWeighting((1, 1)))
 
 
+def test_weighting_length_checks_share_one_message():
+    c = Configuration((1, 0, 2))
+    short = BinaryWeighting((1, 0))
+    for check in (is_covered, is_permissible):
+        with pytest.raises(LengthMismatch, match="weighting has 2 entries for order 3"):
+            check(c, short)
+
+
 def test_all_ones_weighting_matches_unweighted():
     # exhaustive at 3 vertices, sizes up to 6
     ones = BinaryWeighting((1, 1, 1))

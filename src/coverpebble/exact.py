@@ -13,6 +13,16 @@ every stack on vertex 0, which is where unsolvable witnesses tend to
 live, so failing scans exit early.  The threshold verifier splits that
 order into contiguous rank ranges, so the split of work across threads
 is deterministic.
+
+A threshold scan decides one configuration per automorphism orbit.  It
+skips a count vector when one of up to 64 automorphisms of the graph
+maps it to a colexicographically smaller vector, which then has the same
+answer.  Any set of automorphisms is sound: from a skipped vector such
+maps give a strictly decreasing chain that ends at a decided vector of
+the same orbit, earlier in the scan.  The first unsolvable vector is
+never skipped, because its images are unsolvable too and none comes
+earlier, so the witness and configs_checked, which counts skipped
+vectors too, are what a scan of every vector reports.
 """
 
 from __future__ import annotations
@@ -23,7 +33,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import islice
 from math import comb
-from operator import mul
+from operator import itemgetter, mul
 from typing import Iterator, Optional
 
 from .errors import BudgetExceeded, InternalAssertion, InvalidSpec
@@ -244,9 +254,12 @@ def solve(
 
     Without a weighting every vertex is a target.  A solvable outcome
     carries a certificate rebuilt from the memo's win chain; it always
-    replays cleanly through validate_certificate.
+    replays cleanly through validate_certificate.  A negative budget
+    raises InvalidSpec.
     """
     check_length(c.counts, g.n, "configuration")
+    if budget is not None and budget < 0:
+        raise InvalidSpec(f"budget must be nonnegative, got {budget}")
     search = _CoverSearch(g, _marked_vertices(g, b), memo=memo, pruning=pruning)
     solvable, explored = search.decide(c.counts, budget)
     certificate = None
@@ -291,6 +304,77 @@ def enumerate_configs(n: int, k: int) -> Iterator[Configuration]:
         yield Configuration(vec)
 
 
+# Automorphisms kept for the orbit skip.  Any subset of the group is
+# sound.  The first 64 leave the same vectors to decide as the whole
+# group on star 5 and K(3,3), which have 119 and 71 non-identity
+# automorphisms; the star with 8 leaves alone has 40,319.
+_AUT_CAP = 64
+
+
+def _automorphisms(g: Graph) -> list[tuple[int, ...]]:
+    """Up to _AUT_CAP non-identity automorphisms of g, as tuples p mapping
+    vertex v to p[v], in lexicographic order of p.
+
+    Backtracks over images vertex by vertex.  An image must have the
+    same multiset of distances to all vertices (so the same degree), and
+    the same distance to the images of the earlier vertices as the
+    vertex has to them.  A permutation keeping every distance keeps
+    adjacency, and an automorphism keeps every distance.
+    """
+    n = g.n
+    dist = g.dist
+    profile = [sorted(row) for row in dist]
+    image = [0] * n
+    free = [True] * n
+    found: list[tuple[int, ...]] = []
+    identity = tuple(range(n))
+
+    def extend(v: int) -> bool:
+        # True once the cap is reached, so every level stops at once
+        if v == n:
+            p = tuple(image)
+            if p != identity:
+                found.append(p)
+            return len(found) >= _AUT_CAP
+        row = dist[v]
+        for w in range(n):
+            if not free[w] or profile[w] != profile[v]:
+                continue
+            wrow = dist[w]
+            if any(row[u] != wrow[image[u]] for u in range(v)):
+                continue
+            image[v] = w
+            free[w] = False
+            stop = extend(v + 1)
+            free[w] = True
+            if stop:
+                return True
+        return False
+
+    extend(0)
+    return found
+
+
+def _orbit_representatives(
+    autos: list[tuple[int, ...]], vectors: Iterator[tuple[int, ...]], start: int
+) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """(rank, vector) for the vectors, ranked from ``start``, that no
+    automorphism in ``autos`` maps to a colexicographically smaller vector.
+
+    Per automorphism p, a getter returns the vector moved by p in
+    reverse, so comparing it with the reversed vector compares the two
+    in colexicographic order.
+    """
+    getters = [itemgetter(*reversed(p)) for p in autos]
+    for rank, vec in enumerate(vectors, start):
+        rev = vec[::-1]
+        for get in getters:
+            if get(vec) < rev:
+                break
+        else:
+            yield rank, vec
+
+
 def verify_threshold(
     g: Graph,
     k: int,
@@ -301,21 +385,35 @@ def verify_threshold(
     """Check every configuration of size k; report the first unsolvable
     one in colexicographic order, if any.
 
+    The scan decides one configuration per automorphism orbit.  Every
+    vertex is a target, so any automorphism of g maps a cover solution
+    of one configuration onto a cover solution of its image: the whole
+    orbit is solvable or none of it is.  A count vector is skipped when
+    one of up to _AUT_CAP automorphisms maps it to a colexicographically
+    smaller vector.  That is sound for any subset of the group: following
+    such maps from a skipped vector gives a strictly decreasing chain in
+    its orbit, which ends at a vector that is not skipped, comes earlier
+    in the scan and is decided.  The colexicographically first unsolvable
+    vector is never skipped, since each of its images is unsolvable too
+    and so none comes before it; it is still the reported witness.
+
     With several workers the rank range is split into contiguous chunks
     scanned in parallel.  A chunk stops early only when a witness is
     already known in a strictly earlier chunk, so the reported witness
     is the colexicographically first one regardless of worker count or
     scheduling.  configs_checked is likewise canonical: the witness rank
-    plus one, or the full count when the size is good.  At most
-    os.cpu_count() threads run the chunks.
+    plus one, or the full count when the size is good.  It counts the
+    configurations the scan accounts for, skipped ones included.  At
+    most os.cpu_count() threads run the chunks.
     """
     if k < 0:
         raise InvalidSpec(f"size must be nonnegative, got {k}")
     search = _CoverSearch(g, range(g.n), memo=memo)
     total = composition_count(g.n, k)
+    autos = _automorphisms(g)
 
     if worker_count <= 1:
-        for rank, vec in enumerate(iter_count_vectors(g.n, k)):
+        for rank, vec in _orbit_representatives(autos, iter_count_vectors(g.n, k), 0):
             good, _ = search.decide(vec)
             if not good:
                 return ThresholdResult(Configuration(vec), rank + 1)
@@ -329,13 +427,12 @@ def verify_threshold(
     def scan(chunk: int) -> None:
         nonlocal best_rank, best_vec
         lo, hi = bounds[chunk], bounds[chunk + 1]
-        for offset, vec in enumerate(iter_count_vectors(g.n, k, lo, hi)):
+        for rank, vec in _orbit_representatives(autos, iter_count_vectors(g.n, k, lo, hi), lo):
             if best_rank < lo:
                 return
             good, _ = search.decide(vec)
             if not good:
                 with found_lock:
-                    rank = lo + offset
                     if rank < best_rank:
                         best_rank = rank
                         best_vec = vec

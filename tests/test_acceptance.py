@@ -17,6 +17,7 @@ from test_properties import (
 )
 from util import (
     all_weightings,
+    connected_classes,
     random_composition,
     random_config,
     small_catalog,
@@ -30,7 +31,6 @@ from coverpebble import (
     Multipartite,
     SolveMemo,
     Wheel,
-    bound_report,
     diameter_bound,
     enumerate_configs,
     gamma_exact,
@@ -127,22 +127,24 @@ def test_criterion_4_diameter_bound_sharpness(record_property):
     )
 
 
-def test_criterion_5_bound_sandwich(record_property):
-    record_property("criterion", "criterion 5: bound sandwich on all graphs up to order 4")
+def test_criterion_5_gamma_equals_worst_stack(record_property):
+    record_property("criterion", "criterion 5: gamma equals worst stack cost up to order 5")
     started = time.perf_counter()
-    graphs = 0
-    for g in small_catalog(4):
-        report = bound_report(g)
+    labelled = small_catalog(4)
+    classes = connected_classes(5)
+    for g in labelled + list(classes):
+        worst = max(stack_cost(g, v) for v in range(g.n))
         result = gamma_exact(g)
-        assert report.lower_stacked <= result.gamma <= report.upper_diameter, g.edges
-        graphs += 1
+        assert result.gamma == worst, g.edges
+        assert result.witness.size == worst - 1, g.edges
     elapsed = time.perf_counter() - started
-    assert graphs == 44
+    assert (len(labelled), len(classes)) == (44, 21)
     assert elapsed < 600.0
     record_property(
         "criterion",
-        f"criterion 5: bound sandwich on all {graphs} connected graphs up to"
-        f" order 4 ({elapsed:.1f}s, budget 600s)",
+        f"criterion 5: gamma equals worst stack cost on all {len(labelled)}"
+        f" connected graphs up to order 4 and all {len(classes)} of order 5"
+        f" up to isomorphism ({elapsed:.1f}s, budget 600s)",
     )
 
 

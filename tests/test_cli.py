@@ -265,6 +265,49 @@ def test_verify_tree_formula_column(capsys):
     assert row["status"] == "match"
 
 
+def _row(graph, formula, lower, upper, witness, checked):
+    return {
+        "graph": graph,
+        "gamma_formula": formula,
+        "gamma_oracle": formula,
+        "bound_lower": lower,
+        "bound_upper": upper,
+        "witness": witness,
+        "configs_checked": checked,
+        "elapsed_ms": 0,
+        "status": "match",
+    }
+
+
+def test_verify_answers_are_pinned(capsys):
+    # full rows, witness and configs_checked included: a faster scan
+    # must report exactly these
+    cases = [
+        (["--family", "wheel", "--n", "3..5"], [
+            _row("wheel[3]", 7, 7, 7, [6, 0, 0, 0], 121),
+            _row("wheel[4]", 11, 11, 15, [0, 10, 0, 0, 0], 1376),
+            _row("wheel[5]", 15, 15, 19, [0, 14, 0, 0, 0, 0], 15519),
+        ]),
+        (["--family", "multipartite", "--sizes", "2,2", "--sizes", "3,2"], [
+            _row("multipartite[2,2]", 9, 9, 11, [8, 0, 0, 0], 221),
+            _row("multipartite[3,2]", 13, 13, 15, [12, 0, 0, 0, 0], 2381),
+        ]),
+        (["--family", "star", "--leaves", "4"], [
+            _row("star[4]", 15, 15, 15, [14, 0, 0, 0, 0], 3877),
+        ]),
+        (["--family", "path", "--n", "4"], [
+            _row("path[4]", 15, 15, 15, [14, 0, 0, 0], 817),
+        ]),
+        (["--family", "fuse", "--n", "5", "--d", "3"], [
+            _row("fuse[5,3]", 23, 23, 23, [22, 0, 0, 0, 0], 17551),
+        ]),
+    ]
+    for args, expected in cases:
+        assert run_cli(["verify", *args, "--no-timing"]) == 0
+        rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert rows == expected, args
+
+
 def test_verify_deterministic_across_workers(capsys):
     argv = ["verify", "--family", "multipartite", "--sizes", "2,2",
             "--sizes", "1,1,1", "--no-timing", "--format", "csv"]

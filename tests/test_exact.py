@@ -2,18 +2,20 @@ import dataclasses
 import itertools
 
 import pytest
-from util import move_pairs
+from util import move_pairs, small_catalog
 
 from coverpebble import (
     BinaryWeighting,
     BudgetExceeded,
     Configuration,
+    Fuse,
     InternalAssertion,
     InvalidSpec,
     LengthMismatch,
     Multipartite,
     Path,
     SolveMemo,
+    Star,
     Wheel,
     composition_count,
     enumerate_configs,
@@ -86,6 +88,16 @@ def test_solve_budget():
     # a generous budget changes nothing
     out = solve(K2, Configuration((3, 0)), budget=10_000)
     assert out.solvable
+
+
+def test_solve_rejects_a_negative_budget():
+    w4 = generate(Wheel(4))
+    c = Configuration((0, 9, 0, 0, 0))
+    with pytest.raises(InvalidSpec):
+        solve(w4, c, budget=-5)
+    # a zero budget still stops at the first state
+    with pytest.raises(BudgetExceeded):
+        solve(w4, c, budget=0)
 
 
 def test_solve_memo_reuse_guard():
@@ -242,3 +254,52 @@ def test_gamma_single_vertex():
     result = gamma_exact(single)
     assert result.gamma == 1
     assert result.witness.counts == (0,)
+
+
+def _brute_automorphisms(g):
+    edges = set(g.edges)
+    found = []
+    for p in itertools.permutations(range(g.n)):
+        if p != tuple(range(g.n)) and all(
+            tuple(sorted((p[u], p[v]))) in edges for u, v in g.edges
+        ):
+            found.append(p)
+    return found
+
+
+def test_automorphisms_match_brute_force():
+    family = [
+        generate(Wheel(4)),
+        generate(Wheel(5)),
+        generate(Multipartite((3, 2))),
+        generate(Star(4)),
+        generate(Fuse(5, 3)),
+    ]
+    for g in small_catalog(4) + family:
+        assert exact._automorphisms(g) == _brute_automorphisms(g), g.edges
+
+
+def test_automorphisms_stop_at_the_cap():
+    # star 8 has 8! - 1 = 40,319 non-identity automorphisms; the first 64
+    # in lexicographic order come back
+    star8 = generate(Star(8))
+    first = list(
+        itertools.islice(
+            (p for p in itertools.permutations(range(9)) if p[8] == 8 and p != tuple(range(9))),
+            exact._AUT_CAP,
+        )
+    )
+    assert exact._AUT_CAP == 64
+    assert exact._automorphisms(star8) == first
+    # 20! - 1 automorphisms could never all be listed: the search stops
+    assert len(exact._automorphisms(generate(Star(20)))) == 64
+
+
+def test_orbit_skip_keeps_every_answer(monkeypatch):
+    # the reference scan decides every configuration: no automorphisms
+    cases = [(g, k, workers) for g in small_catalog(4) for k in range(2, 9) for workers in (1, 2)]
+    skipping = [verify_threshold(*case) for case in cases]
+    monkeypatch.setattr(exact, "_automorphisms", lambda g: [])
+    for case, result in zip(cases, skipping):
+        assert result == verify_threshold(*case), (case[0].edges, case[1], case[2])
+    assert any(not result.ok for result in skipping)

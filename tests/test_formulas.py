@@ -121,6 +121,17 @@ def test_oracle_cross_checks():
     assert gamma_exact(p3).gamma == stack_cost(p3, 0)
 
 
+@pytest.mark.slow
+def test_oracle_matches_closed_forms_on_order_6_families():
+    for g, formula in (
+        (generate(Wheel(6)), gamma_wheel(6)),
+        (generate(Multipartite((3, 3))), gamma_multipartite((3, 3))),
+    ):
+        result = gamma_exact(g)
+        assert result.gamma == formula
+        assert result.witness.size == formula - 1
+
+
 def test_package_exports_every_public_name():
     public = {
         name

@@ -49,6 +49,19 @@ def connected_graphs(n: int) -> tuple[Graph, ...]:
     return tuple(build_graph(n, edges) for edges in connected_edge_sets(n))
 
 
+@lru_cache(maxsize=None)
+def connected_classes(n: int) -> tuple[Graph, ...]:
+    """One connected graph on n vertices per isomorphism class: the
+    relabelling whose sorted edge tuple is least, in order of that tuple."""
+    perms = list(itertools.permutations(range(n)))
+    canonical = set()
+    for edges in connected_edge_sets(n):
+        canonical.add(
+            min(tuple(sorted(tuple(sorted((p[u], p[v]))) for u, v in edges)) for p in perms)
+        )
+    return tuple(build_graph(n, edges) for edges in sorted(canonical))
+
+
 def small_catalog(max_n: int = 4) -> list[Graph]:
     """All labeled connected graphs with 1 to max_n vertices."""
     out: list[Graph] = []

@@ -10,9 +10,20 @@ cache lookups.
 Configurations of a fixed size are enumerated in ascending
 colexicographic order on the count vectors.  That order starts with
 every stack on vertex 0, which is where unsolvable witnesses tend to
-live, so failing scans exit early.  The threshold verifier splits that
+live, so failing scans exit early.  The enumerator steps from one
+vector to the next in place: with i the first nonzero index, it moves
+one pebble up to i + 1 and gathers the other c[i] - 1 on vertex 0; it
+stops when i is the last index.  The threshold verifier splits that
 order into contiguous rank ranges, so the split of work across threads
 is deterministic.
+
+On a tree the threshold scan replaces the search with a bottom-up pass.
+A cover solution needs no cycle of moves (Milans and Clark, 2006), so
+each tree edge carries pebbles one way only: a subtree with s pebbles
+to spare sends s // 2 to its parent, and one short of d pebbles costs
+the parent 2d.  The root's balance then decides the configuration
+exactly, in time linear in the order.  solve stays on the search,
+whose certificates the pass does not give.
 
 A threshold scan decides one configuration per automorphism orbit.  It
 skips a count vector when one of up to 64 automorphisms of the graph
@@ -34,7 +45,7 @@ from dataclasses import dataclass
 from itertools import islice
 from math import comb
 from operator import itemgetter, mul
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from .errors import BudgetExceeded, InternalAssertion, InvalidSpec
 from .formulas import bound_report
@@ -275,12 +286,23 @@ def composition_count(n: int, k: int) -> int:
 
 
 def _vectors_all(n: int, k: int) -> Iterator[tuple[int, ...]]:
-    if n == 1:
-        yield (k,)
-        return
-    for last in range(k + 1):
-        for head in _vectors_all(n - 1, k - last):
-            yield head + (last,)
+    # colex successor on one list: with i the first nonzero index, move
+    # one pebble up to i + 1 and gather the rest of c[i] on vertex 0
+    c = [k] + [0] * (n - 1)
+    last = n - 1
+    while True:
+        yield tuple(c)
+        if not k:
+            return
+        i = 0
+        while not c[i]:
+            i += 1
+        if i == last:
+            return
+        c[i + 1] += 1
+        c[0] = c[i] - 1
+        if i:
+            c[i] = 0
 
 
 def iter_count_vectors(
@@ -375,6 +397,32 @@ def _orbit_representatives(
             yield rank, vec
 
 
+def _tree_cover_test(g: Graph) -> Callable[[tuple[int, ...]], bool]:
+    """Exact full-cover test for a tree, as a function of a count vector.
+
+    Roots the tree at 0 and visits the vertices leaves first, each with
+    its parent.  A vertex's balance is its own pebbles plus what its
+    children's subtrees pass up, minus the one pebble it keeps; a
+    surplus s passes s // 2 up and a shortfall d costs the parent 2d.
+    The vector is solvable iff the root's balance is at least 1.  The
+    test keeps no state between calls, so threads can share it.
+    """
+    depth = g.dist[0]
+    steps = tuple(
+        (v, next(p for p in g.adj[v] if depth[p] == depth[v] - 1))
+        for v in sorted(range(1, g.n), key=depth.__getitem__, reverse=True)
+    )
+
+    def solvable(vec: tuple[int, ...]) -> bool:
+        bal = list(vec)
+        for v, p in steps:
+            b = bal[v] - 1
+            bal[p] += b >> 1 if b >= 0 else 2 * b
+        return bal[0] >= 1
+
+    return solvable
+
+
 def verify_threshold(
     g: Graph,
     k: int,
@@ -397,6 +445,15 @@ def verify_threshold(
     vector is never skipped, since each of its images is unsolvable too
     and so none comes before it; it is still the reported witness.
 
+    On a tree (a connected graph with n - 1 edges) each representative
+    is decided by the bottom-up pass of _tree_cover_test instead of the
+    search: a subtree with surplus s sends s // 2 pebbles to its parent,
+    a subtree short of d pebbles costs its parent 2d, and the root must
+    end with a pebble.  It is exact because a cover solution needs no
+    cycle of moves, so each tree edge carries pebbles one way only.  The
+    pass leaves the memo untouched, but the search is still built, so a
+    memo bound to another graph still raises ValueError.
+
     With several workers the rank range is split into contiguous chunks
     scanned in parallel.  A chunk stops early only when a witness is
     already known in a strictly earlier chunk, so the reported witness
@@ -409,13 +466,19 @@ def verify_threshold(
     if k < 0:
         raise InvalidSpec(f"size must be nonnegative, got {k}")
     search = _CoverSearch(g, range(g.n), memo=memo)
+    if len(g.edges) == g.n - 1:
+        solvable = _tree_cover_test(g)
+    else:
+
+        def solvable(vec: tuple[int, ...]) -> bool:
+            return search.decide(vec)[0]
+
     total = composition_count(g.n, k)
     autos = _automorphisms(g)
 
     if worker_count <= 1:
         for rank, vec in _orbit_representatives(autos, iter_count_vectors(g.n, k), 0):
-            good, _ = search.decide(vec)
-            if not good:
+            if not solvable(vec):
                 return ThresholdResult(Configuration(vec), rank + 1)
         return ThresholdResult(None, total)
 
@@ -430,8 +493,7 @@ def verify_threshold(
         for rank, vec in _orbit_representatives(autos, iter_count_vectors(g.n, k, lo, hi), lo):
             if best_rank < lo:
                 return
-            good, _ = search.decide(vec)
-            if not good:
+            if not solvable(vec):
                 with found_lock:
                     if rank < best_rank:
                         best_rank = rank

@@ -1,8 +1,16 @@
 import dataclasses
 import itertools
+import random
 
 import pytest
-from util import move_pairs, small_catalog
+from util import (
+    labeled_trees,
+    move_pairs,
+    random_composition,
+    random_tree,
+    small_catalog,
+    tree_representatives,
+)
 
 from coverpebble import (
     BinaryWeighting,
@@ -17,6 +25,8 @@ from coverpebble import (
     SolveMemo,
     Star,
     Wheel,
+    bound_report,
+    build_graph,
     composition_count,
     enumerate_configs,
     exact,
@@ -24,6 +34,7 @@ from coverpebble import (
     generate,
     iter_count_vectors,
     solve,
+    stack_cost,
     stacked,
     validate_certificate,
     verify_threshold,
@@ -146,6 +157,39 @@ def test_enumeration_range_slices_agree():
             assert joined == full
         assert list(iter_count_vectors(n, k, 5, 5)) == []
         assert list(iter_count_vectors(n, k, total - 1, total + 10)) == [full[-1]]
+
+
+def _recursive_vectors(n, k):
+    # the enumerator the colex successor replaced, kept as a reference
+    if n == 1:
+        yield (k,)
+        return
+    for last in range(k + 1):
+        for head in _recursive_vectors(n - 1, k - last):
+            yield head + (last,)
+
+
+def test_enumeration_matches_the_recursive_order():
+    for n in range(1, 7):
+        for k in range(13):
+            full = list(_recursive_vectors(n, k))
+            total = composition_count(n, k)
+            assert list(iter_count_vectors(n, k)) == full, (n, k)
+            assert len(full) == total
+            ranges = [
+                (0, None),
+                (1, None),
+                (total // 2, None),
+                (total // 3, 2 * total // 3 + 1),
+                (total - 1, total),
+                (total, total + 5),
+                (total + 3, None),
+                (4, 2),
+                (-3, 2),
+            ]
+            for start, stop in ranges:
+                expected = full[max(start, 0) : stop if stop is None else max(stop, 0)]
+                assert list(iter_count_vectors(n, k, start, stop)) == expected, (n, k, start, stop)
 
 
 def test_verify_threshold_examples():
@@ -303,3 +347,80 @@ def test_orbit_skip_keeps_every_answer(monkeypatch):
     for case, result in zip(cases, skipping):
         assert result == verify_threshold(*case), (case[0].edges, case[1], case[2])
     assert any(not result.ok for result in skipping)
+
+
+def _reference_scan(g, k, memo):
+    # decides every configuration with the search, sharing one memo
+    search = exact._CoverSearch(g, range(g.n), memo=memo)
+    for rank, vec in enumerate(iter_count_vectors(g.n, k)):
+        if not search.decide(vec)[0]:
+            return Configuration(vec), rank + 1
+    return None, composition_count(g.n, k)
+
+
+def test_tree_scan_matches_a_scan_of_every_vector():
+    fuse = generate(Fuse(5, 3))
+    relabel = (3, 0, 4, 1, 2)
+    relabelled = build_graph(5, [(relabel[u], relabel[v]) for u, v in fuse.edges])
+    cases = tree_representatives() + [("fuse[5,3] relabelled", relabelled)]
+    for name, g in cases:
+        assert len(g.edges) == g.n - 1, name
+        memo = SolveMemo()
+        gamma = bound_report(g).lower_stacked
+        for k in (gamma - 1, gamma):
+            witness, checked = _reference_scan(g, k, memo)
+            assert (witness is None) == (k == gamma), (name, k)
+            for workers in (1, 2):
+                result = verify_threshold(g, k, workers)
+                assert (result.witness, result.configs_checked) == (witness, checked), (name, k, workers)
+
+
+def test_tree_scan_still_checks_the_memo_binding():
+    memo = SolveMemo()
+    verify_threshold(W3, 6, memo=memo)
+    with pytest.raises(ValueError):
+        verify_threshold(P3, 4, memo=memo)
+
+
+def test_tree_pass_matches_the_search_on_every_small_tree():
+    checked = 0
+    for n in range(1, 5):
+        for g in labeled_trees(n):
+            solvable = exact._tree_cover_test(g)
+            search = exact._CoverSearch(g, range(g.n))
+            for k in range(bound_report(g).lower_stacked + 2):
+                for vec in iter_count_vectors(g.n, k):
+                    assert solvable(vec) == search.decide(vec)[0], (g.edges, vec)
+                    checked += 1
+    assert checked > 60_000
+
+
+def _spread(rng, n, k, support):
+    counts = [0] * n
+    for v, c in zip(rng.sample(range(n), support), random_composition(rng, k, support)):
+        counts[v] = c
+    return tuple(counts)
+
+
+def test_tree_pass_matches_the_search_on_random_configurations():
+    rng = random.Random(2024)
+    named = [generate(Fuse(6, 3)), generate(Fuse(7, 3)), generate(Star(6)), generate(Path(7))]
+    grown = [random_tree(rng, n) for n in (8, 9, 10)]
+    outcomes = set()
+    for g in named + grown:
+        solvable = exact._tree_cover_test(g)
+        search = exact._CoverSearch(g, range(g.n))
+        # refuting one big stack on a deep random tree takes the search
+        # seconds, so there the stacks are checked against their cost
+        # and the sampled configurations use at least two vertices
+        smallest = 1 if g in named else 2
+        gamma = bound_report(g).lower_stacked
+        for k in range(gamma - 3, gamma + 2):
+            for _ in range(40):
+                vec = _spread(rng, g.n, k, rng.randint(smallest, g.n))
+                answer = search.decide(vec)[0]
+                assert solvable(vec) == answer, (g.edges, vec)
+                outcomes.add(answer)
+            for v in range(g.n):
+                assert solvable(stacked(g, v, k).counts) == (k >= stack_cost(g, v)), (g.edges, v, k)
+    assert outcomes == {True, False}

@@ -119,6 +119,11 @@ def random_composition(rng, total: int, parts: int) -> tuple[int, ...]:
     return tuple(counts)
 
 
+def random_tree(rng, n: int) -> Graph:
+    """Random labeled tree: each vertex after 0 hangs off an earlier one."""
+    return build_graph(n, [(rng.randrange(v), v) for v in range(1, n)])
+
+
 def random_config(rng, n: int, size: int) -> Configuration:
     return Configuration(random_composition(rng, size, n))
 

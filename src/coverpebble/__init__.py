@@ -26,12 +26,10 @@ from .errors import (
     BudgetExceeded,
     DisconnectedGraph,
     IllegalMoveAt,
-    InsufficientPebbles,
     InternalAssertion,
     InvalidEdge,
     InvalidSpec,
     LengthMismatch,
-    NonAdjacentMove,
     NotCoveredAtEnd,
     ParseError,
     PebblingError,
@@ -78,7 +76,6 @@ from .pebbles import (
     Certificate,
     Configuration,
     PebblingMove,
-    apply_move,
     format_config,
     format_weighting,
     is_covered,
@@ -103,13 +100,11 @@ __all__ = [
     "GammaResult",
     "Graph",
     "IllegalMoveAt",
-    "InsufficientPebbles",
     "InternalAssertion",
     "InvalidEdge",
     "InvalidSpec",
     "LengthMismatch",
     "Multipartite",
-    "NonAdjacentMove",
     "NotCoveredAtEnd",
     "ParseError",
     "Path",
@@ -122,7 +117,6 @@ __all__ = [
     "StrategyIncomplete",
     "ThresholdResult",
     "Wheel",
-    "apply_move",
     "bound_report",
     "build_graph",
     "composition_count",

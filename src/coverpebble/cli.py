@@ -20,7 +20,7 @@ import io
 import json
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 from .constructive import (
@@ -86,17 +86,7 @@ class VerificationReport:
     status: str
 
 
-_REPORT_FIELDS = (
-    "graph",
-    "gamma_formula",
-    "gamma_oracle",
-    "bound_lower",
-    "bound_upper",
-    "witness",
-    "configs_checked",
-    "elapsed_ms",
-    "status",
-)
+_REPORT_FIELDS = tuple(f.name for f in fields(VerificationReport))
 
 
 def report_status(
@@ -298,7 +288,7 @@ def cmd_solve(args) -> int:
 
 def cmd_gamma(args) -> int:
     _, g, _ = _load_graph(args)
-    result = gamma_exact(g, worker_count=args.workers)
+    result = gamma_exact(g)
     print(f"gamma={result.gamma}")
     print(f"witness={format_config(result.witness)}")
     print(f"configs_checked={result.configs_checked}")
@@ -322,7 +312,7 @@ def cmd_verify(args) -> int:
         g = generate(spec)
         started = time.perf_counter()
         bounds = bound_report(g)
-        result = gamma_exact(g, worker_count=args.workers)
+        result = gamma_exact(g)
         elapsed_ms = int((time.perf_counter() - started) * 1000)
         if args.no_timing:
             elapsed_ms = 0
@@ -383,29 +373,24 @@ def cmd_construct(args) -> int:
     return 0
 
 
-def _int_at_least(low: int):
-    """argparse type for an integer no smaller than low."""
-
-    def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
-        return value
-
-    return parse
+def _nonnegative_int(text: str) -> int:
+    """argparse type for an integer no smaller than 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
 
 
-def _add_graph_args(sub, with_family_ranges: bool = False) -> None:
+def _add_graph_args(sub) -> None:
     sub.add_argument("--graph", metavar="FILE", help="graph text file")
     sub.add_argument(
         "--family", choices=["multipartite", "wheel", "fuse", "path", "star"]
     )
-    help_n = "rim count / order (ranges like 3..5 allowed)" if with_family_ranges else "rim count / order"
     sub.add_argument("--sizes", action="append", help="class sizes, largest first, e.g. 2,2")
-    sub.add_argument("--n", help=help_n)
+    sub.add_argument("--n", help="rim count / order (verify takes ranges like 3..5)")
     sub.add_argument("--d", help="fuse path length in edges")
     sub.add_argument("--leaves", help="star leaf count")
 
@@ -424,17 +409,15 @@ def build_parser() -> _Parser:
     slv.add_argument("--config", help="space separated pebble counts")
     slv.add_argument("--config-file", metavar="FILE")
     slv.add_argument("--weighting", help="space separated 0/1 marks")
-    slv.add_argument("--budget", type=_int_at_least(0), help="state budget for the search")
+    slv.add_argument("--budget", type=_nonnegative_int, help="state budget for the search")
     slv.set_defaults(func=cmd_solve)
 
     gam = commands.add_parser("gamma", help="exact cover pebbling number")
     _add_graph_args(gam)
-    gam.add_argument("--workers", type=_int_at_least(1), default=1)
     gam.set_defaults(func=cmd_gamma)
 
     ver = commands.add_parser("verify", help="formulas against the search")
-    _add_graph_args(ver, with_family_ranges=True)
-    ver.add_argument("--workers", type=_int_at_least(1), default=1)
+    _add_graph_args(ver)
     ver.add_argument("--format", choices=["json", "csv"], default="json")
     ver.add_argument("--no-timing", action="store_true", help="report elapsed_ms as 0")
     ver.add_argument("--out", metavar="FILE")

@@ -21,16 +21,10 @@ class DisconnectedGraph(PebblingError):
     """The edge set does not connect all vertices."""
 
 
-class InvalidSpec(PebblingError):
-    """A family description violates its parameter constraints."""
-
-
-class InsufficientPebbles(PebblingError):
-    """A move was attempted from a vertex holding fewer than two pebbles."""
-
-
-class NonAdjacentMove(PebblingError):
-    """A move was attempted between vertices that share no edge."""
+class InvalidSpec(PebblingError, ValueError):
+    """A value or parameter violates its documented constraints, such as
+    a family description, a pebble count or a reused memo.  It is also a
+    ValueError, so callers that catch ValueError still catch it."""
 
 
 class LengthMismatch(PebblingError):

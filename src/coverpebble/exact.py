@@ -13,9 +13,13 @@ every stack on vertex 0, which is where unsolvable witnesses tend to
 live, so failing scans exit early.  The enumerator steps from one
 vector to the next in place: with i the first nonzero index, it moves
 one pebble up to i + 1 and gathers the other c[i] - 1 on vertex 0; it
-stops when i is the last index.  The threshold verifier splits that
-order into contiguous rank ranges, so the split of work across threads
-is deterministic.
+stops when i is the last index.  The threshold verifier reports the
+first unsolvable vector in that order.
+
+gamma_exact runs two threshold scans: at the worst stack cost L, which
+must pass, and at L - 1, which must fail.  By the cover pebbling
+theorem (Sjostrand, 2005) L is the answer, so any other outcome is an
+internal error, not a reason to search further.
 
 On a tree the threshold scan replaces the search with a bottom-up pass.
 A cover solution needs no cycle of moves (Milans and Clark, 2006), so
@@ -105,11 +109,14 @@ class SolveMemo:
         self.win: dict[tuple[int, ...], Optional[tuple[int, int]]] = {}
         self._bound_key = None
 
-    def bind(self, key) -> None:
+    def bind(self, g: Graph, marked, pruning: bool) -> None:
+        """Bind on first use; raise InvalidSpec on a later use under
+        another graph, target set or pruning setting."""
+        key = (g.n, g.edges, tuple(sorted(marked)), pruning)
         if self._bound_key is None:
             self._bound_key = key
         elif self._bound_key != key:
-            raise ValueError("memo reused with a different graph, targets, or pruning")
+            raise InvalidSpec("memo reused with a different graph, targets, or pruning")
 
 
 class _CoverSearch:
@@ -137,7 +144,7 @@ class _CoverSearch:
         self.marked = tuple(sorted(marked))
         self.pruning = pruning
         self.memo = memo if memo is not None else SolveMemo()
-        self.memo.bind((g.n, g.edges, self.marked, pruning))
+        self.memo.bind(g, self.marked, pruning)
         self.full_cover = len(self.marked) == g.n
         self.adj = g.adj
         dist = g.dist
@@ -451,45 +458,44 @@ def verify_threshold(
     a subtree short of d pebbles costs its parent 2d, and the root must
     end with a pebble.  It is exact because a cover solution needs no
     cycle of moves, so each tree edge carries pebbles one way only.  The
-    pass leaves the memo untouched, but the search is still built, so a
-    memo bound to another graph still raises ValueError.
+    pass leaves the memo untouched, but the memo is still bound, so one
+    bound to another graph raises InvalidSpec.
 
-    With several workers the rank range is split into contiguous chunks
-    scanned in parallel.  A chunk stops early only when a witness is
-    already known in a strictly earlier chunk, so the reported witness
-    is the colexicographically first one regardless of worker count or
-    scheduling.  configs_checked is likewise canonical: the witness rank
-    plus one, or the full count when the size is good.  It counts the
-    configurations the scan accounts for, skipped ones included.  At
-    most os.cpu_count() threads run the chunks.
+    One scan body serves every worker count: it scans a contiguous rank
+    range and stops at the first unsolvable representative, or as soon
+    as a witness is known in a strictly earlier range.  One worker runs
+    it inline over the whole range.  More workers split the range into
+    worker_count chunks that a pool of at most os.cpu_count() threads
+    maps it over, so the reported witness is the colexicographically
+    first one regardless of worker count or scheduling.  configs_checked
+    is likewise canonical: the witness rank plus one, or the full count
+    when the size is good.  It counts the configurations the scan
+    accounts for, skipped ones included.
+
+    The threads only compete for the GIL, so gamma_exact and the command
+    line use one worker.  worker_count remains for the benchmark's
+    two-thread scan probe and goes together with it.
     """
     if k < 0:
         raise InvalidSpec(f"size must be nonnegative, got {k}")
-    search = _CoverSearch(g, range(g.n), memo=memo)
     if len(g.edges) == g.n - 1:
+        if memo is not None:
+            memo.bind(g, range(g.n), True)
         solvable = _tree_cover_test(g)
     else:
+        search = _CoverSearch(g, range(g.n), memo=memo)
 
         def solvable(vec: tuple[int, ...]) -> bool:
             return search.decide(vec)[0]
 
     total = composition_count(g.n, k)
     autos = _automorphisms(g)
-
-    if worker_count <= 1:
-        for rank, vec in _orbit_representatives(autos, iter_count_vectors(g.n, k), 0):
-            if not solvable(vec):
-                return ThresholdResult(Configuration(vec), rank + 1)
-        return ThresholdResult(None, total)
-
-    bounds = [i * total // worker_count for i in range(worker_count + 1)]
     best_rank = total
     best_vec: Optional[tuple[int, ...]] = None
     found_lock = threading.Lock()
 
-    def scan(chunk: int) -> None:
+    def scan(lo: int, hi: int) -> None:
         nonlocal best_rank, best_vec
-        lo, hi = bounds[chunk], bounds[chunk + 1]
         for rank, vec in _orbit_representatives(autos, iter_count_vectors(g.n, k, lo, hi), lo):
             if best_rank < lo:
                 return
@@ -500,42 +506,38 @@ def verify_threshold(
                         best_vec = vec
                 return
 
-    with ThreadPoolExecutor(max_workers=min(worker_count, os.cpu_count() or 1)) as pool:
-        list(pool.map(scan, range(worker_count)))
+    if worker_count <= 1:
+        scan(0, total)
+    else:
+        bounds = [i * total // worker_count for i in range(worker_count + 1)]
+        with ThreadPoolExecutor(max_workers=min(worker_count, os.cpu_count() or 1)) as pool:
+            list(pool.map(scan, bounds[:-1], bounds[1:]))
 
     if best_vec is None:
         return ThresholdResult(None, total)
     return ThresholdResult(Configuration(best_vec), best_rank + 1)
 
 
-def gamma_exact(g: Graph, *, worker_count: int = 1) -> GammaResult:
-    """Exact cover pebbling number by exhaustive threshold checks.
+def gamma_exact(g: Graph) -> GammaResult:
+    """Exact cover pebbling number by two exhaustive threshold checks.
 
-    The scan starts at the worst stack cost L, a proven lower bound, and
-    steps up one size while a scan finds an unsolvable configuration.
-    The cover pebbling theorem (Sjostrand, 2005) says L always passes,
-    so the step is a safeguard, not a search.  When L passes, the scan
-    at L - 1 supplies the witness; the lower bound says it must fail, so
-    a pass there raises InternalAssertion.  The witness is the
-    colexicographically first unsolvable configuration of size
-    gamma - 1.  All scans share one memo.
+    The worst stack cost L is a lower bound, and the cover pebbling
+    theorem (Sjostrand, 2005) says it is the answer.  So the scan at L
+    must pass and the scan at L - 1 must fail; either surprise raises
+    InternalAssertion.  The witness is the colexicographically first
+    unsolvable configuration of size L - 1, and configs_checked sums
+    both scans.  The two scans share one memo.
     """
     memo = SolveMemo()
     k = bound_report(g).lower_stacked
-    result = verify_threshold(g, k, worker_count, memo=memo)
-    checked = result.configs_checked
-    witness = None
-    while not result.ok:
-        witness = result.witness
-        k += 1
-        result = verify_threshold(g, k, worker_count, memo=memo)
-        checked += result.configs_checked
-    if witness is None:
-        below = verify_threshold(g, k - 1, worker_count, memo=memo)
-        checked += below.configs_checked
-        if below.ok:
-            raise InternalAssertion(
-                f"every configuration of size {k - 1} is solvable, below the worst stack cost {k}"
-            )
-        witness = below.witness
-    return GammaResult(k, witness, checked)
+    at = verify_threshold(g, k, memo=memo)
+    if not at.ok:
+        raise InternalAssertion(
+            f"configuration {at.witness.counts} of size {k} is unsolvable, at the worst stack cost"
+        )
+    below = verify_threshold(g, k - 1, memo=memo)
+    if below.ok:
+        raise InternalAssertion(
+            f"every configuration of size {k - 1} is solvable, below the worst stack cost {k}"
+        )
+    return GammaResult(k, below.witness, at.configs_checked + below.configs_checked)

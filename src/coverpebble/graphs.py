@@ -27,12 +27,6 @@ class Graph:
     dist: tuple[tuple[int, ...], ...]
     diam: int
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adj[v]
-
-    def distance(self, u: int, v: int) -> int:
-        return self.dist[u][v]
-
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={len(self.edges)})"
 

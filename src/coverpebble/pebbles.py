@@ -11,14 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import (
-    IllegalMoveAt,
-    InsufficientPebbles,
-    LengthMismatch,
-    NonAdjacentMove,
-    NotCoveredAtEnd,
-    ParseError,
-)
+from .errors import IllegalMoveAt, InvalidSpec, LengthMismatch, NotCoveredAtEnd, ParseError
 from .graphs import Graph
 
 
@@ -32,7 +25,7 @@ class Configuration:
         object.__setattr__(self, "counts", tuple(self.counts))
         for c in self.counts:
             if not isinstance(c, int) or c < 0:
-                raise ValueError(f"pebble counts must be nonnegative integers, got {c!r}")
+                raise InvalidSpec(f"pebble counts must be nonnegative integers, got {c!r}")
 
     @property
     def size(self) -> int:
@@ -49,7 +42,7 @@ class BinaryWeighting:
         object.__setattr__(self, "marks", tuple(self.marks))
         for m in self.marks:
             if m not in (0, 1):
-                raise ValueError(f"marks must be 0 or 1, got {m!r}")
+                raise InvalidSpec(f"marks must be 0 or 1, got {m!r}")
 
     @property
     def order(self) -> int:
@@ -87,19 +80,6 @@ def check_length(values, n: int, what: str) -> None:
         raise LengthMismatch(f"{what} has {len(values)} entries for order {n}")
 
 
-def apply_move(g: Graph, c: Configuration, m: PebblingMove) -> Configuration:
-    """Apply one move, checking adjacency and the two-pebble cost."""
-    check_length(c.counts, g.n, "configuration")
-    if not (0 <= m.src < g.n and 0 <= m.dst < g.n) or m.dst not in g.adj[m.src]:
-        raise NonAdjacentMove(f"vertices {m.src} and {m.dst} share no edge")
-    if c.counts[m.src] < 2:
-        raise InsufficientPebbles(f"vertex {m.src} holds {c.counts[m.src]} pebbles, need 2")
-    counts = list(c.counts)
-    counts[m.src] -= 2
-    counts[m.dst] += 1
-    return Configuration(tuple(counts))
-
-
 def is_covered(c: Configuration, b: Optional[BinaryWeighting] = None) -> bool:
     """True when every target vertex holds at least one pebble.
 
@@ -120,9 +100,9 @@ def is_permissible(c: Configuration, b: BinaryWeighting) -> bool:
 def stacked(g: Graph, v: int, k: int) -> Configuration:
     """All k pebbles on vertex v, everywhere else empty."""
     if not 0 <= v < g.n:
-        raise ValueError(f"vertex {v} out of range for order {g.n}")
+        raise InvalidSpec(f"vertex {v} out of range for order {g.n}")
     if k < 0:
-        raise ValueError(f"stack size must be nonnegative, got {k}")
+        raise InvalidSpec(f"stack size must be nonnegative, got {k}")
     counts = [0] * g.n
     counts[v] = k
     return Configuration(tuple(counts))

@@ -8,15 +8,15 @@ from coverpebble import (
     Configuration,
     Fuse,
     IllegalMoveAt,
-    InsufficientPebbles,
+    InvalidSpec,
     LengthMismatch,
     Multipartite,
-    NonAdjacentMove,
+    PebblingError,
     NotCoveredAtEnd,
     ParseError,
     PebblingMove,
+    SolveMemo,
     Wheel,
-    apply_move,
     format_config,
     format_weighting,
     generate,
@@ -49,24 +49,29 @@ def test_weighting_basics():
         BinaryWeighting((1, 2))
 
 
-def test_apply_move_examples():
-    assert apply_move(K2, Configuration((3, 0)), PebblingMove(0, 1)).counts == (1, 1)
-    with pytest.raises(InsufficientPebbles):
-        apply_move(K2, Configuration((1, 0)), PebblingMove(0, 1))
-    with pytest.raises(NonAdjacentMove):
-        apply_move(P3, Configuration((4, 0, 0)), PebblingMove(0, 2))
-    with pytest.raises(LengthMismatch):
-        apply_move(K2, Configuration((1, 0, 0)), PebblingMove(0, 1))
+def _reuse_memo_on_another_graph():
+    memo = SolveMemo()
+    solve(P3, Configuration((1, 1, 1)), memo=memo)
+    solve(K2, Configuration((1, 1)), memo=memo)
 
 
-def test_apply_move_size_drop():
-    for counts in itertools.product(range(4), repeat=3):
-        c = Configuration(counts)
-        for u, v in [(0, 1), (1, 0), (1, 2), (2, 1)]:
-            if counts[u] >= 2:
-                nxt = apply_move(P3, c, PebblingMove(u, v))
-                assert nxt.size == c.size - 1
-                assert min(nxt.counts) >= 0
+@pytest.mark.parametrize(
+    "bad",
+    [
+        lambda: Configuration((1, -1)),
+        lambda: BinaryWeighting((1, 2)),
+        lambda: stacked(P3, 3, 4),
+        _reuse_memo_on_another_graph,
+    ],
+    ids=["configuration", "weighting", "stacked", "memo-bind"],
+)
+def test_invalid_values_raise_a_pebbling_error(bad):
+    # one except clause at a process boundary catches every deliberate
+    # error, and the old ValueError contract still holds
+    with pytest.raises(PebblingError) as info:
+        bad()
+    assert isinstance(info.value, InvalidSpec)
+    assert isinstance(info.value, ValueError)
 
 
 def test_is_covered_examples():

@@ -21,13 +21,20 @@ must pass, and at L - 1, which must fail.  By the cover pebbling
 theorem (Sjostrand, 2005) L is the answer, so any other outcome is an
 internal error, not a reason to search further.
 
-On a tree the threshold scan replaces the search with a bottom-up pass.
-A cover solution needs no cycle of moves (Milans and Clark, 2006), so
-each tree edge carries pebbles one way only: a subtree with s pebbles
+Threshold scans lean on a bottom-up pass over a spanning tree.  A
+cover solution needs no cycle of moves (Milans and Clark, 2006), so on
+a tree each edge carries pebbles one way only: a subtree with s pebbles
 to spare sends s // 2 to its parent, and one short of d pebbles costs
 the parent 2d.  The root's balance then decides the configuration
-exactly, in time linear in the order.  solve stays on the search,
-whose certificates the pass does not give.
+exactly, in time linear in the order.  On a tree a min-plus DP over
+the subtrees finds the least root balance over all configurations of a
+size, so a size whose least balance is at least 1 passes without a
+scan; other sizes are scanned with the pass.  On a graph with cycles
+the pass over any spanning tree is a sound certificate: a tree that
+passes moves pebbles along graph edges only.  The scan tries the BFS
+tree from every vertex and calls the search only on configurations
+that no tree certifies.  solve stays on the search, whose certificates
+the pass does not give.
 
 A threshold scan decides one configuration per automorphism orbit.  It
 skips a count vector when one of up to 64 automorphisms of the graph
@@ -404,30 +411,58 @@ def _orbit_representatives(
             yield rank, vec
 
 
-def _tree_cover_test(g: Graph) -> Callable[[tuple[int, ...]], bool]:
-    """Exact full-cover test for a tree, as a function of a count vector.
+def _bfs_steps(g: Graph, root: int) -> tuple[tuple[int, int], ...]:
+    """The (vertex, parent) pairs of the BFS tree of g from root, leaves
+    first: deepest vertices first, in index order within one depth.  Each
+    vertex's parent is its first neighbour one step nearer the root."""
+    depth = g.dist[root]
+    below = sorted((v for v in range(g.n) if v != root), key=depth.__getitem__, reverse=True)
+    return tuple((v, next(p for p in g.adj[v] if depth[p] == depth[v] - 1)) for v in below)
 
-    Roots the tree at 0 and visits the vertices leaves first, each with
-    its parent.  A vertex's balance is its own pebbles plus what its
-    children's subtrees pass up, minus the one pebble it keeps; a
-    surplus s passes s // 2 up and a shortfall d costs the parent 2d.
-    The vector is solvable iff the root's balance is at least 1.  The
-    test keeps no state between calls, so threads can share it.
+
+def _tree_cover_test(g: Graph, root: int = 0) -> Callable[[tuple[int, ...]], bool]:
+    """Full-cover test by the bottom-up pass over the BFS tree of g from
+    root, as a function of a count vector.
+
+    The pass visits the vertices leaves first, each with its parent.  A
+    vertex's balance is its own pebbles plus what its children's subtrees
+    pass up, minus the one pebble it keeps; a surplus s passes s // 2 up
+    and a shortfall d costs the parent 2d.  The vector passes iff the
+    root's balance is at least 1.  On a tree this is exact.  On a graph
+    with cycles a pass is a cover solution that moves pebbles along tree
+    edges only, so "solvable" is sound and "unsolvable" proves nothing.
+    The test keeps no state between calls, so threads can share it.
     """
-    depth = g.dist[0]
-    steps = tuple(
-        (v, next(p for p in g.adj[v] if depth[p] == depth[v] - 1))
-        for v in sorted(range(1, g.n), key=depth.__getitem__, reverse=True)
-    )
+    steps = _bfs_steps(g, root)
 
     def solvable(vec: tuple[int, ...]) -> bool:
         bal = list(vec)
         for v, p in steps:
             b = bal[v] - 1
             bal[p] += b >> 1 if b >= 0 else 2 * b
-        return bal[0] >= 1
+        return bal[root] >= 1
 
     return solvable
+
+
+def _tree_min_balance(g: Graph, k: int) -> int:
+    """Least root balance that the pass of _tree_cover_test(g) reaches
+    over all configurations of size k on the tree g.
+
+    A min-plus DP over the subtrees, leaves first: row[v][j] is the least
+    balance that any placement of j pebbles in v's subtree leaves at v.
+    A vertex starts with its own j pebbles, and each child's row joins its
+    parent's by min-plus convolution after phi(b - 1), where phi(b) is
+    b // 2 for b >= 0 and 2b for b < 0.  phi is nondecreasing and the
+    subtrees are disjoint, so the least sum is the sum of the least
+    terms.  O(n k^2).
+    """
+    row = [list(range(k + 1)) for _ in range(g.n)]
+    for v, p in _bfs_steps(g, 0):
+        up = [b >> 1 if b >= 0 else 2 * b for b in (m - 1 for m in row[v])]
+        acc = row[p]
+        row[p] = [min(acc[j - i] + up[i] for i in range(j + 1)) for j in range(k + 1)]
+    return row[0][k]
 
 
 def verify_threshold(
@@ -452,14 +487,22 @@ def verify_threshold(
     vector is never skipped, since each of its images is unsolvable too
     and so none comes before it; it is still the reported witness.
 
-    On a tree (a connected graph with n - 1 edges) each representative
-    is decided by the bottom-up pass of _tree_cover_test instead of the
-    search: a subtree with surplus s sends s // 2 pebbles to its parent,
-    a subtree short of d pebbles costs its parent 2d, and the root must
-    end with a pebble.  It is exact because a cover solution needs no
-    cycle of moves, so each tree edge carries pebbles one way only.  The
-    pass leaves the memo untouched, but the memo is still bound, so one
-    bound to another graph raises InvalidSpec.
+    On a tree (a connected graph with n - 1 edges) the bottom-up pass of
+    _tree_cover_test decides a configuration exactly: a subtree with
+    surplus s sends s // 2 pebbles to its parent, a subtree short of d
+    pebbles costs its parent 2d, and the root must end with a pebble.  It
+    is exact because a cover solution needs no cycle of moves, so each
+    tree edge carries pebbles one way only.  _tree_min_balance gives the
+    least root balance of the pass over every configuration of size k;
+    when it is at least 1 the size passes with no scan at all.  Otherwise
+    the scan decides each representative by the pass.  Neither touches
+    the memo, but the memo is still bound first, so one bound to another
+    graph raises InvalidSpec.
+
+    On a graph with cycles the scan first runs the pass on the BFS tree
+    from every vertex.  Moves along a spanning tree are moves of the
+    graph, so a tree that passes certifies the configuration solvable;
+    only vectors that no tree certifies go to the search.
 
     One scan body serves every worker count: it scans a contiguous rank
     range and stops at the first unsolvable representative, or as soon
@@ -478,17 +521,23 @@ def verify_threshold(
     """
     if k < 0:
         raise InvalidSpec(f"size must be nonnegative, got {k}")
+    total = composition_count(g.n, k)
     if len(g.edges) == g.n - 1:
         if memo is not None:
             memo.bind(g, range(g.n), True)
+        if _tree_min_balance(g, k) >= 1:
+            return ThresholdResult(None, total)
         solvable = _tree_cover_test(g)
     else:
         search = _CoverSearch(g, range(g.n), memo=memo)
+        trees = [_tree_cover_test(g, root) for root in range(g.n)]
 
         def solvable(vec: tuple[int, ...]) -> bool:
+            for passes in trees:
+                if passes(vec):
+                    return True
             return search.decide(vec)[0]
 
-    total = composition_count(g.n, k)
     autos = _automorphisms(g)
     best_rank = total
     best_vec: Optional[tuple[int, ...]] = None

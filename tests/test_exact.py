@@ -4,8 +4,10 @@ import random
 
 import pytest
 from util import (
+    connected_classes,
     labeled_trees,
     move_pairs,
+    order6_tree_representatives,
     random_composition,
     random_tree,
     small_catalog,
@@ -356,13 +358,22 @@ def _reference_scan(g, k, memo):
     return None, composition_count(g.n, k)
 
 
-def test_tree_scan_matches_a_scan_of_every_vector():
-    fuse = generate(Fuse(5, 3))
+def _relabelled(spec):
+    g = generate(spec)
     relabel = (3, 0, 4, 1, 2)
-    relabelled = build_graph(5, [(relabel[u], relabel[v]) for u, v in fuse.edges])
-    cases = tree_representatives() + [("fuse[5,3] relabelled", relabelled)]
+    return build_graph(5, [(relabel[u], relabel[v]) for u, v in g.edges])
+
+
+def test_tree_scan_matches_a_scan_of_every_vector():
+    # trees pass a size by the DP and scan with the pass; the cyclic
+    # graphs scan with the BFS-tree certificates before the search
+    cases = tree_representatives() + [
+        ("fuse[5,3] relabelled", _relabelled(Fuse(5, 3))),
+        ("wheel[4] relabelled", _relabelled(Wheel(4))),
+        ("K(3,2) relabelled", _relabelled(Multipartite((3, 2)))),
+        ("K(2,2,1) relabelled", _relabelled(Multipartite((2, 2, 1)))),
+    ]
     for name, g in cases:
-        assert len(g.edges) == g.n - 1, name
         memo = SolveMemo()
         gamma = bound_report(g).lower_stacked
         for k in (gamma - 1, gamma):
@@ -376,8 +387,23 @@ def test_tree_scan_matches_a_scan_of_every_vector():
 def test_tree_scan_still_checks_the_memo_binding():
     memo = SolveMemo()
     verify_threshold(W3, 6, memo=memo)
-    with pytest.raises(ValueError):
-        verify_threshold(P3, 4, memo=memo)
+    # a size the DP passes and one it leaves to the scan
+    for k in (7, 4):
+        with pytest.raises(ValueError):
+            verify_threshold(P3, k, memo=memo)
+
+
+def test_trees_pass_the_worst_stack_cost_without_a_scan(monkeypatch):
+    def no_scan(*args):
+        raise AssertionError("scanned a size the DP passes")
+
+    monkeypatch.setattr(exact, "iter_count_vectors", no_scan)
+    for name, g in tree_representatives() + order6_tree_representatives():
+        gamma = bound_report(g).lower_stacked
+        for k in (gamma, gamma + 1):
+            assert verify_threshold(g, k) == exact.ThresholdResult(None, composition_count(g.n, k)), name
+        with pytest.raises(AssertionError, match="DP passes"):
+            verify_threshold(g, gamma - 1)
 
 
 def test_tree_pass_matches_the_search_on_every_small_tree():
@@ -422,3 +448,101 @@ def test_tree_pass_matches_the_search_on_random_configurations():
             for v in range(g.n):
                 assert solvable(stacked(g, v, k).counts) == (k >= stack_cost(g, v)), (g.edges, v, k)
     assert outcomes == {True, False}
+
+
+def _dfs_steps(g):
+    # (vertex, parent) from root 0, children before their parent; a
+    # traversal independent of exact._bfs_steps
+    steps = []
+
+    def visit(v, parent):
+        for c in g.adj[v]:
+            if c != parent:
+                visit(c, v)
+                steps.append((c, v))
+
+    visit(0, None)
+    return steps
+
+
+def _rooted_shape(g, v=0, parent=None):
+    return "(" + "".join(sorted(_rooted_shape(g, c, v) for c in g.adj[v] if c != parent)) + ")"
+
+
+def _brute_min_balance(g, k):
+    # the tree pass's root balance, minimised over every vector of size k
+    steps = _dfs_steps(g)
+    best = None
+    for vec in iter_count_vectors(g.n, k):
+        bal = list(vec)
+        for v, p in steps:
+            b = bal[v] - 1
+            bal[p] += b // 2 if b >= 0 else 2 * b
+        if best is None or bal[0] < best:
+            best = bal[0]
+    return best
+
+
+def _check_min_balance(trees, sizes):
+    # the minimum depends on the tree only through its shape rooted at 0
+    brute = {}
+    checked = 0
+    for g in trees:
+        shape = _rooted_shape(g)
+        gamma = bound_report(g).lower_stacked
+        for k in sizes(gamma):
+            if (shape, k) not in brute:
+                brute[shape, k] = _brute_min_balance(g, k)
+            least = exact._tree_min_balance(g, k)
+            assert least == brute[shape, k], (g.edges, k)
+            assert (least >= 1) == (k >= gamma), (g.edges, k)
+            checked += 1
+    return checked
+
+
+def test_tree_min_balance_matches_a_brute_force_minimum():
+    single = generate(Path(1))
+    assert [exact._tree_min_balance(single, k) for k in range(3)] == [0, 1, 2]
+    trees = [g for n in range(1, 6) for g in labeled_trees(n)]
+    assert _check_min_balance(trees, lambda gamma: range(gamma + 2)) == 3856
+
+
+@pytest.mark.slow
+def test_tree_min_balance_matches_a_brute_force_minimum_on_order6_trees():
+    assert _check_min_balance(labeled_trees(6), lambda gamma: range(26)) == 1296 * 26
+
+
+def _cyclic_graphs():
+    # every labelled graph of order <= 4 and every order-5 class with a cycle
+    return [g for g in small_catalog(4) + list(connected_classes(5)) if len(g.edges) >= g.n]
+
+
+def test_bfs_steps_span_the_graph_one_step_nearer_the_root():
+    for g in _cyclic_graphs() + list(labeled_trees(4)):
+        for root in range(g.n):
+            steps = exact._bfs_steps(g, root)
+            depth = g.dist[root]
+            assert sorted(v for v, _ in steps) == [v for v in range(g.n) if v != root], g.edges
+            depths = [depth[v] for v, _ in steps]
+            assert depths == sorted(depths, reverse=True), (g.edges, root)
+            for v, p in steps:
+                assert p in g.adj[v] and depth[p] == depth[v] - 1, (g.edges, root, v)
+                assert p == min(u for u in g.adj[v] if depth[u] == depth[v] - 1), (g.edges, root, v)
+
+
+def test_bfs_tree_certificates_never_pass_an_unsolvable_vector():
+    outcomes = set()
+    for g in _cyclic_graphs():
+        trees = [exact._tree_cover_test(g, root) for root in range(g.n)]
+        search = exact._CoverSearch(g, range(g.n))
+        gamma = bound_report(g).lower_stacked
+        sizes = range(gamma + 2) if g.n <= 4 else (gamma - 1,)
+        for k in sizes:
+            for vec in iter_count_vectors(g.n, k):
+                certified = any(passes(vec) for passes in trees)
+                if certified or g.n <= 4:
+                    solvable = search.decide(vec)[0]
+                    assert solvable or not certified, (g.edges, vec)
+                    outcomes.add((certified, solvable))
+    # the trees certify most solvable vectors, but not all of them
+    assert outcomes == {(True, True), (False, True), (False, False)}

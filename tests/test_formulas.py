@@ -121,7 +121,6 @@ def test_oracle_cross_checks():
     assert gamma_exact(p3).gamma == stack_cost(p3, 0)
 
 
-@pytest.mark.slow
 def test_oracle_matches_closed_forms_on_order_6_families():
     for g, formula in (
         (generate(Wheel(6)), gamma_wheel(6)),

@@ -7,7 +7,6 @@ them with its own parameters.
 
 import random
 
-import pytest
 from util import (
     connected_graphs,
     labeled_trees,
@@ -181,7 +180,6 @@ def test_gamma_within_bounds_on_a_cyclic_graph():
         raise AssertionError("catalog lost its 4-edge diameter-2 graphs")
 
 
-@pytest.mark.slow
 def test_gamma_equals_worst_stack_on_order5_trees():
     for g in labeled_trees(5):
         report = bound_report(g)
@@ -189,10 +187,10 @@ def test_gamma_equals_worst_stack_on_order5_trees():
         assert result.gamma == report.lower_stacked, g.edges
 
 
-@pytest.mark.slow
 def test_gamma_equals_worst_stack_on_order6_trees():
-    # gamma_exact decides trees with the bottom-up pass; a search refutes
-    # the worst stack one pebble short independently of it
+    # gamma_exact passes trees at L by the min-plus DP and scans L - 1 with
+    # the bottom-up pass; a search refutes the worst stack one pebble
+    # short independently of both
     for name, g in order6_tree_representatives():
         formula = bound_report(g).lower_stacked
         worst = max(range(g.n), key=lambda v: stack_cost(g, v))

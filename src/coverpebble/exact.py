@@ -28,8 +28,10 @@ to spare sends s // 2 to its parent, and one short of d pebbles costs
 the parent 2d.  The root's balance then decides the configuration
 exactly, in time linear in the order.  On a tree a min-plus DP over
 the subtrees finds the least root balance over all configurations of a
-size, so a size whose least balance is at least 1 passes without a
-scan; other sizes are scanned with the pass.  On a graph with cycles
+size, with some vertices held at fixed counts, so a tree needs no scan:
+fixing the vertices from the last down, each to the least count that
+still leaves a failing placement, gives the first unsolvable vector,
+and its rank comes from binomial sums.  On a graph with cycles
 the pass over any spanning tree is a sound certificate: a tree that
 passes moves pebbles along graph edges only.  The scan tries the BFS
 tree from every vertex and calls the search only on configurations
@@ -445,24 +447,65 @@ def _tree_cover_test(g: Graph, root: int = 0) -> Callable[[tuple[int, ...]], boo
     return solvable
 
 
-def _tree_min_balance(g: Graph, k: int) -> int:
-    """Least root balance that the pass of _tree_cover_test(g) reaches
-    over all configurations of size k on the tree g.
+def _passed_up(g: Graph, root: int, held: dict[int, int], spare: int) -> list[int]:
+    """What the subtrees below root pass up to it in the pass of
+    _tree_cover_test(g, root), at least, by the pebbles they take.
 
-    A min-plus DP over the subtrees, leaves first: row[v][j] is the least
-    balance that any placement of j pebbles in v's subtree leaves at v.
-    A vertex starts with its own j pebbles, and each child's row joins its
-    parent's by min-plus convolution after phi(b - 1), where phi(b) is
-    b // 2 for b >= 0 and 2b for b < 0.  phi is nondecreasing and the
-    subtrees are disjoint, so the least sum is the sum of the least
-    terms.  O(n k^2).
+    The vertices in held keep their counts; spare pebbles go on root and
+    the other vertices.  Entry j is the least sum that root's children
+    pass up when the vertices below root take j of the spare pebbles, so
+    root's balance is spare - j plus it.  A min-plus DP over the
+    subtrees, leaves first: row[v][j] is the least balance that any
+    placement of j spare pebbles in v's subtree leaves at v.  Each
+    child's row joins its parent's by min-plus convolution after
+    phi(b - 1), where phi(b) is b // 2 for b >= 0 and 2b for b < 0.  phi
+    is nondecreasing and the subtrees are disjoint, so the least sum is
+    the sum of the least terms.  O(n spare^2).
     """
-    row = [list(range(k + 1)) for _ in range(g.n)]
-    for v, p in _bfs_steps(g, 0):
+    row = [[held[v]] if v in held else list(range(spare + 1)) for v in range(g.n)]
+    row[root] = [0]
+    for v, p in _bfs_steps(g, root):
         up = [b >> 1 if b >= 0 else 2 * b for b in (m - 1 for m in row[v])]
         acc = row[p]
-        row[p] = [min(acc[j - i] + up[i] for i in range(j + 1)) for j in range(k + 1)]
-    return row[0][k]
+        row[p] = [
+            min(acc[j - i] + up[i] for i in range(max(0, j - len(acc) + 1), min(j, len(up) - 1) + 1))
+            for j in range(min(len(acc) + len(up) - 1, spare + 1))
+        ]
+    return row[root]
+
+
+def _tree_first_failure(g: Graph, k: int) -> Optional[tuple[int, ...]]:
+    """The colexicographically first count vector of size k that the tree
+    g cannot cover, or None when every one can.
+
+    Colexicographic order compares the last vertex first, so the vertices
+    are fixed from the last down, each to the least count that some
+    placement of the rest on the lower vertices fails with.  Whether one
+    fails is the pass's least balance with the tree rooted at that
+    vertex: on a tree the pass is exact from every root, since each one
+    decides whether the configuration has a cover solution.  n DPs of
+    _passed_up, whatever the labels.
+    """
+    held: dict[int, int] = {}
+    for v in reversed(range(g.n)):
+        spare = k - sum(held.values())
+        below = _passed_up(g, v, held, spare)
+        # v keeps spare - j: the least count of v takes the largest j
+        x = next((spare - j for j in reversed(range(len(below))) if spare - j + below[j] < 1), None)
+        if x is None:
+            return None
+        held[v] = x
+    return tuple(held[v] for v in range(g.n))
+
+
+def _colex_rank(vec: tuple[int, ...]) -> int:
+    """Rank of a count vector in the order of iter_count_vectors."""
+    rank, rest = 0, sum(vec)
+    for v in range(len(vec) - 1, 0, -1):
+        # the vectors equal above v with fewer pebbles on v come first
+        rank += comb(rest + v, v) - comb(rest - vec[v] + v, v)
+        rest -= vec[v]
+    return rank
 
 
 def verify_threshold(
@@ -492,12 +535,12 @@ def verify_threshold(
     surplus s sends s // 2 pebbles to its parent, a subtree short of d
     pebbles costs its parent 2d, and the root must end with a pebble.  It
     is exact because a cover solution needs no cycle of moves, so each
-    tree edge carries pebbles one way only.  _tree_min_balance gives the
-    least root balance of the pass over every configuration of size k;
-    when it is at least 1 the size passes with no scan at all.  Otherwise
-    the scan decides each representative by the pass.  Neither touches
-    the memo, but the memo is still bound first, so one bound to another
-    graph raises InvalidSpec.
+    tree edge carries pebbles one way only.  A tree is not scanned:
+    _tree_first_failure finds the first unsolvable vector by n DPs over
+    the pass, whatever the labels, and _colex_rank gives its rank, so the
+    result is the one a scan reports.  Neither touches the memo, but the
+    memo is still bound first, so one bound to another graph raises
+    InvalidSpec.
 
     On a graph with cycles the scan first runs the pass on the BFS tree
     from every vertex.  Moves along a spanning tree are moves of the
@@ -525,18 +568,18 @@ def verify_threshold(
     if len(g.edges) == g.n - 1:
         if memo is not None:
             memo.bind(g, range(g.n), True)
-        if _tree_min_balance(g, k) >= 1:
+        witness = _tree_first_failure(g, k)
+        if witness is None:
             return ThresholdResult(None, total)
-        solvable = _tree_cover_test(g)
-    else:
-        search = _CoverSearch(g, range(g.n), memo=memo)
-        trees = [_tree_cover_test(g, root) for root in range(g.n)]
+        return ThresholdResult(Configuration(witness), _colex_rank(witness) + 1)
+    search = _CoverSearch(g, range(g.n), memo=memo)
+    trees = [_tree_cover_test(g, root) for root in range(g.n)]
 
-        def solvable(vec: tuple[int, ...]) -> bool:
-            for passes in trees:
-                if passes(vec):
-                    return True
-            return search.decide(vec)[0]
+    def solvable(vec: tuple[int, ...]) -> bool:
+        for passes in trees:
+            if passes(vec):
+                return True
+        return search.decide(vec)[0]
 
     autos = _automorphisms(g)
     best_rank = total

@@ -365,8 +365,8 @@ def _relabelled(spec):
 
 
 def test_tree_scan_matches_a_scan_of_every_vector():
-    # trees pass a size by the DP and scan with the pass; the cyclic
-    # graphs scan with the BFS-tree certificates before the search
+    # trees answer by the DP; the cyclic graphs scan with the BFS-tree
+    # certificates before the search
     cases = tree_representatives() + [
         ("fuse[5,3] relabelled", _relabelled(Fuse(5, 3))),
         ("wheel[4] relabelled", _relabelled(Wheel(4))),
@@ -387,23 +387,52 @@ def test_tree_scan_matches_a_scan_of_every_vector():
 def test_tree_scan_still_checks_the_memo_binding():
     memo = SolveMemo()
     verify_threshold(W3, 6, memo=memo)
-    # a size the DP passes and one it leaves to the scan
+    # a size that passes and one with a witness
     for k in (7, 4):
         with pytest.raises(ValueError):
             verify_threshold(P3, k, memo=memo)
 
 
-def test_trees_pass_the_worst_stack_cost_without_a_scan(monkeypatch):
+def test_trees_answer_every_size_without_a_scan(monkeypatch):
     def no_scan(*args):
-        raise AssertionError("scanned a size the DP passes")
+        raise AssertionError("scanned a tree")
 
     monkeypatch.setattr(exact, "iter_count_vectors", no_scan)
     for name, g in tree_representatives() + order6_tree_representatives():
         gamma = bound_report(g).lower_stacked
         for k in (gamma, gamma + 1):
             assert verify_threshold(g, k) == exact.ThresholdResult(None, composition_count(g.n, k)), name
-        with pytest.raises(AssertionError, match="DP passes"):
-            verify_threshold(g, gamma - 1)
+        result = verify_threshold(g, gamma - 1)
+        assert result.witness.size == gamma - 1, name
+        assert not exact._tree_cover_test(g)(result.witness.counts), name
+
+
+def _pass_scan(g, k):
+    # the first vector of size k that the tree pass fails, by a scan of every vector
+    solvable = exact._tree_cover_test(g)
+    for rank, vec in enumerate(iter_count_vectors(g.n, k)):
+        if not solvable(vec):
+            return Configuration(vec), rank + 1
+    return None, composition_count(g.n, k)
+
+
+def test_tree_witness_matches_a_scan_of_every_vector():
+    # the witness depends on the labels, so every labelled tree counts
+    checked = 0
+    for n in range(1, 6):
+        for g in labeled_trees(n):
+            gamma = bound_report(g).lower_stacked
+            for k in range(gamma + 2) if n <= 4 else (0, 1, 2, gamma - 3, gamma - 2, gamma - 1):
+                result = verify_threshold(g, k)
+                assert (result.witness, result.configs_checked) == _pass_scan(g, k), (g.edges, k)
+                checked += 1
+    assert checked == 1041
+
+
+def test_colex_rank_is_the_position_in_the_enumeration():
+    for n in range(1, 5):
+        for k in range(7):
+            assert [exact._colex_rank(vec) for vec in iter_count_vectors(n, k)] == list(range(composition_count(n, k)))
 
 
 def test_tree_pass_matches_the_search_on_every_small_tree():
@@ -483,6 +512,11 @@ def _brute_min_balance(g, k):
     return best
 
 
+def _tree_min_balance(g, k):
+    # the least root balance of the pass from root 0, nothing held
+    return min(k - j + up for j, up in enumerate(exact._passed_up(g, 0, {}, k)))
+
+
 def _check_min_balance(trees, sizes):
     # the minimum depends on the tree only through its shape rooted at 0
     brute = {}
@@ -493,7 +527,7 @@ def _check_min_balance(trees, sizes):
         for k in sizes(gamma):
             if (shape, k) not in brute:
                 brute[shape, k] = _brute_min_balance(g, k)
-            least = exact._tree_min_balance(g, k)
+            least = _tree_min_balance(g, k)
             assert least == brute[shape, k], (g.edges, k)
             assert (least >= 1) == (k >= gamma), (g.edges, k)
             checked += 1
@@ -502,7 +536,7 @@ def _check_min_balance(trees, sizes):
 
 def test_tree_min_balance_matches_a_brute_force_minimum():
     single = generate(Path(1))
-    assert [exact._tree_min_balance(single, k) for k in range(3)] == [0, 1, 2]
+    assert [_tree_min_balance(single, k) for k in range(3)] == [0, 1, 2]
     trees = [g for n in range(1, 6) for g in labeled_trees(n)]
     assert _check_min_balance(trees, lambda gamma: range(gamma + 2)) == 3856
 

@@ -42,7 +42,6 @@ from .exact import (
     SolveOutcome,
     ThresholdResult,
     composition_count,
-    enumerate_configs,
     gamma_exact,
     iter_count_vectors,
     solve,
@@ -122,7 +121,6 @@ __all__ = [
     "composition_count",
     "diameter_bound",
     "eccentricity_profile",
-    "enumerate_configs",
     "format_config",
     "format_graph_text",
     "format_trace",

@@ -51,11 +51,8 @@ vectors too, are what a scan of every vector reports.
 
 from __future__ import annotations
 
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
+import sys
 from dataclasses import dataclass
-from itertools import islice
 from math import comb
 from operator import itemgetter, mul
 from typing import Callable, Iterator, Optional
@@ -106,8 +103,7 @@ class SolveMemo:
     ``fail`` holds count vectors known unsolvable.  ``win`` maps a count
     vector to one move of a known cover solution, or None when the
     vector is already covered; following those moves reconstructs a
-    certificate.  Entries are only added, never changed, so concurrent
-    readers in threads stay consistent.
+    certificate.  Entries are only added, never changed.
 
     A memo is bound to the (graph, target set, pruning) combination of
     its first use and refuses reuse under a different one.
@@ -138,8 +134,7 @@ class _CoverSearch:
     States, memo entries and certificates follow from that order alone,
     so any rewrite of the hot path must keep it exactly.
 
-    Tables built once per search, read-only afterwards, so threads
-    sharing one search need no lock:
+    Tables built once per search, read-only afterwards:
 
     - ``adj``: the graph's adjacency lists.
     - ``nearest``: per vertex x, the pairs (dist(x, t), t) over the
@@ -301,7 +296,13 @@ def composition_count(n: int, k: int) -> int:
     return comb(k + n - 1, n - 1)
 
 
-def _vectors_all(n: int, k: int) -> Iterator[tuple[int, ...]]:
+def iter_count_vectors(n: int, k: int) -> Iterator[tuple[int, ...]]:
+    """Count vectors of size k on n vertices in ascending colexicographic
+    order."""
+    if n < 1:
+        raise InvalidSpec(f"need at least one vertex, got {n}")
+    if k < 0:
+        raise InvalidSpec(f"size must be nonnegative, got {k}")
     # colex successor on one list: with i the first nonzero index, move
     # one pebble up to i + 1 and gather the rest of c[i] on vertex 0
     c = [k] + [0] * (n - 1)
@@ -319,27 +320,6 @@ def _vectors_all(n: int, k: int) -> Iterator[tuple[int, ...]]:
         c[0] = c[i] - 1
         if i:
             c[i] = 0
-
-
-def iter_count_vectors(
-    n: int, k: int, start: int = 0, stop: Optional[int] = None
-) -> Iterator[tuple[int, ...]]:
-    """Count vectors of size k on n vertices in ascending colexicographic
-    order, restricted to the rank range [start, stop)."""
-    if n < 1:
-        raise InvalidSpec(f"need at least one vertex, got {n}")
-    if k < 0:
-        raise InvalidSpec(f"size must be nonnegative, got {k}")
-    start = max(start, 0)
-    if stop is not None:
-        stop = max(stop, start)
-    yield from islice(_vectors_all(n, k), start, stop)
-
-
-def enumerate_configs(n: int, k: int) -> Iterator[Configuration]:
-    """All configurations of size k on n vertices, colexicographically."""
-    for vec in iter_count_vectors(n, k):
-        yield Configuration(vec)
 
 
 # Automorphisms kept for the orbit skip.  Any subset of the group is
@@ -394,17 +374,17 @@ def _automorphisms(g: Graph) -> list[tuple[int, ...]]:
 
 
 def _orbit_representatives(
-    autos: list[tuple[int, ...]], vectors: Iterator[tuple[int, ...]], start: int
+    autos: list[tuple[int, ...]], vectors: Iterator[tuple[int, ...]]
 ) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """(rank, vector) for the vectors, ranked from ``start``, that no
-    automorphism in ``autos`` maps to a colexicographically smaller vector.
+    """(rank, vector) for the vectors that no automorphism in ``autos``
+    maps to a colexicographically smaller vector.
 
     Per automorphism p, a getter returns the vector moved by p in
     reverse, so comparing it with the reversed vector compares the two
     in colexicographic order.
     """
     getters = [itemgetter(*reversed(p)) for p in autos]
-    for rank, vec in enumerate(vectors, start):
+    for rank, vec in enumerate(vectors):
         rev = vec[::-1]
         for get in getters:
             if get(vec) < rev:
@@ -433,7 +413,6 @@ def _tree_cover_test(g: Graph, root: int = 0) -> Callable[[tuple[int, ...]], boo
     root's balance is at least 1.  On a tree this is exact.  On a graph
     with cycles a pass is a cover solution that moves pebbles along tree
     edges only, so "solvable" is sound and "unsolvable" proves nothing.
-    The test keeps no state between calls, so threads can share it.
     """
     steps = _bfs_steps(g, root)
 
@@ -547,20 +526,16 @@ def verify_threshold(
     graph, so a tree that passes certifies the configuration solvable;
     only vectors that no tree certifies go to the search.
 
-    One scan body serves every worker count: it scans a contiguous rank
-    range and stops at the first unsolvable representative, or as soon
-    as a witness is known in a strictly earlier range.  One worker runs
-    it inline over the whole range.  More workers split the range into
-    worker_count chunks that a pool of at most os.cpu_count() threads
-    maps it over, so the reported witness is the colexicographically
-    first one regardless of worker count or scheduling.  configs_checked
-    is likewise canonical: the witness rank plus one, or the full count
-    when the size is good.  It counts the configurations the scan
-    accounts for, skipped ones included.
+    The scan runs in ascending colexicographic order and stops at the
+    first unsolvable representative.  configs_checked is its rank plus
+    one, or the full count when the size is good: it counts the
+    configurations the scan accounts for, skipped ones included.  A scan
+    of more than sys.maxsize configurations raises InvalidSpec before it
+    starts.
 
-    The threads only compete for the GIL, so gamma_exact and the command
-    line use one worker.  worker_count remains for the benchmark's
-    two-thread scan probe and goes together with it.
+    worker_count is ignored.  It remains only because the benchmark's
+    two-thread scan probe passes it, and goes with that probe (ROADMAP
+    item 4).
     """
     if k < 0:
         raise InvalidSpec(f"size must be nonnegative, got {k}")
@@ -572,6 +547,8 @@ def verify_threshold(
         if witness is None:
             return ThresholdResult(None, total)
         return ThresholdResult(Configuration(witness), _colex_rank(witness) + 1)
+    if total > sys.maxsize:
+        raise InvalidSpec(f"{total} configurations of size {k} on {g.n} vertices are too many to scan")
     search = _CoverSearch(g, range(g.n), memo=memo)
     trees = [_tree_cover_test(g, root) for root in range(g.n)]
 
@@ -581,33 +558,10 @@ def verify_threshold(
                 return True
         return search.decide(vec)[0]
 
-    autos = _automorphisms(g)
-    best_rank = total
-    best_vec: Optional[tuple[int, ...]] = None
-    found_lock = threading.Lock()
-
-    def scan(lo: int, hi: int) -> None:
-        nonlocal best_rank, best_vec
-        for rank, vec in _orbit_representatives(autos, iter_count_vectors(g.n, k, lo, hi), lo):
-            if best_rank < lo:
-                return
-            if not solvable(vec):
-                with found_lock:
-                    if rank < best_rank:
-                        best_rank = rank
-                        best_vec = vec
-                return
-
-    if worker_count <= 1:
-        scan(0, total)
-    else:
-        bounds = [i * total // worker_count for i in range(worker_count + 1)]
-        with ThreadPoolExecutor(max_workers=min(worker_count, os.cpu_count() or 1)) as pool:
-            list(pool.map(scan, bounds[:-1], bounds[1:]))
-
-    if best_vec is None:
-        return ThresholdResult(None, total)
-    return ThresholdResult(Configuration(best_vec), best_rank + 1)
+    for rank, vec in _orbit_representatives(_automorphisms(g), iter_count_vectors(g.n, k)):
+        if not solvable(vec):
+            return ThresholdResult(Configuration(vec), rank + 1)
+    return ThresholdResult(None, total)
 
 
 def gamma_exact(g: Graph) -> GammaResult:

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import subprocess
 import sys
+import time
 
 from coverpebble import (
     Configuration,
@@ -183,6 +184,16 @@ def test_usage_errors_exit_two(capsys):
         err = capsys.readouterr().err
         assert err.startswith("error:"), argv
         assert len(err.splitlines()) == 1, argv
+
+
+def test_oversized_scan_exits_two(capsys):
+    # wheel 20 has C(95, 20) > sys.maxsize configurations at its gamma
+    started = time.perf_counter()
+    assert run_cli(["gamma", "--family", "wheel", "--n", "20"]) == 2
+    assert time.perf_counter() - started < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert len(err.splitlines()) == 1
 
 
 def test_input_errors_exit_two(capsys):

@@ -14,12 +14,12 @@ from coverpebble import (
     Star,
     Wheel,
     diameter_bound,
-    enumerate_configs,
     format_trace,
     gamma_multipartite,
     gamma_wheel,
     generate,
     is_covered,
+    iter_count_vectors,
     shortest_path,
     solve,
     solve_diameter,
@@ -196,7 +196,7 @@ def test_wheel_preconditions():
 def test_wheel_threshold_exhaustive_w3():
     w3 = generate(Wheel(3))
     count = 0
-    for c in enumerate_configs(4, gamma_wheel(3)):
+    for c in map(Configuration, iter_count_vectors(4, gamma_wheel(3))):
         cert = solve_wheel(w3, c)
         final = validate_certificate(w3, cert)
         assert all(x > 0 for x in final.counts)
@@ -254,7 +254,7 @@ def test_multipartite_preconditions():
 def test_multipartite_threshold_exhaustive_k22():
     k22 = generate(Multipartite((2, 2)))
     count = 0
-    for c in enumerate_configs(4, gamma_multipartite((2, 2))):
+    for c in map(Configuration, iter_count_vectors(4, gamma_multipartite((2, 2)))):
         cert = solve_multipartite(k22, (2, 2), c)
         final = validate_certificate(k22, cert)
         assert all(x > 0 for x in final.counts)
@@ -276,7 +276,7 @@ def test_constructive_agrees_with_search_on_small_stars():
     # below-threshold inputs are refused, at-threshold inputs match solve
     s3 = generate(Star(3))
     threshold = gamma_multipartite((3, 1))
-    for c in enumerate_configs(4, threshold):
+    for c in map(Configuration, iter_count_vectors(4, threshold)):
         assert solve(s3, c).solvable
         cert = solve_multipartite(s3, (3, 1), c)
         validate_certificate(s3, cert)

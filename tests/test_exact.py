@@ -1,6 +1,8 @@
 import dataclasses
 import itertools
 import random
+import sys
+import threading
 
 import pytest
 from util import (
@@ -30,9 +32,9 @@ from coverpebble import (
     bound_report,
     build_graph,
     composition_count,
-    enumerate_configs,
     exact,
     gamma_exact,
+    gamma_multipartite,
     generate,
     iter_count_vectors,
     solve,
@@ -122,18 +124,18 @@ def test_solve_memo_reuse_guard():
 
 
 def test_enumerate_examples():
-    assert [c.counts for c in enumerate_configs(2, 2)] == [(2, 0), (1, 1), (0, 2)]
-    assert sum(1 for _ in enumerate_configs(4, 7)) == 120
+    assert list(iter_count_vectors(2, 2)) == [(2, 0), (1, 1), (0, 2)]
+    assert sum(1 for _ in iter_count_vectors(4, 7)) == 120
     assert composition_count(4, 7) == 120
-    assert [c.counts for c in enumerate_configs(1, 5)] == [(5,)]
-    assert [c.counts for c in enumerate_configs(3, 0)] == [(0, 0, 0)]
+    assert list(iter_count_vectors(1, 5)) == [(5,)]
+    assert list(iter_count_vectors(3, 0)) == [(0, 0, 0)]
 
 
 def test_enumerate_rejects_bad_arguments():
     with pytest.raises(InvalidSpec):
-        list(enumerate_configs(0, 2))
+        list(iter_count_vectors(0, 2))
     with pytest.raises(InvalidSpec):
-        list(enumerate_configs(2, -1))
+        list(iter_count_vectors(2, -1))
 
 
 def test_enumeration_is_colex_sorted_and_complete():
@@ -145,20 +147,6 @@ def test_enumeration_is_colex_sorted_and_complete():
             assert all(sum(v) == k and len(v) == n for v in vecs)
             assert vecs == sorted(vecs, key=lambda v: v[::-1])
             assert vecs[0] == (k,) + (0,) * (n - 1)
-
-
-def test_enumeration_range_slices_agree():
-    for n, k in [(3, 5), (4, 6), (5, 4)]:
-        full = list(iter_count_vectors(n, k))
-        total = composition_count(n, k)
-        for parts in (2, 3, 7):
-            bounds = [i * total // parts for i in range(parts + 1)]
-            joined = []
-            for i in range(parts):
-                joined.extend(iter_count_vectors(n, k, bounds[i], bounds[i + 1]))
-            assert joined == full
-        assert list(iter_count_vectors(n, k, 5, 5)) == []
-        assert list(iter_count_vectors(n, k, total - 1, total + 10)) == [full[-1]]
 
 
 def _recursive_vectors(n, k):
@@ -175,23 +163,8 @@ def test_enumeration_matches_the_recursive_order():
     for n in range(1, 7):
         for k in range(13):
             full = list(_recursive_vectors(n, k))
-            total = composition_count(n, k)
             assert list(iter_count_vectors(n, k)) == full, (n, k)
-            assert len(full) == total
-            ranges = [
-                (0, None),
-                (1, None),
-                (total // 2, None),
-                (total // 3, 2 * total // 3 + 1),
-                (total - 1, total),
-                (total, total + 5),
-                (total + 3, None),
-                (4, 2),
-                (-3, 2),
-            ]
-            for start, stop in ranges:
-                expected = full[max(start, 0) : stop if stop is None else max(stop, 0)]
-                assert list(iter_count_vectors(n, k, start, stop)) == expected, (n, k, start, stop)
+            assert len(full) == composition_count(n, k)
 
 
 def test_verify_threshold_examples():
@@ -207,38 +180,25 @@ def test_verify_threshold_examples():
     assert verify_threshold(K2, 3).ok
 
 
-def test_verify_threshold_worker_determinism():
-    for k in (6, 7):
-        baseline = verify_threshold(W3, k, 1)
-        for workers in (2, 3, 8):
-            again = verify_threshold(W3, k, workers)
-            assert again == baseline
+def test_verify_threshold_starts_no_thread(monkeypatch):
+    def no_thread(self):
+        raise AssertionError("started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    # the worker count is ignored
+    assert verify_threshold(W3, 6, 8) == exact.ThresholdResult(Configuration((6, 0, 0, 0)), 1)
+    assert verify_threshold(W3, 7, 8) == exact.ThresholdResult(None, 120)
+    assert gamma_exact(generate(Multipartite((3, 2)))).gamma == gamma_multipartite((3, 2))
 
 
-def test_verify_threshold_caps_threads_not_chunks(monkeypatch):
-    started = []
-
-    class RecordingPool:
-        # runs the chunks in order on the calling thread
-        def __init__(self, max_workers):
-            started.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
-    monkeypatch.setattr(exact, "ThreadPoolExecutor", RecordingPool)
-    for cpus, expected in ((2, 2), (None, 1)):
-        monkeypatch.setattr(exact.os, "cpu_count", lambda: cpus)
-        for k in (6, 7):
-            assert verify_threshold(W3, k, 64) == verify_threshold(W3, k, 1)
-            assert started.pop() == expected
-        assert started == []
+def test_verify_threshold_refuses_a_scan_past_sys_maxsize():
+    # C(80, 40) and C(95, 20) configurations; 40 pebbles on 41 vertices
+    # would be refuted at rank 0, so a missing guard shows without a hang
+    for spec, k in ((Wheel(40), 40), (Wheel(20), 75)):
+        g = generate(spec)
+        assert composition_count(g.n, k) > sys.maxsize
+        with pytest.raises(InvalidSpec, match="too many to scan"):
+            verify_threshold(g, k)
 
 
 def test_verify_threshold_shared_memo_speedup_is_consistent():
@@ -341,11 +301,11 @@ def test_automorphisms_stop_at_the_cap():
 
 def test_orbit_skip_keeps_every_answer(monkeypatch):
     # the reference scan decides every configuration: no automorphisms
-    cases = [(g, k, workers) for g in small_catalog(4) for k in range(2, 9) for workers in (1, 2)]
+    cases = [(g, k) for g in small_catalog(4) for k in range(2, 9)]
     skipping = [verify_threshold(*case) for case in cases]
     monkeypatch.setattr(exact, "_automorphisms", lambda g: [])
     for case, result in zip(cases, skipping):
-        assert result == verify_threshold(*case), (case[0].edges, case[1], case[2])
+        assert result == verify_threshold(*case), (case[0].edges, case[1])
     assert any(not result.ok for result in skipping)
 
 
@@ -379,9 +339,8 @@ def test_tree_scan_matches_a_scan_of_every_vector():
         for k in (gamma - 1, gamma):
             witness, checked = _reference_scan(g, k, memo)
             assert (witness is None) == (k == gamma), (name, k)
-            for workers in (1, 2):
-                result = verify_threshold(g, k, workers)
-                assert (result.witness, result.configs_checked) == (witness, checked), (name, k, workers)
+            result = verify_threshold(g, k)
+            assert (result.witness, result.configs_checked) == (witness, checked), (name, k)
 
 
 def test_tree_scan_still_checks_the_memo_binding():

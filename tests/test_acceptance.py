@@ -49,8 +49,8 @@ from coverpebble import (
 )
 
 
-def test_criterion_1_wheel_closed_form(record_property):
-    record_property("criterion", "criterion 1: wheel gamma values")
+def test_criterion_1_wheel_closed_form(record_criterion):
+    record_criterion("criterion 1: wheel gamma values")
     started = time.perf_counter()
     values = {}
     for n in (3, 4, 5):
@@ -61,14 +61,13 @@ def test_criterion_1_wheel_closed_form(record_property):
     elapsed = time.perf_counter() - started
     assert values == {3: 7, 4: 11, 5: 15}
     assert elapsed < 30.0
-    record_property(
-        "criterion",
+    record_criterion(
         f"criterion 1: wheel gamma values 7, 11, 15 ({elapsed:.1f}s, budget 30s)",
     )
 
 
-def test_criterion_2_multipartite_closed_form(record_property):
-    record_property("criterion", "criterion 2: multipartite gamma values")
+def test_criterion_2_multipartite_closed_form(record_criterion):
+    record_criterion("criterion 2: multipartite gamma values")
     started = time.perf_counter()
     expected = {
         (1, 1): 3,
@@ -83,15 +82,14 @@ def test_criterion_2_multipartite_closed_form(record_property):
         assert result.gamma == gamma_multipartite(sizes) == value, sizes
     elapsed = time.perf_counter() - started
     assert elapsed < 60.0
-    record_property(
-        "criterion",
+    record_criterion(
         "criterion 2: multipartite gamma values 3, 7, 5, 9, 9, 11"
         f" ({elapsed:.1f}s, budget 60s)",
     )
 
 
-def test_criterion_3_tree_formula(record_property):
-    record_property("criterion", "criterion 3: tree gamma equals worst stack cost")
+def test_criterion_3_tree_formula(record_criterion):
+    record_criterion("criterion 3: tree gamma equals worst stack cost")
     started = time.perf_counter()
     names = []
     for name, g in tree_representatives():
@@ -102,15 +100,14 @@ def test_criterion_3_tree_formula(record_property):
     elapsed = time.perf_counter() - started
     assert len(names) == 8
     assert elapsed < 60.0
-    record_property(
-        "criterion",
+    record_criterion(
         "criterion 3: tree gamma equals worst stack cost on all 8 shapes"
         f" up to order 5 ({elapsed:.1f}s, budget 60s)",
     )
 
 
-def test_criterion_4_diameter_bound_sharpness(record_property):
-    record_property("criterion", "criterion 4: diameter bound sharp on the order-5 fuse")
+def test_criterion_4_diameter_bound_sharpness(record_criterion):
+    record_criterion("criterion 4: diameter bound sharp on the order-5 fuse")
     started = time.perf_counter()
     g = generate(Fuse(5, 3))
     result = gamma_exact(g)
@@ -118,15 +115,14 @@ def test_criterion_4_diameter_bound_sharpness(record_property):
     assert not solve(g, stacked(g, 0, 22)).solvable
     elapsed = time.perf_counter() - started
     assert elapsed < 120.0
-    record_property(
-        "criterion",
+    record_criterion(
         "criterion 4: diameter bound sharp on the order-5 fuse, gamma 23,"
         f" 22-stack unsolvable ({elapsed:.1f}s, budget 120s)",
     )
 
 
-def test_criterion_5_gamma_equals_worst_stack(record_property):
-    record_property("criterion", "criterion 5: gamma equals worst stack cost up to order 5")
+def test_criterion_5_gamma_equals_worst_stack(record_criterion):
+    record_criterion("criterion 5: gamma equals worst stack cost up to order 5")
     started = time.perf_counter()
     labelled = small_catalog(4)
     classes = connected_classes(5)
@@ -138,16 +134,15 @@ def test_criterion_5_gamma_equals_worst_stack(record_property):
     elapsed = time.perf_counter() - started
     assert (len(labelled), len(classes)) == (44, 21)
     assert elapsed < 600.0
-    record_property(
-        "criterion",
+    record_criterion(
         f"criterion 5: gamma equals worst stack cost on all {len(labelled)}"
         f" connected graphs up to order 4 and all {len(classes)} of order 5"
         f" up to isomorphism ({elapsed:.1f}s, budget 600s)",
     )
 
 
-def test_criterion_6_weighted_threshold(record_property):
-    record_property("criterion", "criterion 6: weighted threshold always solvable")
+def test_criterion_6_weighted_threshold(record_criterion):
+    record_criterion("criterion 6: weighted threshold always solvable")
     started = time.perf_counter()
     cases = 0
     for g in small_catalog(4):
@@ -164,16 +159,15 @@ def test_criterion_6_weighted_threshold(record_property):
                 cases += 1
     elapsed = time.perf_counter() - started
     assert elapsed < 600.0
-    record_property(
-        "criterion",
+    record_criterion(
         f"criterion 6: every permissible threshold-size configuration solvable,"
         f" {cases} cases over all weightings up to order 4"
         f" ({elapsed:.1f}s, budget 600s)",
     )
 
 
-def test_criterion_7_constructive_validity(record_property):
-    record_property("criterion", "criterion 7: constructive certificates validate")
+def test_criterion_7_constructive_validity(record_criterion):
+    record_criterion("criterion 7: constructive certificates validate")
     started = time.perf_counter()
     w3 = generate(Wheel(3))
     wheel_cases = 0
@@ -213,15 +207,14 @@ def test_criterion_7_constructive_validity(record_property):
     elapsed = time.perf_counter() - started
     assert random_cases == 4000
     assert elapsed < 300.0
-    record_property(
-        "criterion",
+    record_criterion(
         "criterion 7: constructive certificates validate (120 wheel, 220"
         f" multipartite, 4000 random) ({elapsed:.1f}s, budget 300s)",
     )
 
 
-def test_criterion_8_property_suite(record_property):
-    record_property("criterion", "criterion 8: engine property suite")
+def test_criterion_8_property_suite(record_criterion):
+    record_criterion("criterion 8: engine property suite")
     started = time.perf_counter()
     dominance = run_dominance_check(10_000, seed=29, max_size=8)
     assert dominance >= 1000
@@ -231,8 +224,7 @@ def test_criterion_8_property_suite(record_property):
     assert equivalence >= 10_000
     elapsed = time.perf_counter() - started
     assert elapsed < 300.0
-    record_property(
-        "criterion",
+    record_criterion(
         "criterion 8: dominance, threshold monotonicity, all-ones"
         " equivalence"
         f" ({dominance} dominant pairs, {equivalence} equivalence cases,"

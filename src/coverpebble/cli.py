@@ -39,7 +39,7 @@ from .errors import (
     StrategyIncomplete,
 )
 from .exact import gamma_exact, solve
-from .formulas import bound_report, gamma_multipartite, gamma_wheel
+from .formulas import BoundReport, bound_report, gamma_multipartite, gamma_wheel
 from .graphs import (
     FamilySpec,
     Fuse,
@@ -220,14 +220,14 @@ def _load_graph(args) -> tuple[str, Graph, Optional[FamilySpec]]:
     raise UsageError("a graph is required: give --graph FILE or --family ...")
 
 
-def _formula_value(spec: Optional[FamilySpec], g: Graph) -> Optional[int]:
+def _formula_value(spec: Optional[FamilySpec], bounds: BoundReport) -> Optional[int]:
     if isinstance(spec, Multipartite):
         return gamma_multipartite(spec.sizes)
     if isinstance(spec, Wheel):
         return gamma_wheel(spec.n)
     if isinstance(spec, (Fuse, Path, Star)):
         # trees: the worst stack cost is exact
-        return bound_report(g).lower_stacked
+        return bounds.lower_stacked
     return None
 
 
@@ -316,7 +316,7 @@ def cmd_verify(args) -> int:
         elapsed_ms = int((time.perf_counter() - started) * 1000)
         if args.no_timing:
             elapsed_ms = 0
-        formula = _formula_value(spec, g)
+        formula = _formula_value(spec, bounds)
         status = report_status(formula, result.gamma, bounds.lower_stacked, bounds.upper_diameter)
         reports.append(
             VerificationReport(

@@ -3,9 +3,9 @@
 The solver runs a depth-first search over configurations.  Every move
 removes one pebble from the board, so the state space is a directed
 acyclic graph layered by configuration size and the search always
-terminates.  Decisions are cached in a SolveMemo: a shared cache turns
-a threshold scan over thousands of related configurations into mostly
-cache lookups.
+terminates.  Decisions are cached in a SolveMemo.  In a threshold scan
+the spanning-tree passes below certify nearly every configuration, and
+a memo shared across the scan serves the few that reach the search.
 
 Configurations of a fixed size are enumerated in ascending
 colexicographic order on the count vectors.  That order starts with
@@ -16,10 +16,10 @@ one pebble up to i + 1 and gathers the other c[i] - 1 on vertex 0; it
 stops when i is the last index.  The threshold verifier reports the
 first unsolvable vector in that order.
 
-gamma_exact runs two threshold scans: at the worst stack cost L, which
-must pass, and at L - 1, which must fail.  By the cover pebbling
-theorem (Sjostrand, 2005) L is the answer, so any other outcome is an
-internal error, not a reason to search further.
+gamma_exact checks two sizes: the worst stack cost L, which must pass,
+and L - 1, which must fail.  By the cover pebbling theorem (Sjostrand,
+2005) L is the answer, so any other outcome is an internal error, not a
+reason to search further.
 
 Threshold scans lean on a bottom-up pass over a spanning tree.  A
 cover solution needs no cycle of moves (Milans and Clark, 2006), so on
@@ -37,16 +37,6 @@ passes moves pebbles along graph edges only.  The scan tries the BFS
 tree from every vertex and calls the search only on configurations
 that no tree certifies.  solve stays on the search, whose certificates
 the pass does not give.
-
-A threshold scan decides one configuration per automorphism orbit.  It
-skips a count vector when one of up to 64 automorphisms of the graph
-maps it to a colexicographically smaller vector, which then has the same
-answer.  Any set of automorphisms is sound: from a skipped vector such
-maps give a strictly decreasing chain that ends at a decided vector of
-the same orbit, earlier in the scan.  The first unsolvable vector is
-never skipped, because its images are unsolvable too and none comes
-earlier, so the witness and configs_checked, which counts skipped
-vectors too, are what a scan of every vector reports.
 """
 
 from __future__ import annotations
@@ -54,7 +44,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from math import comb
-from operator import itemgetter, mul
+from operator import mul
 from typing import Callable, Iterator, Optional
 
 from .errors import BudgetExceeded, InternalAssertion, InvalidSpec
@@ -322,77 +312,6 @@ def iter_count_vectors(n: int, k: int) -> Iterator[tuple[int, ...]]:
             c[i] = 0
 
 
-# Automorphisms kept for the orbit skip.  Any subset of the group is
-# sound.  The first 64 leave the same vectors to decide as the whole
-# group on star 5 and K(3,3), which have 119 and 71 non-identity
-# automorphisms; the star with 8 leaves alone has 40,319.
-_AUT_CAP = 64
-
-
-def _automorphisms(g: Graph) -> list[tuple[int, ...]]:
-    """Up to _AUT_CAP non-identity automorphisms of g, as tuples p mapping
-    vertex v to p[v], in lexicographic order of p.
-
-    Backtracks over images vertex by vertex.  An image must have the
-    same multiset of distances to all vertices (so the same degree), and
-    the same distance to the images of the earlier vertices as the
-    vertex has to them.  A permutation keeping every distance keeps
-    adjacency, and an automorphism keeps every distance.
-    """
-    n = g.n
-    dist = g.dist
-    profile = [sorted(row) for row in dist]
-    image = [0] * n
-    free = [True] * n
-    found: list[tuple[int, ...]] = []
-    identity = tuple(range(n))
-
-    def extend(v: int) -> bool:
-        # True once the cap is reached, so every level stops at once
-        if v == n:
-            p = tuple(image)
-            if p != identity:
-                found.append(p)
-            return len(found) >= _AUT_CAP
-        row = dist[v]
-        for w in range(n):
-            if not free[w] or profile[w] != profile[v]:
-                continue
-            wrow = dist[w]
-            if any(row[u] != wrow[image[u]] for u in range(v)):
-                continue
-            image[v] = w
-            free[w] = False
-            stop = extend(v + 1)
-            free[w] = True
-            if stop:
-                return True
-        return False
-
-    extend(0)
-    return found
-
-
-def _orbit_representatives(
-    autos: list[tuple[int, ...]], vectors: Iterator[tuple[int, ...]]
-) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """(rank, vector) for the vectors that no automorphism in ``autos``
-    maps to a colexicographically smaller vector.
-
-    Per automorphism p, a getter returns the vector moved by p in
-    reverse, so comparing it with the reversed vector compares the two
-    in colexicographic order.
-    """
-    getters = [itemgetter(*reversed(p)) for p in autos]
-    for rank, vec in enumerate(vectors):
-        rev = vec[::-1]
-        for get in getters:
-            if get(vec) < rev:
-                break
-        else:
-            yield rank, vec
-
-
 def _bfs_steps(g: Graph, root: int) -> tuple[tuple[int, int], ...]:
     """The (vertex, parent) pairs of the BFS tree of g from root, leaves
     first: deepest vertices first, in index order within one depth.  Each
@@ -497,18 +416,6 @@ def verify_threshold(
     """Check every configuration of size k; report the first unsolvable
     one in colexicographic order, if any.
 
-    The scan decides one configuration per automorphism orbit.  Every
-    vertex is a target, so any automorphism of g maps a cover solution
-    of one configuration onto a cover solution of its image: the whole
-    orbit is solvable or none of it is.  A count vector is skipped when
-    one of up to _AUT_CAP automorphisms maps it to a colexicographically
-    smaller vector.  That is sound for any subset of the group: following
-    such maps from a skipped vector gives a strictly decreasing chain in
-    its orbit, which ends at a vector that is not skipped, comes earlier
-    in the scan and is decided.  The colexicographically first unsolvable
-    vector is never skipped, since each of its images is unsolvable too
-    and so none comes before it; it is still the reported witness.
-
     On a tree (a connected graph with n - 1 edges) the bottom-up pass of
     _tree_cover_test decides a configuration exactly: a subtree with
     surplus s sends s // 2 pebbles to its parent, a subtree short of d
@@ -527,11 +434,9 @@ def verify_threshold(
     only vectors that no tree certifies go to the search.
 
     The scan runs in ascending colexicographic order and stops at the
-    first unsolvable representative.  configs_checked is its rank plus
-    one, or the full count when the size is good: it counts the
-    configurations the scan accounts for, skipped ones included.  A scan
-    of more than sys.maxsize configurations raises InvalidSpec before it
-    starts.
+    first unsolvable vector.  configs_checked is its rank plus one, or
+    the full count when the size is good.  A scan of more than
+    sys.maxsize configurations raises InvalidSpec before it starts.
 
     worker_count is ignored.  It remains only because the benchmark's
     two-thread scan probe passes it, and goes with that probe (ROADMAP
@@ -558,21 +463,23 @@ def verify_threshold(
                 return True
         return search.decide(vec)[0]
 
-    for rank, vec in _orbit_representatives(_automorphisms(g), iter_count_vectors(g.n, k)):
+    for rank, vec in enumerate(iter_count_vectors(g.n, k)):
         if not solvable(vec):
             return ThresholdResult(Configuration(vec), rank + 1)
     return ThresholdResult(None, total)
 
 
 def gamma_exact(g: Graph) -> GammaResult:
-    """Exact cover pebbling number by two exhaustive threshold checks.
+    """Exact cover pebbling number by two threshold checks.
 
     The worst stack cost L is a lower bound, and the cover pebbling
-    theorem (Sjostrand, 2005) says it is the answer.  So the scan at L
-    must pass and the scan at L - 1 must fail; either surprise raises
-    InternalAssertion.  The witness is the colexicographically first
-    unsolvable configuration of size L - 1, and configs_checked sums
-    both scans.  The two scans share one memo.
+    theorem (Sjostrand, 2005) says it is the answer.  So every
+    configuration of size L must be solvable and some configuration of
+    size L - 1 must not; either surprise raises InternalAssertion.  The
+    witness is the colexicographically first unsolvable configuration of
+    size L - 1, and configs_checked sums the counts of both checks.  On
+    a graph with cycles both sizes are scanned with one shared memo; a
+    tree is never scanned, since the DP of verify_threshold answers both.
     """
     memo = SolveMemo()
     k = bound_report(g).lower_stacked

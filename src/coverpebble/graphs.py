@@ -36,7 +36,9 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
 
     Edges are normalized to (min, max) order and deduplicated.  Raises
     InvalidEdge for self-loops or out-of-range endpoints and
-    DisconnectedGraph when some vertex is unreachable.
+    DisconnectedGraph when some vertex is unreachable.  Fewer than n - 1
+    distinct edges raise DisconnectedGraph before anything of size n is
+    built, so a huge order with few edges fails at once.
     """
     if n < 1:
         raise InvalidEdge(f"graph order must be at least 1, got {n}")
@@ -47,6 +49,8 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
         if u == v:
             raise InvalidEdge(f"self-loop at vertex {u}")
         normalized.add((u, v) if u < v else (v, u))
+    if len(normalized) < n - 1:
+        raise DisconnectedGraph(f"{len(normalized)} edges cannot connect {n} vertices")
     edge_list = tuple(sorted(normalized))
 
     neighbor_sets: list[set[int]] = [set() for _ in range(n)]

@@ -196,6 +196,19 @@ def test_oversized_scan_exits_two(capsys):
     assert len(err.splitlines()) == 1
 
 
+def test_huge_edgeless_graph_file_exits_two(capsys, tmp_path):
+    # a billion vertices cannot be connected by zero edges; the header
+    # alone decides it, without building a billion adjacency sets
+    path = tmp_path / "huge.txt"
+    path.write_text("1000000000 0\n")
+    started = time.perf_counter()
+    assert run_cli(["bound", "--graph", str(path)]) == 2
+    assert time.perf_counter() - started < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert len(err.splitlines()) == 1
+
+
 def test_input_errors_exit_two(capsys):
     assert run_cli(["solve", "--family", "wheel", "--n", "4", "--config", "1 2 x"]) == 2
     capsys.readouterr()

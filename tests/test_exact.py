@@ -260,55 +260,6 @@ def test_gamma_single_vertex():
     assert result.witness.counts == (0,)
 
 
-def _brute_automorphisms(g):
-    edges = set(g.edges)
-    found = []
-    for p in itertools.permutations(range(g.n)):
-        if p != tuple(range(g.n)) and all(
-            tuple(sorted((p[u], p[v]))) in edges for u, v in g.edges
-        ):
-            found.append(p)
-    return found
-
-
-def test_automorphisms_match_brute_force():
-    family = [
-        generate(Wheel(4)),
-        generate(Wheel(5)),
-        generate(Multipartite((3, 2))),
-        generate(Star(4)),
-        generate(Fuse(5, 3)),
-    ]
-    for g in small_catalog(4) + family:
-        assert exact._automorphisms(g) == _brute_automorphisms(g), g.edges
-
-
-def test_automorphisms_stop_at_the_cap():
-    # star 8 has 8! - 1 = 40,319 non-identity automorphisms; the first 64
-    # in lexicographic order come back
-    star8 = generate(Star(8))
-    first = list(
-        itertools.islice(
-            (p for p in itertools.permutations(range(9)) if p[8] == 8 and p != tuple(range(9))),
-            exact._AUT_CAP,
-        )
-    )
-    assert exact._AUT_CAP == 64
-    assert exact._automorphisms(star8) == first
-    # 20! - 1 automorphisms could never all be listed: the search stops
-    assert len(exact._automorphisms(generate(Star(20)))) == 64
-
-
-def test_orbit_skip_keeps_every_answer(monkeypatch):
-    # the reference scan decides every configuration: no automorphisms
-    cases = [(g, k) for g in small_catalog(4) for k in range(2, 9)]
-    skipping = [verify_threshold(*case) for case in cases]
-    monkeypatch.setattr(exact, "_automorphisms", lambda g: [])
-    for case, result in zip(cases, skipping):
-        assert result == verify_threshold(*case), (case[0].edges, case[1])
-    assert any(not result.ok for result in skipping)
-
-
 def _reference_scan(g, k, memo):
     # decides every configuration with the search, sharing one memo
     search = exact._CoverSearch(g, range(g.n), memo=memo)
@@ -316,6 +267,20 @@ def _reference_scan(g, k, memo):
         if not search.decide(vec)[0]:
             return Configuration(vec), rank + 1
     return None, composition_count(g.n, k)
+
+
+def test_scan_matches_a_search_of_every_vector():
+    # every labelled graph of order <= 4: trees by the DP, the others by
+    # tree certificates in front of the search
+    results = []
+    for g in small_catalog(4):
+        memo = SolveMemo()
+        for k in range(2, 9):
+            result = verify_threshold(g, k)
+            witness, checked = _reference_scan(g, k, memo)
+            assert (result.witness, result.configs_checked) == (witness, checked), (g.edges, k)
+            results.append(result)
+    assert any(not result.ok for result in results)
 
 
 def _relabelled(spec):

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from coverpebble import (
@@ -36,6 +38,14 @@ def test_build_path_distances():
 def test_build_rejects_disconnected():
     with pytest.raises(DisconnectedGraph):
         build_graph(4, [(0, 1), (2, 3)])
+
+
+def test_build_rejects_too_few_edges_at_once():
+    # a billion vertices with no edge: rejected before any per-vertex table
+    started = time.perf_counter()
+    with pytest.raises(DisconnectedGraph):
+        build_graph(10**9, [])
+    assert time.perf_counter() - started < 0.1
 
 
 def test_build_rejects_bad_edges():

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import sys
 import time
@@ -109,56 +110,42 @@ def report_status(
 def emit_report(reports, fmt: str = "json") -> str:
     """Serialize verification rows, one per line, fields in a fixed order
     shared by both formats."""
-    if fmt == "json":
-        lines = []
-        for r in reports:
-            row = {}
-            for field in _REPORT_FIELDS:
-                value = getattr(r, field)
-                if field == "witness":
-                    value = list(value.counts) if value is not None else None
-                row[field] = value
-            lines.append(json.dumps(row))
-        return "".join(line + "\n" for line in lines)
+    if fmt not in ("json", "csv"):
+        raise UsageError(f"unknown report format {fmt!r}")
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(_REPORT_FIELDS)
-        for r in reports:
-            row = []
-            for field in _REPORT_FIELDS:
-                value = getattr(r, field)
-                if field == "witness":
-                    value = format_config(value) if value is not None else ""
-                elif value is None:
-                    value = ""
-                row.append(value)
-            writer.writerow(row)
-        return buf.getvalue()
-    raise UsageError(f"unknown report format {fmt!r}")
+    for r in reports:
+        row = {field: getattr(r, field) for field in _REPORT_FIELDS}
+        if fmt == "json":
+            row["witness"] = list(r.witness.counts) if r.witness is not None else None
+            buf.write(json.dumps(row) + "\n")
+        else:
+            row["witness"] = format_config(r.witness) if r.witness is not None else None
+            writer.writerow("" if value is None else value for value in row.values())
+    return buf.getvalue()
 
 
-def _load_graph_path(path: str) -> Graph:
+def _read_file(path: str, what: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as exc:
-        raise UsageError(f"cannot read graph file: {exc}") from None
-    return parse_graph_text(text)
+            return handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"cannot read {what} file: {exc}") from None
 
 
-def _parse_range(text: str, what: str) -> list[int]:
+def _parse_range(text: str, what: str) -> range:
     # either a single integer or an inclusive span like 3..5
+    lo_text, dots, hi_text = text.partition("..")
     try:
-        if ".." in text:
-            lo_text, hi_text = text.split("..", 1)
-            lo, hi = int(lo_text), int(hi_text)
-            if hi < lo:
-                raise UsageError(f"empty range for {what}: {text}")
-            return list(range(lo, hi + 1))
-        return [int(text)]
+        lo = int(lo_text)
+        hi = int(hi_text) if dots else lo
     except ValueError:
         raise UsageError(f"{what} must be an integer or a range like 3..5") from None
+    if hi < lo:
+        raise UsageError(f"empty range for {what}: {text}")
+    return range(lo, hi + 1)
 
 
 def _parse_sizes(text: str) -> tuple[int, ...]:
@@ -168,54 +155,59 @@ def _parse_sizes(text: str) -> tuple[int, ...]:
         raise UsageError(f"sizes must be comma separated integers, got {text!r}") from None
 
 
-def _family_specs(args) -> list[tuple[str, FamilySpec]]:
-    """Expand family arguments (ranges allowed) into labeled specs."""
-    family = args.family
-    if family == "multipartite":
+# family name -> (spec type, the flags that carry its parameters in order);
+# multipartite takes its repeatable --sizes instead
+_FAMILIES = {
+    "wheel": (Wheel, ("n",)),
+    "fuse": (Fuse, ("n", "d")),
+    "path": (Path, ("n",)),
+    "star": (Star, ("leaves",)),
+}
+
+_NOT_ONE = "this command takes exactly one graph, not a range"
+
+
+def _family_specs(args, one: bool = False) -> list[tuple[str, FamilySpec]]:
+    """Expand family arguments (ranges allowed) into labeled specs.  With
+    one=True a span of more than one value is refused before any spec is
+    built."""
+    if args.family == "multipartite":
         if not args.sizes:
             raise UsageError("multipartite needs --sizes")
+        if one and len(args.sizes) != 1:
+            raise UsageError(_NOT_ONE)
         out = []
         for text in args.sizes:
             sizes = _parse_sizes(text)
             label = "multipartite[" + ",".join(str(s) for s in sizes) + "]"
             out.append((label, Multipartite(sizes)))
         return out
-    if family == "wheel":
-        if args.n is None:
-            raise UsageError("wheel needs --n")
-        return [(f"wheel[{n}]", Wheel(n)) for n in _parse_range(args.n, "--n")]
-    if family == "fuse":
-        if args.n is None or args.d is None:
-            raise UsageError("fuse needs --n and --d")
-        out = []
-        for n in _parse_range(args.n, "--n"):
-            for d in _parse_range(args.d, "--d"):
-                if 1 <= d <= n - 1:
-                    out.append((f"fuse[{n},{d}]", Fuse(n, d)))
-        if not out:
-            raise UsageError("no valid (n, d) pairs in the given fuse ranges")
-        return out
-    if family == "path":
-        if args.n is None:
-            raise UsageError("path needs --n")
-        return [(f"path[{n}]", Path(n)) for n in _parse_range(args.n, "--n")]
-    if family == "star":
-        if args.leaves is None:
-            raise UsageError("star needs --leaves")
-        return [(f"star[{k}]", Star(k)) for k in _parse_range(args.leaves, "--leaves")]
-    raise UsageError("unknown family; pick multipartite, wheel, fuse, path or star")
+    make, flags = _FAMILIES[args.family]
+    texts = [getattr(args, flag) for flag in flags]
+    if None in texts:
+        raise UsageError(f"{args.family} needs " + " and ".join("--" + f for f in flags))
+    spans = [_parse_range(text, "--" + flag) for text, flag in zip(texts, flags)]
+    # compare ends: len() overflows on spans past sys.maxsize
+    if one and any(span[-1] != span[0] for span in spans):
+        raise UsageError(_NOT_ONE)
+    out = []
+    for params in itertools.product(*spans):
+        # a fuse range may name pairs with no fuse; skip them
+        if make is Fuse and not 1 <= params[1] <= params[0] - 1:
+            continue
+        out.append((f"{args.family}[{','.join(map(str, params))}]", make(*params)))
+    if not out:
+        raise UsageError("no valid (n, d) pairs in the given fuse ranges")
+    return out
 
 
 def _load_graph(args) -> tuple[str, Graph, Optional[FamilySpec]]:
-    if getattr(args, "graph", None):
-        if getattr(args, "family", None):
+    if args.graph:
+        if args.family:
             raise UsageError("give either --graph or --family, not both")
-        return args.graph, _load_graph_path(args.graph), None
-    if getattr(args, "family", None):
-        specs = _family_specs(args)
-        if len(specs) != 1:
-            raise UsageError("this command takes exactly one graph, not a range")
-        label, spec = specs[0]
+        return args.graph, parse_graph_text(_read_file(args.graph, "graph")), None
+    if args.family:
+        [(label, spec)] = _family_specs(args, one=True)
         return label, generate(spec), spec
     raise UsageError("a graph is required: give --graph FILE or --family ...")
 
@@ -232,7 +224,7 @@ def _formula_value(spec: Optional[FamilySpec], bounds: BoundReport) -> Optional[
 
 
 def _write_out(args, text: str) -> None:
-    if getattr(args, "out", None):
+    if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as handle:
                 handle.write(text)
@@ -245,11 +237,8 @@ def _write_out(args, text: str) -> None:
 def cmd_gen(args) -> int:
     if not args.family:
         raise UsageError("gen needs --family")
-    specs = _family_specs(args)
-    if len(specs) != 1:
-        raise UsageError("gen writes exactly one graph, not a range")
-    _, spec = specs[0]
-    _write_out(args, format_graph_text(generate(spec)))
+    _, g, _ = _load_graph(args)
+    _write_out(args, format_graph_text(g))
     return 0
 
 
@@ -259,11 +248,7 @@ def _read_config_arg(args, g: Graph) -> Configuration:
     if args.config is not None:
         return parse_config(args.config, g.n)
     if args.config_file is not None:
-        try:
-            with open(args.config_file, "r", encoding="utf-8") as handle:
-                return parse_config(handle.read(), g.n)
-        except OSError as exc:
-            raise UsageError(f"cannot read configuration file: {exc}") from None
+        return parse_config(_read_file(args.config_file, "configuration"), g.n)
     raise UsageError("a configuration is required: --config or --config-file")
 
 
@@ -349,7 +334,7 @@ def cmd_construct(args) -> int:
         cert, trace = solve_diameter(g, c)
     elif args.algorithm == "wheel":
         cert = solve_wheel(g, c)
-    elif args.algorithm == "multipartite":
+    else:
         if isinstance(spec, Multipartite):
             sizes = spec.sizes
         elif args.sizes:
@@ -357,8 +342,6 @@ def cmd_construct(args) -> int:
         else:
             raise UsageError("multipartite construction needs --sizes or --family multipartite")
         cert = solve_multipartite(g, sizes, c)
-    else:
-        raise UsageError(f"unknown algorithm {args.algorithm!r}")
     # never print a certificate that does not replay cleanly
     try:
         final = validate_certificate(g, cert, weighting)
@@ -373,22 +356,9 @@ def cmd_construct(args) -> int:
     return 0
 
 
-def _nonnegative_int(text: str) -> int:
-    """argparse type for an integer no smaller than 0."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
-    return value
-
-
 def _add_graph_args(sub) -> None:
     sub.add_argument("--graph", metavar="FILE", help="graph text file")
-    sub.add_argument(
-        "--family", choices=["multipartite", "wheel", "fuse", "path", "star"]
-    )
+    sub.add_argument("--family", choices=["multipartite", *_FAMILIES])
     sub.add_argument("--sizes", action="append", help="class sizes, largest first, e.g. 2,2")
     sub.add_argument("--n", help="rim count / order (verify takes ranges like 3..5)")
     sub.add_argument("--d", help="fuse path length in edges")
@@ -409,7 +379,7 @@ def build_parser() -> _Parser:
     slv.add_argument("--config", help="space separated pebble counts")
     slv.add_argument("--config-file", metavar="FILE")
     slv.add_argument("--weighting", help="space separated 0/1 marks")
-    slv.add_argument("--budget", type=_nonnegative_int, help="state budget for the search")
+    slv.add_argument("--budget", type=int, help="state budget for the search")
     slv.set_defaults(func=cmd_solve)
 
     gam = commands.add_parser("gamma", help="exact cover pebbling number")

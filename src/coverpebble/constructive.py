@@ -28,6 +28,8 @@ from .pebbles import (
     Configuration,
     PebblingMove,
     check_length,
+    format_config,
+    format_weighting,
     is_permissible,
 )
 
@@ -81,7 +83,6 @@ def solve_pigeonhole(g: Graph, b: BinaryWeighting, c: Configuration) -> Certific
     stop counting, so the same argument applies to the rest.
     """
     check_length(c.counts, g.n, "configuration")
-    check_length(b.marks, g.n, "weighting")
     if not is_permissible(c, b):
         raise PreconditionViolated("configuration has pebbles on unmarked vertices")
     threshold = weighted_cover_bound(b.order, g.diam)
@@ -152,8 +153,8 @@ def format_trace(trace: DiameterTrace) -> str:
             )
     if trace.weighting is not None:
         lines.append(
-            "handoff: marks=" + " ".join(str(m) for m in trace.weighting.marks)
-            + " residual=" + " ".join(str(x) for x in trace.residual.counts)
+            f"handoff: marks={format_weighting(trace.weighting)}"
+            f" residual={format_config(trace.residual)}"
         )
     return "\n".join(lines) + ("\n" if lines else "")
 
@@ -247,10 +248,9 @@ def solve_wheel(g: Graph, c: Configuration) -> Certificate:
     rim_count = g.n - 1
     if rim_count < 3 or g.edges != wheel_edges(rim_count):
         raise PreconditionViolated("graph is not a wheel with hub 0")
-    if c.size < 4 * rim_count - 5:
-        raise PreconditionViolated(
-            f"size {c.size} is below the wheel threshold {4 * rim_count - 5}"
-        )
+    threshold = gamma_wheel(rim_count)
+    if c.size < threshold:
+        raise PreconditionViolated(f"size {c.size} is below the wheel threshold {threshold}")
     hub = 0
     rim = range(1, g.n)
     counts = list(c.counts)

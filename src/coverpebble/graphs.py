@@ -127,18 +127,33 @@ def generate(spec: FamilySpec) -> Graph:
     """Construct the labeled graph for a family description.
 
     The construction is deterministic: equal specs produce equal graphs.
-    Raises InvalidSpec when the parameters violate the family's rules.
+    A star is built as the multipartite graph K(leaves, 1) and a path of
+    order at least 2 as the fuse with d = n - 1.  Raises InvalidSpec
+    when the parameters violate the family's rules.
     """
-    if isinstance(spec, Multipartite):
-        return _gen_multipartite(spec.sizes)
-    if isinstance(spec, Wheel):
-        return _gen_wheel(spec.n)
-    if isinstance(spec, Fuse):
-        return _gen_fuse(spec.n, spec.d)
-    if isinstance(spec, Path):
-        return _gen_path(spec.n)
     if isinstance(spec, Star):
-        return _gen_star(spec.leaves)
+        if spec.leaves < 1:
+            raise InvalidSpec(f"star needs at least 1 leaf, got {spec.leaves}")
+        spec = Multipartite((spec.leaves, 1))
+    elif isinstance(spec, Path):
+        if spec.n < 1:
+            raise InvalidSpec(f"path needs at least 1 vertex, got {spec.n}")
+        if spec.n == 1:
+            return build_graph(1, [])
+        spec = Fuse(spec.n, spec.n - 1)
+    if isinstance(spec, Multipartite):
+        # the sizes are validated before they are summed
+        edges = multipartite_edges(spec.sizes)
+        return build_graph(sum(spec.sizes), edges)
+    if isinstance(spec, Wheel):
+        return build_graph(spec.n + 1, wheel_edges(spec.n))
+    if isinstance(spec, Fuse):
+        n, d = spec.n, spec.d
+        if not 1 <= d <= n - 1:
+            raise InvalidSpec(f"fuse needs 1 <= d <= n-1, got n={n}, d={d}")
+        edges = [(i, i + 1) for i in range(d - 1)]
+        edges += [(d - 1, v) for v in range(d, n)]
+        return build_graph(n, edges)
     raise InvalidSpec(f"unknown family spec: {spec!r}")
 
 
@@ -179,39 +194,6 @@ def wheel_edges(n: int) -> tuple[tuple[int, int], ...]:
     edges += [(1, 2), (1, n)]
     edges += [(i, i + 1) for i in range(2, n)]
     return tuple(edges)
-
-
-def _gen_multipartite(sizes: tuple[int, ...]) -> Graph:
-    # the builder validates the sizes before they are summed
-    edges = multipartite_edges(sizes)
-    return build_graph(sum(sizes), edges)
-
-
-def _gen_wheel(n: int) -> Graph:
-    return build_graph(n + 1, wheel_edges(n))
-
-
-def _gen_fuse(n: int, d: int) -> Graph:
-    if not 1 <= d <= n - 1:
-        raise InvalidSpec(f"fuse needs 1 <= d <= n-1, got n={n}, d={d}")
-    edges = [(i, i + 1) for i in range(d - 1)]
-    center = d - 1
-    edges += [(center, v) for v in range(d, n)]
-    return build_graph(n, edges)
-
-
-def _gen_path(n: int) -> Graph:
-    if n < 1:
-        raise InvalidSpec(f"path needs at least 1 vertex, got {n}")
-    if n == 1:
-        return build_graph(1, [])
-    return _gen_fuse(n, n - 1)
-
-
-def _gen_star(leaves: int) -> Graph:
-    if leaves < 1:
-        raise InvalidSpec(f"star needs at least 1 leaf, got {leaves}")
-    return _gen_multipartite((leaves, 1))
 
 
 def eccentricity_profile(g: Graph) -> list[tuple[int, int]]:

@@ -101,8 +101,6 @@ def stacked(g: Graph, v: int, k: int) -> Configuration:
     """All k pebbles on vertex v, everywhere else empty."""
     if not 0 <= v < g.n:
         raise InvalidSpec(f"vertex {v} out of range for order {g.n}")
-    if k < 0:
-        raise InvalidSpec(f"stack size must be nonnegative, got {k}")
     counts = [0] * g.n
     counts[v] = k
     return Configuration(tuple(counts))

@@ -178,12 +178,44 @@ def test_usage_errors_exit_two(capsys):
         ["gamma", "--family", "wheel", "--n", "4", "--workers", "2"],
         ["solve", "--family", "wheel", "--n", "4", "--config", "0 9 0 0 0", "--budget", "-5"],
         ["solve", "--family", "wheel", "--n", "4", "--config", "0 9 0 0 0", "--budget", "x"],
+        ["gamma", "--family", "fuse", "--n", "4"],
+        ["gamma", "--family", "path"],
+        ["gamma", "--family", "star", "--n", "4"],
+        ["gamma", "--family", "multipartite", "--n", "4"],
     ]
     for argv in cases:
         assert run_cli(argv) == 2, argv
         err = capsys.readouterr().err
         assert err.startswith("error:"), argv
         assert len(err.splitlines()) == 1, argv
+
+
+def test_unreadable_input_files_exit_two(capsys, tmp_path):
+    # a file that is not UTF-8 is a usage error, not a crash with exit 1
+    path = tmp_path / "binary.txt"
+    path.write_bytes(b"\xff\xfe 1 0\n")
+    cases = [
+        ["gamma", "--graph", str(path)],
+        ["solve", "--family", "wheel", "--n", "3", "--config-file", str(path)],
+    ]
+    for argv in cases:
+        assert run_cli(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read"), argv
+        assert len(err.splitlines()) == 1, argv
+
+
+def test_one_graph_commands_refuse_spans_at_once(capsys):
+    # the span is refused from its ends, without listing its values
+    started = time.perf_counter()
+    assert run_cli(["gamma", "--family", "wheel", "--n", "3..1000000000000"]) == 2
+    assert time.perf_counter() - started < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert len(err.splitlines()) == 1
+    # a fuse span is refused even when only one of its pairs names a fuse
+    assert run_cli(["gamma", "--family", "fuse", "--n", "4", "--d", "3..9"]) == 2
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_oversized_scan_exits_two(capsys):
@@ -278,6 +310,20 @@ def test_verify_wheel_range_order(capsys):
     assert [r["graph"] for r in rows] == ["wheel[3]", "wheel[4]", "wheel[5]"]
     assert [r["gamma_oracle"] for r in rows] == [7, 11, 15]
     assert all(r["status"] == "match" for r in rows)
+
+
+def test_verify_labels_and_order(capsys):
+    # ranges expand in flag order; a fuse range skips pairs that name no fuse
+    cases = [
+        (["--family", "fuse", "--n", "3..4", "--d", "1..3"],
+         ["fuse[3,1]", "fuse[3,2]", "fuse[4,1]", "fuse[4,2]", "fuse[4,3]"]),
+        (["--family", "star", "--leaves", "1..2"], ["star[1]", "star[2]"]),
+        (["--family", "path", "--n", "1..2"], ["path[1]", "path[2]"]),
+    ]
+    for args, labels in cases:
+        assert run_cli(["verify", *args, "--no-timing"]) == 0, args
+        rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert [r["graph"] for r in rows] == labels, args
 
 
 def test_verify_tree_formula_column(capsys):

@@ -61,9 +61,10 @@ def _reuse_memo_on_another_graph():
         lambda: Configuration((1, -1)),
         lambda: BinaryWeighting((1, 2)),
         lambda: stacked(P3, 3, 4),
+        lambda: stacked(P3, 0, -1),
         _reuse_memo_on_another_graph,
     ],
-    ids=["configuration", "weighting", "stacked", "memo-bind"],
+    ids=["configuration", "weighting", "stacked", "stacked-negative", "memo-bind"],
 )
 def test_invalid_values_raise_a_pebbling_error(bad):
     # one except clause at a process boundary catches every deliberate

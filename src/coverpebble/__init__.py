@@ -65,7 +65,6 @@ from .graphs import (
     Star,
     Wheel,
     build_graph,
-    eccentricity_profile,
     format_graph_text,
     generate,
     parse_graph_text,
@@ -120,7 +119,6 @@ __all__ = [
     "build_graph",
     "composition_count",
     "diameter_bound",
-    "eccentricity_profile",
     "format_config",
     "format_graph_text",
     "format_trace",

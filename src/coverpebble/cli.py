@@ -19,6 +19,7 @@ import csv
 import io
 import itertools
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, fields
@@ -166,11 +167,15 @@ _FAMILIES = {
 
 _NOT_ONE = "this command takes exactly one graph, not a range"
 
+# Most graphs one verify range may name: each gets an exact check, so a
+# longer range could not finish.
+MAX_RANGE_GRAPHS = 1_000
+
 
 def _family_specs(args, one: bool = False) -> list[tuple[str, FamilySpec]]:
-    """Expand family arguments (ranges allowed) into labeled specs.  With
-    one=True a span of more than one value is refused before any spec is
-    built."""
+    """Expand family arguments (ranges allowed) into labeled specs.  A
+    range naming more than MAX_RANGE_GRAPHS graphs, or with one=True more
+    than one, is refused before any spec is built."""
     if args.family == "multipartite":
         if not args.sizes:
             raise UsageError("multipartite needs --sizes")
@@ -187,9 +192,12 @@ def _family_specs(args, one: bool = False) -> list[tuple[str, FamilySpec]]:
     if None in texts:
         raise UsageError(f"{args.family} needs " + " and ".join("--" + f for f in flags))
     spans = [_parse_range(text, "--" + flag) for text, flag in zip(texts, flags)]
-    # compare ends: len() overflows on spans past sys.maxsize
-    if one and any(span[-1] != span[0] for span in spans):
+    # count from the ends: len() overflows on spans past sys.maxsize
+    count = math.prod(span[-1] - span[0] + 1 for span in spans)
+    if one and count > 1:
         raise UsageError(_NOT_ONE)
+    if count > MAX_RANGE_GRAPHS:
+        raise UsageError(f"the ranges give {count} parameter sets, more than the limit of {MAX_RANGE_GRAPHS}")
     out = []
     for params in itertools.product(*spans):
         # a fuse range may name pairs with no fuse; skip them

@@ -3,40 +3,36 @@
 The solver runs a depth-first search over configurations.  Every move
 removes one pebble from the board, so the state space is a directed
 acyclic graph layered by configuration size and the search always
-terminates.  Decisions are cached in a SolveMemo.  In a threshold scan
+terminates.  Decisions are cached in a SolveMemo.  In a threshold check
 the spanning-tree passes below certify nearly every configuration, and
-a memo shared across the scan serves the few that reach the search.
+a memo shared across the check serves the few that reach the search.
 
 Configurations of a fixed size are enumerated in ascending
 colexicographic order on the count vectors.  That order starts with
 every stack on vertex 0, which is where unsolvable witnesses tend to
-live, so failing scans exit early.  The enumerator steps from one
-vector to the next in place: with i the first nonzero index, it moves
-one pebble up to i + 1 and gathers the other c[i] - 1 on vertex 0; it
-stops when i is the last index.  The threshold verifier reports the
-first unsolvable vector in that order.
+live.  The enumerator steps from one vector to the next in place: with
+i the first nonzero index, it moves one pebble up to i + 1 and gathers
+the other c[i] - 1 on vertex 0; it stops when i is the last index.  The
+threshold check reports the first unsolvable vector in that order, but
+does not scan.
 
 gamma_exact checks two sizes: the worst stack cost L, which must pass,
 and L - 1, which must fail.  By the cover pebbling theorem (Sjostrand,
 2005) L is the answer, so any other outcome is an internal error, not a
 reason to search further.
 
-Threshold scans lean on a bottom-up pass over a spanning tree.  A
+Threshold checks lean on a bottom-up pass over a spanning tree.  A
 cover solution needs no cycle of moves (Milans and Clark, 2006), so on
 a tree each edge carries pebbles one way only: a subtree with s pebbles
 to spare sends s // 2 to its parent, and one short of d pebbles costs
 the parent 2d.  The root's balance then decides the configuration
-exactly, in time linear in the order.  On a tree a min-plus DP over
-the subtrees finds the least root balance over all configurations of a
-size, with some vertices held at fixed counts, so a tree needs no scan:
-fixing the vertices from the last down, each to the least count that
-still leaves a failing placement, gives the first unsolvable vector,
-and its rank comes from binomial sums.  On a graph with cycles
-the pass over any spanning tree is a sound certificate: a tree that
-passes moves pebbles along graph edges only.  The scan tries the BFS
-tree from every vertex and calls the search only on configurations
-that no tree certifies.  solve stays on the search, whose certificates
-the pass does not give.
+exactly, in time linear in the order.  On a graph with cycles the pass
+over any spanning tree is a sound certificate: a tree that passes moves
+pebbles along graph edges only.  A min-plus DP over the subtrees gives
+the least root balance over all configurations of a size, with some
+vertices held, so the threshold check skips the prefixes whose
+completions the DP certifies.  solve stays on the search, whose
+certificates the pass does not give.
 """
 
 from __future__ import annotations
@@ -323,7 +319,12 @@ def _bfs_steps(g: Graph, root: int) -> tuple[tuple[int, int], ...]:
 
 def _tree_cover_test(g: Graph, root: int = 0) -> Callable[[tuple[int, ...]], bool]:
     """Full-cover test by the bottom-up pass over the BFS tree of g from
-    root, as a function of a count vector.
+    root, as a function of a count vector; see _pass_test."""
+    return _pass_test(_bfs_steps(g, root), root)
+
+
+def _pass_test(steps: tuple[tuple[int, int], ...], root: int) -> Callable[[tuple[int, ...]], bool]:
+    """Full-cover test by the pass over steps, the _bfs_steps from root.
 
     The pass visits the vertices leaves first, each with its parent.  A
     vertex's balance is its own pebbles plus what its children's subtrees
@@ -333,7 +334,6 @@ def _tree_cover_test(g: Graph, root: int = 0) -> Callable[[tuple[int, ...]], boo
     with cycles a pass is a cover solution that moves pebbles along tree
     edges only, so "solvable" is sound and "unsolvable" proves nothing.
     """
-    steps = _bfs_steps(g, root)
 
     def solvable(vec: tuple[int, ...]) -> bool:
         bal = list(vec)
@@ -345,9 +345,9 @@ def _tree_cover_test(g: Graph, root: int = 0) -> Callable[[tuple[int, ...]], boo
     return solvable
 
 
-def _passed_up(g: Graph, root: int, held: dict[int, int], spare: int) -> list[int]:
-    """What the subtrees below root pass up to it in the pass of
-    _tree_cover_test(g, root), at least, by the pebbles they take.
+def _passed_up(steps: tuple[tuple[int, int], ...], root: int, held: dict[int, int], spare: int) -> list[int]:
+    """What the subtrees below root pass up to it, at least, by the
+    pebbles they take, in the pass over steps, the _bfs_steps from root.
 
     The vertices in held keep their counts; spare pebbles go on root and
     the other vertices.  Entry j is the least sum that root's children
@@ -356,44 +356,24 @@ def _passed_up(g: Graph, root: int, held: dict[int, int], spare: int) -> list[in
     subtrees, leaves first: row[v][j] is the least balance that any
     placement of j spare pebbles in v's subtree leaves at v.  Each
     child's row joins its parent's by min-plus convolution after
-    phi(b - 1), where phi(b) is b // 2 for b >= 0 and 2b for b < 0.  phi
-    is nondecreasing and the subtrees are disjoint, so the least sum is
-    the sum of the least terms.  O(n spare^2).
+    phi(b - 1), where phi(b) is b // 2 for b >= 0 and 2b for b < 0; a
+    one-entry row joins as a shift.  phi is nondecreasing and the
+    subtrees are disjoint, so the least sum is the sum of the least
+    terms.  O(n spare^2).
     """
-    row = [[held[v]] if v in held else list(range(spare + 1)) for v in range(g.n)]
+    row = [[held[v]] if v in held else list(range(spare + 1)) for v in range(len(steps) + 1)]
     row[root] = [0]
-    for v, p in _bfs_steps(g, root):
-        up = [b >> 1 if b >= 0 else 2 * b for b in (m - 1 for m in row[v])]
+    for v, p in steps:
+        up = [(m - 1) >> 1 if m > 0 else 2 * m - 2 for m in row[v]]
         acc = row[p]
+        if len(acc) == 1 or len(up) == 1:
+            row[p] = [a + u for a in acc for u in up]
+            continue
         row[p] = [
             min(acc[j - i] + up[i] for i in range(max(0, j - len(acc) + 1), min(j, len(up) - 1) + 1))
             for j in range(min(len(acc) + len(up) - 1, spare + 1))
         ]
     return row[root]
-
-
-def _tree_first_failure(g: Graph, k: int) -> Optional[tuple[int, ...]]:
-    """The colexicographically first count vector of size k that the tree
-    g cannot cover, or None when every one can.
-
-    Colexicographic order compares the last vertex first, so the vertices
-    are fixed from the last down, each to the least count that some
-    placement of the rest on the lower vertices fails with.  Whether one
-    fails is the pass's least balance with the tree rooted at that
-    vertex: on a tree the pass is exact from every root, since each one
-    decides whether the configuration has a cover solution.  n DPs of
-    _passed_up, whatever the labels.
-    """
-    held: dict[int, int] = {}
-    for v in reversed(range(g.n)):
-        spare = k - sum(held.values())
-        below = _passed_up(g, v, held, spare)
-        # v keeps spare - j: the least count of v takes the largest j
-        x = next((spare - j for j in reversed(range(len(below))) if spare - j + below[j] < 1), None)
-        if x is None:
-            return None
-        held[v] = x
-    return tuple(held[v] for v in range(g.n))
 
 
 def _colex_rank(vec: tuple[int, ...]) -> int:
@@ -416,56 +396,60 @@ def verify_threshold(
     """Check every configuration of size k; report the first unsolvable
     one in colexicographic order, if any.
 
-    On a tree (a connected graph with n - 1 edges) the bottom-up pass of
-    _tree_cover_test decides a configuration exactly: a subtree with
-    surplus s sends s // 2 pebbles to its parent, a subtree short of d
-    pebbles costs its parent 2d, and the root must end with a pebble.  It
-    is exact because a cover solution needs no cycle of moves, so each
-    tree edge carries pebbles one way only.  A tree is not scanned:
-    _tree_first_failure finds the first unsolvable vector by n DPs over
-    the pass, whatever the labels, and _colex_rank gives its rank, so the
-    result is the one a scan reports.  Neither touches the memo, but the
-    memo is still bound first, so one bound to another graph raises
-    InvalidSpec.
+    That order compares the last vertex first, so the vertices are fixed
+    from the last down, each through its counts in ascending order, and
+    vertex 0 takes what is left.  At each prefix one _passed_up DP over
+    the BFS tree from the vertex v being fixed, with the vertices above v
+    held, shows for every count x of v at once whether the pass covers
+    all completions: x + below[spare - x] >= 1.  Only the counts it
+    cannot certify are tried.  A full vector goes to the passes from
+    every vertex and, on a graph with cycles only, to the search, which
+    shares the memo.  On a tree the pass is exact from every root, so no
+    count is retried and the search never runs.  The memo is bound to g
+    in every case, so one bound to another graph raises InvalidSpec.
 
-    On a graph with cycles the scan first runs the pass on the BFS tree
-    from every vertex.  Moves along a spanning tree are moves of the
-    graph, so a tree that passes certifies the configuration solvable;
-    only vectors that no tree certifies go to the search.
-
-    The scan runs in ascending colexicographic order and stops at the
-    first unsolvable vector.  configs_checked is its rank plus one, or
-    the full count when the size is good.  A scan of more than
-    sys.maxsize configurations raises InvalidSpec before it starts.
+    configs_checked is the witness's rank plus one, or the full count
+    when the size is good, as a scan in that order would report.  On a
+    graph with cycles more than sys.maxsize configurations raise
+    InvalidSpec before the check starts.
 
     worker_count is ignored.  It remains only because the benchmark's
-    two-thread scan probe passes it, and goes with that probe (ROADMAP
-    item 4).
+    two-thread scan probe passes it, and goes with that probe.
     """
     if k < 0:
         raise InvalidSpec(f"size must be nonnegative, got {k}")
     total = composition_count(g.n, k)
-    if len(g.edges) == g.n - 1:
-        if memo is not None:
-            memo.bind(g, range(g.n), True)
-        witness = _tree_first_failure(g, k)
-        if witness is None:
-            return ThresholdResult(None, total)
-        return ThresholdResult(Configuration(witness), _colex_rank(witness) + 1)
-    if total > sys.maxsize:
+    cyclic = len(g.edges) >= g.n
+    if cyclic and total > sys.maxsize:
         raise InvalidSpec(f"{total} configurations of size {k} on {g.n} vertices are too many to scan")
     search = _CoverSearch(g, range(g.n), memo=memo)
-    trees = [_tree_cover_test(g, root) for root in range(g.n)]
+    steps = [_bfs_steps(g, root) for root in range(g.n)]
+    trees = [_pass_test(tree, root) for root, tree in enumerate(steps)]
+    held: dict[int, int] = {}
 
-    def solvable(vec: tuple[int, ...]) -> bool:
-        for passes in trees:
-            if passes(vec):
-                return True
-        return search.decide(vec)[0]
+    def uncertified(v: int, spare: int) -> list[int]:
+        # counts of v, largest first, with a completion the pass from v fails
+        if not v:
+            return [spare]
+        below = _passed_up(steps[v], v, held, spare)
+        return [x for x in range(spare, -1, -1) if x + below[spare - x] < 1]
 
-    for rank, vec in enumerate(iter_count_vectors(g.n, k)):
-        if not solvable(vec):
-            return ThresholdResult(Configuration(vec), rank + 1)
+    # frames (v, pebbles left for v and below, counts of v to try); an
+    # explicit stack, since recursion would overflow on large graphs
+    stack = [(g.n - 1, k, uncertified(g.n - 1, k))]
+    while stack:
+        v, spare, counts = stack[-1]
+        if not counts:
+            stack.pop()
+            held.pop(v, None)
+            continue
+        held[v] = x = counts.pop()
+        if v:
+            stack.append((v - 1, spare - x, uncertified(v - 1, spare - x)))
+            continue
+        vec = tuple(held[u] for u in range(g.n))
+        if not any(passes(vec) for passes in trees) and not (cyclic and search.decide(vec)[0]):
+            return ThresholdResult(Configuration(vec), _colex_rank(vec) + 1)
     return ThresholdResult(None, total)
 
 
@@ -477,9 +461,8 @@ def gamma_exact(g: Graph) -> GammaResult:
     configuration of size L must be solvable and some configuration of
     size L - 1 must not; either surprise raises InternalAssertion.  The
     witness is the colexicographically first unsolvable configuration of
-    size L - 1, and configs_checked sums the counts of both checks.  On
-    a graph with cycles both sizes are scanned with one shared memo; a
-    tree is never scanned, since the DP of verify_threshold answers both.
+    size L - 1, and configs_checked sums the counts of both checks.  Both
+    sizes share one memo; on a tree neither reaches the search.
     """
     memo = SolveMemo()
     k = bound_report(g).lower_stacked

@@ -16,6 +16,15 @@ from typing import Iterable, Union
 
 from .errors import DisconnectedGraph, InvalidEdge, InvalidSpec, ParseError
 
+# Largest order accepted from a family or a graph file: a Graph keeps an
+# n x n distance table, and no exact check gets near this order.
+MAX_ORDER = 1_000
+
+
+def _check_order(n: int) -> None:
+    if n > MAX_ORDER:
+        raise InvalidSpec(f"graph order {n} is over the limit of {MAX_ORDER}")
+
 
 @dataclass(frozen=True)
 class Graph:
@@ -129,7 +138,8 @@ def generate(spec: FamilySpec) -> Graph:
     The construction is deterministic: equal specs produce equal graphs.
     A star is built as the multipartite graph K(leaves, 1) and a path of
     order at least 2 as the fuse with d = n - 1.  Raises InvalidSpec
-    when the parameters violate the family's rules.
+    when the parameters violate the family's rules or the order is over
+    MAX_ORDER, before any edge list is built.
     """
     if isinstance(spec, Star):
         if spec.leaves < 1:
@@ -143,14 +153,17 @@ def generate(spec: FamilySpec) -> Graph:
         spec = Fuse(spec.n, spec.n - 1)
     if isinstance(spec, Multipartite):
         # the sizes are validated before they are summed
-        edges = multipartite_edges(spec.sizes)
-        return build_graph(sum(spec.sizes), edges)
+        sizes = check_class_sizes(spec.sizes)
+        _check_order(sum(sizes))
+        return build_graph(sum(sizes), multipartite_edges(sizes))
     if isinstance(spec, Wheel):
+        _check_order(spec.n + 1)
         return build_graph(spec.n + 1, wheel_edges(spec.n))
     if isinstance(spec, Fuse):
         n, d = spec.n, spec.d
         if not 1 <= d <= n - 1:
             raise InvalidSpec(f"fuse needs 1 <= d <= n-1, got n={n}, d={d}")
+        _check_order(n)
         edges = [(i, i + 1) for i in range(d - 1)]
         edges += [(d - 1, v) for v in range(d, n)]
         return build_graph(n, edges)
@@ -196,11 +209,6 @@ def wheel_edges(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(edges)
 
 
-def eccentricity_profile(g: Graph) -> list[tuple[int, int]]:
-    """Pairs (vertex, eccentricity) for every vertex, in label order."""
-    return [(v, max(g.dist[v])) for v in range(g.n)]
-
-
 def format_graph_text(g: Graph) -> str:
     """Serialize as a header line `n m` followed by one `u v` line per edge."""
     lines = [f"{g.n} {len(g.edges)}"]
@@ -211,8 +219,9 @@ def format_graph_text(g: Graph) -> str:
 def parse_graph_text(text: str) -> Graph:
     """Parse the `n m` / `u v` format; `#` lines and blank lines are ignored.
 
-    Raises ParseError with a 1-based line number on malformed input;
-    edge validation errors propagate from build_graph.
+    Raises ParseError with a 1-based line number on malformed input and
+    InvalidSpec, before the edges are read, when the header's order is
+    over MAX_ORDER; edge validation errors propagate from build_graph.
     """
     rows: list[tuple[int, str]] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -230,6 +239,7 @@ def parse_graph_text(text: str) -> Graph:
         n, m = int(head_parts[0]), int(head_parts[1])
     except ValueError:
         raise ParseError("header values must be integers", head_no) from None
+    _check_order(n)
     if len(rows) - 1 != m:
         raise ParseError(f"header promises {m} edges, found {len(rows) - 1}", head_no)
     edges = []

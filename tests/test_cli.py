@@ -18,6 +18,7 @@ from coverpebble.cli import (
     report_status,
     run_cli,
 )
+from coverpebble.graphs import MAX_ORDER
 
 REPORT_FIELDS = (
     "graph",
@@ -216,6 +217,29 @@ def test_one_graph_commands_refuse_spans_at_once(capsys):
     # a fuse span is refused even when only one of its pairs names a fuse
     assert run_cli(["gamma", "--family", "fuse", "--n", "4", "--d", "3..9"]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+def _exits_two_at_once(capsys, argv):
+    started = time.perf_counter()
+    assert run_cli(argv) == 2, argv
+    assert time.perf_counter() - started < 1.0, argv
+    err = capsys.readouterr().err
+    assert err.startswith("error:"), argv
+    assert len(err.splitlines()) == 1, argv
+
+
+def test_verify_refuses_a_huge_range_at_once(capsys):
+    # the graphs are counted from the range ends, before any spec is built
+    _exits_two_at_once(capsys, ["verify", "--family", "wheel", "--n", "3..1000000000000"])
+    _exits_two_at_once(capsys, ["verify", "--family", "fuse", "--n", "3..100", "--d", "1..100"])
+
+
+def test_graphs_over_the_order_cap_exit_two_at_once(capsys, tmp_path):
+    over = MAX_ORDER + 1
+    _exits_two_at_once(capsys, ["bound", "--family", "path", "--n", str(over)])
+    path = tmp_path / "path.txt"
+    path.write_text(f"{over} {over - 1}\n" + "".join(f"{v} {v + 1}\n" for v in range(over - 1)))
+    _exits_two_at_once(capsys, ["bound", "--graph", str(path)])
 
 
 def test_oversized_scan_exits_two(capsys):

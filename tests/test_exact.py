@@ -35,6 +35,7 @@ from coverpebble import (
     exact,
     gamma_exact,
     gamma_multipartite,
+    gamma_wheel,
     generate,
     iter_count_vectors,
     solve,
@@ -229,6 +230,16 @@ def test_gamma_w4():
     assert result.gamma == 11
 
 
+@pytest.mark.slow
+def test_gamma_matches_the_closed_forms_past_order7():
+    cases = [(Wheel(n), gamma_wheel(n)) for n in (7, 8)]
+    cases += [(Multipartite(sizes), gamma_multipartite(sizes)) for sizes in ((4, 4), (3, 3, 2), (5, 3))]
+    for spec, gamma in cases:
+        result = gamma_exact(generate(spec))
+        assert result.gamma == gamma, spec
+        assert result.witness.size == gamma - 1, spec
+
+
 def _shift_stack_bound(monkeypatch, delta):
     real = exact.bound_report
 
@@ -329,6 +340,21 @@ def test_trees_answer_every_size_without_a_scan(monkeypatch):
         result = verify_threshold(g, gamma - 1)
         assert result.witness.size == gamma - 1, name
         assert not exact._tree_cover_test(g)(result.witness.counts), name
+
+
+def test_cyclic_graphs_answer_without_a_scan(monkeypatch):
+    def no_scan(*args):
+        raise AssertionError("scanned every vector")
+
+    monkeypatch.setattr(exact, "iter_count_vectors", no_scan)
+    # the answers a scan of every vector gives, pinned
+    cases = [
+        (generate(Wheel(5)), 15, (0, 14, 0, 0, 0, 0), 15_519),
+        (generate(Multipartite((3, 2, 2))), 17, (16, 0, 0, 0, 0, 0, 0), 100_948),
+        (build_graph(6, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5)]), 47, (0, 0, 0, 0, 0, 46), 4_948_020),
+    ]
+    for g, gamma, witness, checked in cases:
+        assert gamma_exact(g) == exact.GammaResult(gamma, Configuration(witness), checked), g.edges
 
 
 def _pass_scan(g, k):
@@ -438,7 +464,7 @@ def _brute_min_balance(g, k):
 
 def _tree_min_balance(g, k):
     # the least root balance of the pass from root 0, nothing held
-    return min(k - j + up for j, up in enumerate(exact._passed_up(g, 0, {}, k)))
+    return min(k - j + up for j, up in enumerate(exact._passed_up(exact._bfs_steps(g, 0), 0, {}, k)))
 
 
 def _check_min_balance(trees, sizes):
@@ -504,3 +530,28 @@ def test_bfs_tree_certificates_never_pass_an_unsolvable_vector():
                     outcomes.add((certified, solvable))
     # the trees certify most solvable vectors, but not all of them
     assert outcomes == {(True, True), (False, True), (False, False)}
+
+
+def _certified_scan(g, k):
+    # the flat scan the colex prefix search replaced: the BFS-tree passes
+    # from every vertex, then the search, on every vector in colex order
+    trees = [exact._tree_cover_test(g, root) for root in range(g.n)]
+    search = exact._CoverSearch(g, range(g.n))
+    for rank, vec in enumerate(iter_count_vectors(g.n, k)):
+        if not any(passes(vec) for passes in trees) and not search.decide(vec)[0]:
+            return Configuration(vec), rank + 1
+    return None, composition_count(g.n, k)
+
+
+def test_prefix_search_matches_the_flat_scan_on_order5_cyclic_graphs():
+    checked = witnesses = 0
+    for g in connected_classes(5):
+        if len(g.edges) < g.n:
+            continue
+        gamma = bound_report(g).lower_stacked
+        for k in range(gamma - 3, gamma + 2):
+            result = verify_threshold(g, k)
+            assert (result.witness, result.configs_checked) == _certified_scan(g, k), (g.edges, k)
+            checked += 1
+            witnesses += not result.ok
+    assert (checked, witnesses) == (90, 54)

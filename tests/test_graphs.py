@@ -13,7 +13,6 @@ from coverpebble import (
     Star,
     Wheel,
     build_graph,
-    eccentricity_profile,
     format_graph_text,
     generate,
     parse_graph_text,
@@ -175,17 +174,6 @@ def test_generate_is_deterministic():
     specs = [Multipartite((3, 2, 1)), Wheel(5), Fuse(7, 4), Path(6), Star(4)]
     for spec in specs:
         assert generate(spec) == generate(spec)
-
-
-def test_eccentricity_profile_examples():
-    w3 = generate(Wheel(3))
-    assert eccentricity_profile(w3) == [(0, 1), (1, 1), (2, 1), (3, 1)]
-    p3 = generate(Path(3))
-    assert eccentricity_profile(p3) == [(0, 2), (1, 1), (2, 2)]
-    f = generate(Fuse(7, 4))
-    profile = dict(eccentricity_profile(f))
-    assert profile[0] == 4
-    assert max(profile.values()) == f.diam
 
 
 def test_graph_text_round_trip():

@@ -168,9 +168,10 @@ def test_gamma_equals_worst_stack_on_order5_trees():
 
 
 def test_gamma_equals_worst_stack_on_order6_trees():
-    # gamma_exact answers trees without a scan: the min-plus DP passes L
-    # and _tree_first_failure finds the L - 1 witness; a search refutes
-    # the worst stack one pebble short independently of both
+    # gamma_exact answers trees without a scan: the colex prefix search
+    # certifies L by one DP and finds the L - 1 witness by one DP per
+    # vertex; a search refutes the worst stack one pebble short
+    # independently of both
     for name, g in order6_tree_representatives():
         formula = bound_report(g).lower_stacked
         worst = max(range(g.n), key=lambda v: stack_cost(g, v))

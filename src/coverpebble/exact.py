@@ -33,14 +33,25 @@ the least root balance over all configurations of a size, with some
 vertices held, so the threshold check skips the prefixes whose
 completions the DP certifies.  solve stays on the search, whose
 certificates the pass does not give.
+
+A vector no tree certifies meets the stack potentials next.  Toward a
+vertex t, sum_w c(w) * 2**d(w, t) never rises under a move, and a
+covered vector has at least t's stack cost, sum_u 2**d(u, t)
+(Sjostrand, 2005).  A vector below that for some t is unsolvable, so
+only the vectors neither certified nor refuted reach the search.  The
+tables all this reads (the search, the BFS steps and passes from every
+root, the potential rows) are built once per graph and shared by every
+size checked.
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate
 from math import comb
-from operator import mul
+from operator import add, mul, sub
 from typing import Callable, Iterator, Optional
 
 from .errors import BudgetExceeded, InternalAssertion, InvalidSpec
@@ -356,24 +367,41 @@ def _passed_up(steps: tuple[tuple[int, int], ...], root: int, held: dict[int, in
     subtrees, leaves first: row[v][j] is the least balance that any
     placement of j spare pebbles in v's subtree leaves at v.  Each
     child's row joins its parent's by min-plus convolution after
-    phi(b - 1), where phi(b) is b // 2 for b >= 0 and 2b for b < 0; a
-    one-entry row joins as a shift.  phi is nondecreasing and the
-    subtrees are disjoint, so the least sum is the sum of the least
-    terms.  O(n spare^2).
+    phi(b - 1), where phi(b) is b // 2 for b >= 0 and 2b for b < 0.
+    phi is nondecreasing and the subtrees are disjoint, so the least sum
+    is the sum of the least terms.  O(n spare^2).
+
+    A subtree with no free vertex takes no spare pebble and has one
+    balance, kept as a plain int, so a join with it is an add or a
+    shift.  Every other row has spare + 1 entries.  A free vertex with no
+    child joined yet has the row j -> j, so a child joins it by a running
+    minimum.  Two other rows join entry by entry: entry j pairs the
+    parent row, reversed, with the child's up row, one C-level min over
+    a slice each.
     """
-    row = [[held[v]] if v in held else list(range(spare + 1)) for v in range(len(steps) + 1)]
-    row[root] = [0]
+    free = list(range(spare + 1))
+    free_up = [(m - 1) >> 1 if m > 0 else 2 * m - 2 for m in free]
+    row: list = [held.get(v, free) for v in range(len(steps) + 1)]
+    row[root] = 0
     for v, p in steps:
-        up = [(m - 1) >> 1 if m > 0 else 2 * m - 2 for m in row[v]]
-        acc = row[p]
-        if len(acc) == 1 or len(up) == 1:
-            row[p] = [a + u for a in acc for u in up]
+        bal, acc = row[v], row[p]
+        if bal.__class__ is int:
+            up = (bal - 1) >> 1 if bal > 0 else 2 * bal - 2
+            row[p] = acc + up if acc.__class__ is int else list(map(up.__add__, acc))
             continue
-        row[p] = [
-            min(acc[j - i] + up[i] for i in range(max(0, j - len(acc) + 1), min(j, len(up) - 1) + 1))
-            for j in range(min(len(acc) + len(up) - 1, spare + 1))
-        ]
-    return row[root]
+        up = free_up if bal is free else [(m - 1) >> 1 if m > 0 else 2 * m - 2 for m in bal]
+        if acc.__class__ is int:
+            row[p] = list(map(acc.__add__, up))
+        elif acc is free:
+            # entry j is j + min over i <= j of up[i] - i
+            row[p] = list(map(add, accumulate(map(sub, up, free), min), free))
+        else:
+            # entry j is the min over i <= j of acc[j - i] + up[i]; map
+            # stops at the shorter slice
+            rev = acc[::-1]
+            row[p] = [min(map(add, rev[s:], up)) for s in range(spare, -1, -1)]
+    top = row[root]
+    return top if top.__class__ is list else [top]
 
 
 def _colex_rank(vec: tuple[int, ...]) -> int:
@@ -384,6 +412,83 @@ def _colex_rank(vec: tuple[int, ...]) -> int:
         rank += comb(rest + v, v) - comb(rest - vec[v] + v, v)
         rest -= vec[v]
     return rank
+
+
+class _ThresholdCheck:
+    """Threshold checks on one graph: the tables every size reads, built
+    once, and the colex prefix search over them.
+
+    - ``search``: the cover search sharing the memo, on a graph with
+      cycles only.  On a tree the pass is exact, so the search never runs
+      and the memo is only bound.
+    - ``steps``: the _bfs_steps from every root, which the prefix DPs read.
+    - ``trees``: the pass over each of them, as a full-cover test.
+    - ``potentials``: per vertex t, the row of 2**d(w, t) over w and its
+      sum, t's stack cost.  Built on first use, so a tree, where the
+      refutation never runs, skips its n x n big integers.
+    """
+
+    def __init__(self, g: Graph, memo: Optional[SolveMemo]):
+        self.n = g.n
+        self.dist = g.dist
+        self.search = None
+        if len(g.edges) >= g.n:
+            self.search = _CoverSearch(g, range(g.n), memo=memo)
+        elif memo is not None:
+            memo.bind(g, range(g.n), True)
+        self.steps = [_bfs_steps(g, root) for root in range(g.n)]
+        self.trees = [_pass_test(tree, root) for root, tree in enumerate(self.steps)]
+
+    @cached_property
+    def potentials(self) -> list[tuple[tuple[int, ...], int]]:
+        rows = [tuple(1 << d for d in dist) for dist in self.dist]
+        return [(row, sum(row)) for row in rows]
+
+    def refutes(self, vec: tuple[int, ...]) -> bool:
+        """Whether vec is below t's stack cost in the potential toward
+        some vertex t, which proves it unsolvable.  A move takes 2 pebbles
+        off u and puts 1 on a neighbour at most one step farther from t,
+        so no move raises sum_w vec[w] * 2**d(w, t)."""
+        return any(sum(map(mul, vec, row)) < cost for row, cost in self.potentials)
+
+    def run(self, k: int) -> ThresholdResult:
+        """The first unsolvable vector of size k in colex order, if any;
+        see verify_threshold."""
+        if k < 0:
+            raise InvalidSpec(f"size must be nonnegative, got {k}")
+        n = self.n
+        total = composition_count(n, k)
+        if self.search is not None and total > sys.maxsize:
+            raise InvalidSpec(f"{total} configurations of size {k} on {n} vertices are too many to scan")
+        steps, trees, search = self.steps, self.trees, self.search
+        held: dict[int, int] = {}
+
+        def uncertified(v: int, spare: int) -> list[int]:
+            # counts of v, largest first, with a completion the pass from v fails
+            if not v:
+                return [spare]
+            below = _passed_up(steps[v], v, held, spare)
+            return [x for x in range(spare, -1, -1) if x + below[spare - x] < 1]
+
+        # frames (v, pebbles left for v and below, counts of v to try); an
+        # explicit stack, since recursion would overflow on large graphs
+        stack = [(n - 1, k, uncertified(n - 1, k))]
+        while stack:
+            v, spare, counts = stack[-1]
+            if not counts:
+                stack.pop()
+                held.pop(v, None)
+                continue
+            held[v] = x = counts.pop()
+            if v:
+                stack.append((v - 1, spare - x, uncertified(v - 1, spare - x)))
+                continue
+            vec = tuple(held[u] for u in range(n))
+            if any(passes(vec) for passes in trees):
+                continue
+            if search is None or self.refutes(vec) or not search.decide(vec)[0]:
+                return ThresholdResult(Configuration(vec), _colex_rank(vec) + 1)
+        return ThresholdResult(None, total)
 
 
 def verify_threshold(
@@ -402,11 +507,16 @@ def verify_threshold(
     the BFS tree from the vertex v being fixed, with the vertices above v
     held, shows for every count x of v at once whether the pass covers
     all completions: x + below[spare - x] >= 1.  Only the counts it
-    cannot certify are tried.  A full vector goes to the passes from
-    every vertex and, on a graph with cycles only, to the search, which
-    shares the memo.  On a tree the pass is exact from every root, so no
-    count is retried and the search never runs.  The memo is bound to g
-    in every case, so one bound to another graph raises InvalidSpec.
+    cannot certify are tried.  A full vector then meets three tests in
+    turn: the passes from every vertex certify it; failing those, on a
+    graph with cycles, the stack potentials refute it; only a vector
+    neither certified nor refuted goes to the search, which shares the
+    memo.  On a tree the pass is exact from every root, so no count is
+    retried and neither the refutation nor the search runs.  The memo is
+    bound to g in every case, so one bound to another graph raises
+    InvalidSpec.  The BFS steps, the passes, the potential rows and the
+    search are built once per call; gamma_exact builds them once for
+    both of its sizes.
 
     configs_checked is the witness's rank plus one, or the full count
     when the size is good, as a scan in that order would report.  On a
@@ -416,41 +526,7 @@ def verify_threshold(
     worker_count is ignored.  It remains only because the benchmark's
     two-thread scan probe passes it, and goes with that probe.
     """
-    if k < 0:
-        raise InvalidSpec(f"size must be nonnegative, got {k}")
-    total = composition_count(g.n, k)
-    cyclic = len(g.edges) >= g.n
-    if cyclic and total > sys.maxsize:
-        raise InvalidSpec(f"{total} configurations of size {k} on {g.n} vertices are too many to scan")
-    search = _CoverSearch(g, range(g.n), memo=memo)
-    steps = [_bfs_steps(g, root) for root in range(g.n)]
-    trees = [_pass_test(tree, root) for root, tree in enumerate(steps)]
-    held: dict[int, int] = {}
-
-    def uncertified(v: int, spare: int) -> list[int]:
-        # counts of v, largest first, with a completion the pass from v fails
-        if not v:
-            return [spare]
-        below = _passed_up(steps[v], v, held, spare)
-        return [x for x in range(spare, -1, -1) if x + below[spare - x] < 1]
-
-    # frames (v, pebbles left for v and below, counts of v to try); an
-    # explicit stack, since recursion would overflow on large graphs
-    stack = [(g.n - 1, k, uncertified(g.n - 1, k))]
-    while stack:
-        v, spare, counts = stack[-1]
-        if not counts:
-            stack.pop()
-            held.pop(v, None)
-            continue
-        held[v] = x = counts.pop()
-        if v:
-            stack.append((v - 1, spare - x, uncertified(v - 1, spare - x)))
-            continue
-        vec = tuple(held[u] for u in range(g.n))
-        if not any(passes(vec) for passes in trees) and not (cyclic and search.decide(vec)[0]):
-            return ThresholdResult(Configuration(vec), _colex_rank(vec) + 1)
-    return ThresholdResult(None, total)
+    return _ThresholdCheck(g, memo).run(k)
 
 
 def gamma_exact(g: Graph) -> GammaResult:
@@ -462,16 +538,17 @@ def gamma_exact(g: Graph) -> GammaResult:
     size L - 1 must not; either surprise raises InternalAssertion.  The
     witness is the colexicographically first unsolvable configuration of
     size L - 1, and configs_checked sums the counts of both checks.  Both
-    sizes share one memo; on a tree neither reaches the search.
+    sizes share one set of tables and one memo; on a tree neither
+    reaches the search.
     """
-    memo = SolveMemo()
+    check = _ThresholdCheck(g, SolveMemo())
     k = bound_report(g).lower_stacked
-    at = verify_threshold(g, k, memo=memo)
+    at = check.run(k)
     if not at.ok:
         raise InternalAssertion(
             f"configuration {at.witness.counts} of size {k} is unsolvable, at the worst stack cost"
         )
-    below = verify_threshold(g, k - 1, memo=memo)
+    below = check.run(k - 1)
     if below.ok:
         raise InternalAssertion(
             f"every configuration of size {k - 1} is solvable, below the worst stack cost {k}"

@@ -16,8 +16,9 @@ from typing import Iterable, Union
 
 from .errors import DisconnectedGraph, InvalidEdge, InvalidSpec, ParseError
 
-# Largest order accepted from a family or a graph file: a Graph keeps an
-# n x n distance table, and no exact check gets near this order.
+# Largest order build_graph accepts, so also a family or a graph file: a
+# Graph keeps an n x n distance table, and no exact check gets near this
+# order.
 MAX_ORDER = 1_000
 
 
@@ -47,7 +48,9 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     InvalidEdge for self-loops or out-of-range endpoints and
     DisconnectedGraph when some vertex is unreachable.  Fewer than n - 1
     distinct edges raise DisconnectedGraph before anything of size n is
-    built, so a huge order with few edges fails at once.
+    built, so a huge order with few edges fails at once.  An order over
+    MAX_ORDER raises InvalidSpec next, before the adjacency lists and
+    the n x n distance table are built.
     """
     if n < 1:
         raise InvalidEdge(f"graph order must be at least 1, got {n}")
@@ -60,6 +63,7 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
         normalized.add((u, v) if u < v else (v, u))
     if len(normalized) < n - 1:
         raise DisconnectedGraph(f"{len(normalized)} edges cannot connect {n} vertices")
+    _check_order(n)
     edge_list = tuple(sorted(normalized))
 
     neighbor_sets: list[set[int]] = [set() for _ in range(n)]

@@ -232,7 +232,7 @@ def test_gamma_w4():
 
 @pytest.mark.slow
 def test_gamma_matches_the_closed_forms_past_order7():
-    cases = [(Wheel(n), gamma_wheel(n)) for n in (7, 8)]
+    cases = [(Wheel(n), gamma_wheel(n)) for n in (7, 8, 9)]
     cases += [(Multipartite(sizes), gamma_multipartite(sizes)) for sizes in ((4, 4), (3, 3, 2), (5, 3))]
     for spec, gamma in cases:
         result = gamma_exact(generate(spec))
@@ -494,6 +494,81 @@ def test_tree_min_balance_matches_a_brute_force_minimum():
 @pytest.mark.slow
 def test_tree_min_balance_matches_a_brute_force_minimum_on_order6_trees():
     assert _check_min_balance(labeled_trees(6), lambda gamma: range(26)) == 1296 * 26
+
+
+def _pass_balance(steps, root, vec):
+    # root's balance after the pass over steps, written out again here
+    bal = list(vec)
+    for v, p in steps:
+        b = bal[v] - 1
+        bal[p] += b // 2 if b >= 0 else 2 * b
+    return bal[root]
+
+
+def _completions(v, j):
+    # every placement of j pebbles on the vertices below v
+    return iter_count_vectors(v, j) if v else [()] * (j == 0)
+
+
+def test_passed_up_matches_every_completion_with_vertices_held():
+    # as at a prefix of a threshold check: the pass from v, the vertices
+    # above v held, those below v free, against every completion
+    rng = random.Random(12)
+    graphs = _cyclic_graphs() + [g for n in range(1, 5) for g in labeled_trees(n)]
+    checked = 0
+    for g in graphs:
+        for v in range(g.n):
+            steps = exact._bfs_steps(g, v)
+            for _ in range(2):
+                held = {u: rng.randint(0, 4) for u in range(v + 1, g.n)}
+                above = tuple(held[u] for u in range(v + 1, g.n))
+                for spare in range(7):
+                    below = exact._passed_up(steps, v, held, spare)
+                    for x in range(spare + 1):
+                        balances = [_pass_balance(steps, v, rest + (x,) + above) for rest in _completions(v, spare - x)]
+                        if balances:
+                            assert x + below[spare - x] == min(balances), (g.edges, v, held, spare, x)
+                            checked += 1
+    assert checked == 11_788
+
+
+def test_stack_potentials_refute_only_unsolvable_vectors():
+    refuted = 0
+    for g in small_catalog(4):
+        check = exact._ThresholdCheck(g, None)
+        search = exact._CoverSearch(g, range(g.n))
+        costs = [stack_cost(g, v) for v in range(g.n)]
+        for k in range(max(costs) + 2):
+            for vec in iter_count_vectors(g.n, k):
+                if check.refutes(vec):
+                    assert not search.decide(vec)[0], (g.edges, vec)
+                    refuted += 1
+        for v, cost in enumerate(costs):
+            assert check.refutes(stacked(g, v, cost - 1).counts), (g.edges, v)
+            assert not check.refutes(stacked(g, v, cost).counts), (g.edges, v)
+    assert refuted == 6_884
+
+
+def test_failing_checks_below_the_stack_bound_skip_the_search(monkeypatch):
+    # the colex-first witness at L - 1 is a stack the potentials refute,
+    # and the tree passes certify every vector before it
+    calls = []
+    real = exact._CoverSearch.decide
+
+    def counted(self, counts, budget=None):
+        calls.append(counts)
+        return real(self, counts, budget)
+
+    monkeypatch.setattr(exact._CoverSearch, "decide", counted)
+    graphs = [
+        generate(Wheel(5)),
+        generate(Multipartite((3, 2, 2))),
+        build_graph(6, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5)]),
+    ]
+    for g in graphs:
+        result = verify_threshold(g, bound_report(g).lower_stacked - 1)
+        assert not result.ok, g.edges
+        assert calls == [], g.edges
 
 
 def _cyclic_graphs():

@@ -47,6 +47,15 @@ def test_build_rejects_too_few_edges_at_once():
     assert time.perf_counter() - started < 0.1
 
 
+def test_build_rejects_an_order_over_the_cap_at_once():
+    # a connected path one vertex over the cap: rejected before the
+    # adjacency lists and the n x n distance table are built
+    started = time.perf_counter()
+    with pytest.raises(InvalidSpec, match="over the limit of 1000"):
+        build_graph(1001, [(v, v + 1) for v in range(1000)])
+    assert time.perf_counter() - started < 0.1
+
+
 def test_build_rejects_bad_edges():
     with pytest.raises(InvalidEdge):
         build_graph(3, [(0, 3)])

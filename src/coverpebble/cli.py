@@ -209,26 +209,24 @@ def _family_specs(args, one: bool = False) -> list[tuple[str, FamilySpec]]:
     return out
 
 
-def _load_graph(args) -> tuple[str, Graph, Optional[FamilySpec]]:
+def _load_graph(args) -> tuple[Graph, Optional[FamilySpec]]:
     if args.graph:
         if args.family:
             raise UsageError("give either --graph or --family, not both")
-        return args.graph, parse_graph_text(_read_file(args.graph, "graph")), None
+        return parse_graph_text(_read_file(args.graph, "graph")), None
     if args.family:
-        [(label, spec)] = _family_specs(args, one=True)
-        return label, generate(spec), spec
+        [(_, spec)] = _family_specs(args, one=True)
+        return generate(spec), spec
     raise UsageError("a graph is required: give --graph FILE or --family ...")
 
 
-def _formula_value(spec: Optional[FamilySpec], bounds: BoundReport) -> Optional[int]:
+def _formula_value(spec: FamilySpec, bounds: BoundReport) -> int:
     if isinstance(spec, Multipartite):
         return gamma_multipartite(spec.sizes)
     if isinstance(spec, Wheel):
         return gamma_wheel(spec.n)
-    if isinstance(spec, (Fuse, Path, Star)):
-        # trees: the worst stack cost is exact
-        return bounds.lower_stacked
-    return None
+    # a path or a star is a fuse, and the diameter bound is sharp on fuses
+    return bounds.upper_diameter
 
 
 def _write_out(args, text: str) -> None:
@@ -245,7 +243,7 @@ def _write_out(args, text: str) -> None:
 def cmd_gen(args) -> int:
     if not args.family:
         raise UsageError("gen needs --family")
-    _, g, _ = _load_graph(args)
+    g, _ = _load_graph(args)
     _write_out(args, format_graph_text(g))
     return 0
 
@@ -261,7 +259,7 @@ def _read_config_arg(args, g: Graph) -> Configuration:
 
 
 def cmd_solve(args) -> int:
-    _, g, _ = _load_graph(args)
+    g, _ = _load_graph(args)
     c = _read_config_arg(args, g)
     b = parse_weighting(args.weighting, g.n) if args.weighting else None
     try:
@@ -280,7 +278,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_gamma(args) -> int:
-    _, g, _ = _load_graph(args)
+    g, _ = _load_graph(args)
     result = gamma_exact(g)
     print(f"gamma={result.gamma}")
     print(f"witness={format_config(result.witness)}")
@@ -289,7 +287,7 @@ def cmd_gamma(args) -> int:
 
 
 def cmd_bound(args) -> int:
-    _, g, _ = _load_graph(args)
+    g, _ = _load_graph(args)
     report = bound_report(g)
     print(f"lower_stacked={report.lower_stacked}")
     print(f"upper_diameter={report.upper_diameter}")
@@ -329,7 +327,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_construct(args) -> int:
-    label, g, spec = _load_graph(args)
+    g, spec = _load_graph(args)
     c = _read_config_arg(args, g)
     trace = None
     weighting = None

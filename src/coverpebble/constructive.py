@@ -159,15 +159,8 @@ def format_trace(trace: DiameterTrace) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def _check_diameter_state(
-    m: int,
-    donors: list[int],
-    empty: list[int],
-    settled: list[int],
-    counts: list[int],
-    bound: int,
-) -> None:
-    # the three sets partition the vertices and their sizes track the step
+def _check_diameter_state(m: int, donors: list[int], settled: list[int], counts: list[int], bound: int) -> None:
+    # settled vertices keep their pebbles and the donor pool stays rich enough
     if len(settled) != m:
         raise InternalAssertion(f"{len(settled)} settled vertices at step {m}")
     for v in settled:
@@ -198,13 +191,11 @@ def solve_diameter(g: Graph, c: Configuration) -> tuple[Certificate, DiameterTra
     moves: list[PebblingMove] = []
     settled: list[int] = []
     steps: list[DiameterStep] = []
-    covered_early = False
     for m in range(max(d - 1, 0)):
         donors = [v for v in range(n) if counts[v] > 0 and v not in settled]
         empty = [v for v in range(n) if counts[v] == 0]
-        _check_diameter_state(m, donors, empty, settled, counts, bound)
+        _check_diameter_state(m, donors, settled, counts, bound)
         if not empty:
-            covered_early = True
             break
         if not donors:
             raise InternalAssertion("no pebbles left outside settled vertices")
@@ -223,7 +214,7 @@ def solve_diameter(g: Graph, c: Configuration) -> tuple[Certificate, DiameterTra
             _send_along(path, m + 1, counts, moves)
             settled.append(dst)
             steps.append(DiameterStep(m, *snapshot, "send", src, dst, quota, tuple(path)))
-    if covered_early or all(x > 0 for x in counts):
+    if all(x > 0 for x in counts):
         return Certificate(c, tuple(moves)), DiameterTrace(tuple(steps), None, None)
     marks = tuple(0 if v in settled else 1 for v in range(n))
     weighting = BinaryWeighting(marks)
@@ -238,11 +229,11 @@ def solve_wheel(g: Graph, c: Configuration) -> Certificate:
     least 4n - 5, n being the number of rim vertices.
 
     Rim vertices with spare pairs first cover their empty rim neighbors.
-    If the rim is then fully empty, everything sits on the hub and the
-    hub covers the rim directly.  If at least three rim vertices are
-    covered, remaining spare rim pairs are banked on the hub and the hub
-    covers the rest; with one or two covered no rim vertex can still
-    hold a spare pair, and the hub again covers the rest.
+    If at least three rim vertices are then covered, remaining spare rim
+    pairs are banked on the hub; with at most two covered no rim vertex
+    can still hold a spare pair.  Either way the hub then covers every
+    empty rim vertex.  With the whole rim empty, every pebble sits on the
+    hub, which covers the rim directly.
     """
     check_length(c.counts, g.n, "configuration")
     rim_count = g.n - 1
@@ -255,38 +246,25 @@ def solve_wheel(g: Graph, c: Configuration) -> Certificate:
     rim = range(1, g.n)
     counts = list(c.counts)
     moves: list[PebblingMove] = []
-
-    def ring_neighbors(w: int) -> list[int]:
-        left = w - 1 if w > 1 else rim_count
-        right = w + 1 if w < rim_count else 1
-        return sorted({left, right})
-
     for w in rim:
         if counts[w] >= 3:
-            for x in ring_neighbors(w):
+            # adj[w] is the hub, then w's two rim neighbors in index order
+            for x in g.adj[w][1:]:
                 if counts[x] == 0 and counts[w] >= 3:
                     _unit_move(w, x, counts, moves)
 
     covered = sum(1 for v in rim if counts[v] > 0)
-    if covered == 0:
-        if counts[hub] != c.size:
-            raise StrategyIncomplete("empty rim but pebbles missing from the hub")
-        for x in rim:
+    if covered >= 3:
+        for w in rim:
+            while counts[w] >= 3:
+                _unit_move(w, hub, counts, moves)
+    elif any(counts[w] >= 3 for w in rim):
+        raise StrategyIncomplete("spare rim pair left although the rim is nearly empty")
+    for x in rim:
+        if counts[x] == 0:
             if counts[hub] < 3:
                 raise StrategyIncomplete("hub ran dry while covering the rim")
             _unit_move(hub, x, counts, moves)
-    else:
-        if covered >= 3:
-            for w in rim:
-                while counts[w] >= 3:
-                    _unit_move(w, hub, counts, moves)
-        elif any(counts[w] >= 3 for w in rim):
-            raise StrategyIncomplete("spare rim pair left although the rim is nearly empty")
-        for x in rim:
-            if counts[x] == 0:
-                if counts[hub] < 3:
-                    raise StrategyIncomplete("hub ran dry while covering the rim")
-                _unit_move(hub, x, counts, moves)
     if any(x == 0 for x in counts):
         raise StrategyIncomplete("wheel strategy finished with an uncovered vertex")
     return Certificate(c, tuple(moves))

@@ -39,9 +39,9 @@ vertex t, sum_w c(w) * 2**d(w, t) never rises under a move, and a
 covered vector has at least t's stack cost, sum_u 2**d(u, t)
 (Sjostrand, 2005).  A vector below that for some t is unsolvable, so
 only the vectors neither certified nor refuted reach the search.  The
-tables all this reads (the search, the BFS steps and passes from every
-root, the potential rows) are built once per graph and shared by every
-size checked.
+tables all this reads (the search, the BFS steps from every root, the
+potential rows) are built once per graph and shared by every size
+checked.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from functools import cached_property
 from itertools import accumulate
 from math import comb
 from operator import add, mul, sub
-from typing import Callable, Iterator, Optional
+from typing import Iterator, Optional
 
 from .errors import BudgetExceeded, InternalAssertion, InvalidSpec
 from .formulas import bound_report
@@ -328,14 +328,9 @@ def _bfs_steps(g: Graph, root: int) -> tuple[tuple[int, int], ...]:
     return tuple((v, next(p for p in g.adj[v] if depth[p] == depth[v] - 1)) for v in below)
 
 
-def _tree_cover_test(g: Graph, root: int = 0) -> Callable[[tuple[int, ...]], bool]:
-    """Full-cover test by the bottom-up pass over the BFS tree of g from
-    root, as a function of a count vector; see _pass_test."""
-    return _pass_test(_bfs_steps(g, root), root)
-
-
-def _pass_test(steps: tuple[tuple[int, int], ...], root: int) -> Callable[[tuple[int, ...]], bool]:
-    """Full-cover test by the pass over steps, the _bfs_steps from root.
+def _passes(steps: tuple[tuple[int, int], ...], root: int, vec: tuple[int, ...]) -> bool:
+    """Whether vec passes the full-cover pass over steps, the _bfs_steps
+    from root.
 
     The pass visits the vertices leaves first, each with its parent.  A
     vertex's balance is its own pebbles plus what its children's subtrees
@@ -345,15 +340,11 @@ def _pass_test(steps: tuple[tuple[int, int], ...], root: int) -> Callable[[tuple
     with cycles a pass is a cover solution that moves pebbles along tree
     edges only, so "solvable" is sound and "unsolvable" proves nothing.
     """
-
-    def solvable(vec: tuple[int, ...]) -> bool:
-        bal = list(vec)
-        for v, p in steps:
-            b = bal[v] - 1
-            bal[p] += b >> 1 if b >= 0 else 2 * b
-        return bal[root] >= 1
-
-    return solvable
+    bal = list(vec)
+    for v, p in steps:
+        b = bal[v] - 1
+        bal[p] += b >> 1 if b >= 0 else 2 * b
+    return bal[root] >= 1
 
 
 def _passed_up(steps: tuple[tuple[int, int], ...], root: int, held: dict[int, int], spare: int) -> list[int]:
@@ -415,29 +406,38 @@ def _colex_rank(vec: tuple[int, ...]) -> int:
 
 
 class _ThresholdCheck:
-    """Threshold checks on one graph: the tables every size reads, built
-    once, and the colex prefix search over them.
+    """Threshold checks on one graph at sizes up to top: the tables every
+    size reads, built once, and the colex prefix search over them.
 
     - ``search``: the cover search sharing the memo, on a graph with
       cycles only.  On a tree the pass is exact, so the search never runs
       and the memo is only bound.
-    - ``steps``: the _bfs_steps from every root, which the prefix DPs read.
-    - ``trees``: the pass over each of them, as a full-cover test.
+    - ``steps``: the _bfs_steps from every root, which the prefix DPs and
+      the full-cover passes read.
     - ``potentials``: per vertex t, the row of 2**d(w, t) over w and its
       sum, t's stack cost.  Built on first use, so a tree, where the
       refutation never runs, skips its n x n big integers.
+
+    A negative top, or on a graph with cycles more than sys.maxsize
+    configurations of size top, raises InvalidSpec before any table is
+    built or the memo is bound.
     """
 
-    def __init__(self, g: Graph, memo: Optional[SolveMemo]):
+    def __init__(self, g: Graph, memo: Optional[SolveMemo], top: int):
+        if top < 0:
+            raise InvalidSpec(f"size must be nonnegative, got {top}")
+        total = composition_count(g.n, top)
+        cyclic = len(g.edges) >= g.n
+        if cyclic and total > sys.maxsize:
+            raise InvalidSpec(f"{total} configurations of size {top} on {g.n} vertices are too many to scan")
         self.n = g.n
         self.dist = g.dist
         self.search = None
-        if len(g.edges) >= g.n:
+        if cyclic:
             self.search = _CoverSearch(g, range(g.n), memo=memo)
         elif memo is not None:
             memo.bind(g, range(g.n), True)
         self.steps = [_bfs_steps(g, root) for root in range(g.n)]
-        self.trees = [_pass_test(tree, root) for root, tree in enumerate(self.steps)]
 
     @cached_property
     def potentials(self) -> list[tuple[tuple[int, ...], int]]:
@@ -452,15 +452,10 @@ class _ThresholdCheck:
         return any(sum(map(mul, vec, row)) < cost for row, cost in self.potentials)
 
     def run(self, k: int) -> ThresholdResult:
-        """The first unsolvable vector of size k in colex order, if any;
-        see verify_threshold."""
-        if k < 0:
-            raise InvalidSpec(f"size must be nonnegative, got {k}")
+        """The first unsolvable vector of size k, at most top, in colex
+        order, if any; see verify_threshold."""
         n = self.n
-        total = composition_count(n, k)
-        if self.search is not None and total > sys.maxsize:
-            raise InvalidSpec(f"{total} configurations of size {k} on {n} vertices are too many to scan")
-        steps, trees, search = self.steps, self.trees, self.search
+        steps, search = self.steps, self.search
         held: dict[int, int] = {}
 
         def uncertified(v: int, spare: int) -> list[int]:
@@ -484,11 +479,11 @@ class _ThresholdCheck:
                 stack.append((v - 1, spare - x, uncertified(v - 1, spare - x)))
                 continue
             vec = tuple(held[u] for u in range(n))
-            if any(passes(vec) for passes in trees):
+            if any(_passes(tree, root, vec) for root, tree in enumerate(steps)):
                 continue
             if search is None or self.refutes(vec) or not search.decide(vec)[0]:
                 return ThresholdResult(Configuration(vec), _colex_rank(vec) + 1)
-        return ThresholdResult(None, total)
+        return ThresholdResult(None, composition_count(n, k))
 
 
 def verify_threshold(
@@ -513,20 +508,20 @@ def verify_threshold(
     neither certified nor refuted goes to the search, which shares the
     memo.  On a tree the pass is exact from every root, so no count is
     retried and neither the refutation nor the search runs.  The memo is
-    bound to g in every case, so one bound to another graph raises
-    InvalidSpec.  The BFS steps, the passes, the potential rows and the
-    search are built once per call; gamma_exact builds them once for
-    both of its sizes.
+    bound to g on a tree too, so one bound to another graph raises
+    InvalidSpec.  The BFS steps, the potential rows and the search are
+    built once per call; gamma_exact builds them once for both of its
+    sizes.
 
     configs_checked is the witness's rank plus one, or the full count
-    when the size is good, as a scan in that order would report.  On a
-    graph with cycles more than sys.maxsize configurations raise
-    InvalidSpec before the check starts.
+    when the size is good, as a scan in that order would report.  A
+    negative k, or on a graph with cycles more than sys.maxsize
+    configurations, raises InvalidSpec before any table is built.
 
     worker_count is ignored.  It remains only because the benchmark's
     two-thread scan probe passes it, and goes with that probe.
     """
-    return _ThresholdCheck(g, memo).run(k)
+    return _ThresholdCheck(g, memo, k).run(k)
 
 
 def gamma_exact(g: Graph) -> GammaResult:
@@ -541,8 +536,8 @@ def gamma_exact(g: Graph) -> GammaResult:
     sizes share one set of tables and one memo; on a tree neither
     reaches the search.
     """
-    check = _ThresholdCheck(g, SolveMemo())
     k = bound_report(g).lower_stacked
+    check = _ThresholdCheck(g, SolveMemo(), k)
     at = check.run(k)
     if not at.ok:
         raise InternalAssertion(

@@ -6,8 +6,10 @@ import time
 
 from coverpebble import (
     Configuration,
+    Multipartite,
     Wheel,
     cli,
+    formulas,
     format_graph_text,
     generate,
     parse_graph_text,
@@ -183,6 +185,11 @@ def test_usage_errors_exit_two(capsys):
         ["gamma", "--family", "path"],
         ["gamma", "--family", "star", "--n", "4"],
         ["gamma", "--family", "multipartite", "--n", "4"],
+        ["gamma", "--family", "wheel", "--n", "x"],
+        ["gamma", "--family", "multipartite", "--sizes", "2,x"],
+        ["gen", "--n", "4"],
+        ["verify", "--n", "4"],
+        ["gamma", "--family", "multipartite", "--sizes", "2,2", "--sizes", "3,2"],
     ]
     for argv in cases:
         assert run_cli(argv) == 2, argv
@@ -360,6 +367,17 @@ def test_verify_tree_formula_column(capsys):
     assert row["status"] == "match"
 
 
+def test_verify_compares_trees_with_the_diameter_bound(capsys, monkeypatch):
+    # a diameter bound one too high shows on every tree family
+    real = formulas.diameter_bound
+    monkeypatch.setattr(formulas, "diameter_bound", lambda n, d: real(n, d) + 1)
+    for args in (["--family", "fuse", "--n", "5", "--d", "3"], ["--family", "path", "--n", "4"],
+                 ["--family", "star", "--leaves", "4"]):
+        assert run_cli(["verify", *args, "--no-timing"]) == 1, args
+        row = json.loads(capsys.readouterr().out)
+        assert (row["gamma_formula"], row["status"]) == (row["gamma_oracle"] + 1, "mismatch"), args
+
+
 def _row(graph, formula, lower, upper, witness, checked):
     return {
         "graph": graph,
@@ -490,6 +508,21 @@ def test_construct_multipartite_uses_family_sizes(capsys):
     assert code == 0
     final = [int(x) for x in out.splitlines()[-1].split("=")[1].split()]
     assert len(final) == 4 and min(final) >= 1
+
+
+def test_construct_multipartite_takes_sizes_with_a_graph_file(capsys, tmp_path):
+    path = tmp_path / "k22.txt"
+    path.write_text(format_graph_text(generate(Multipartite((2, 2)))))
+    argv = ["construct", "--graph", str(path), "--config", "9 0 0 0", "--algorithm", "multipartite"]
+    assert run_cli(argv) == 2
+    assert capsys.readouterr().err.startswith("error: multipartite construction needs --sizes")
+    assert run_cli([*argv, "--sizes", "2,2"]) == 0
+    from_file = capsys.readouterr().out
+    assert run_cli(
+        ["construct", "--family", "multipartite", "--sizes", "2,2",
+         "--config", "9 0 0 0", "--algorithm", "multipartite"]
+    ) == 0
+    assert from_file == capsys.readouterr().out
 
 
 def test_console_script_entry():

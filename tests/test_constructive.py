@@ -291,6 +291,17 @@ def test_format_trace_lines():
     assert lines[0].startswith("step 0:")
 
 
+def test_format_trace_retire_line():
+    # vertex 0 holds no more than the step-0 quota of 2, so it is settled
+    # as is, and the pigeonhole endgame covers vertex 1 from vertex 2
+    cert, trace = solve_diameter(P3, Configuration((2, 0, 5)))
+    assert move_pairs(cert) == [(2, 1), (2, 1)]
+    assert format_trace(trace) == (
+        "step 0: donors=[0, 2] empty=[1] settled=[] retire 0\n"
+        "handoff: marks=0 1 1 residual=0 0 5\n"
+    )
+
+
 def test_solvers_reject_covered_check_failures():
     # solvers must not care whether extra pebbles remain after covering
     w4 = generate(Wheel(4))

@@ -3,6 +3,7 @@ import itertools
 import random
 import sys
 import threading
+import time
 
 import pytest
 from util import (
@@ -202,6 +203,28 @@ def test_verify_threshold_refuses_a_scan_past_sys_maxsize():
             verify_threshold(g, k)
 
 
+def test_verify_threshold_refuses_before_building_any_table():
+    # wheel 999 has about 1.5e59 configurations at its gamma; the check
+    # refuses on the count alone, without a search, BFS steps or memo
+    g = generate(Wheel(999))
+    k = gamma_wheel(999)
+    memo = SolveMemo()
+    started = time.perf_counter()
+    with pytest.raises(InvalidSpec, match="too many to scan"):
+        verify_threshold(g, k, memo=memo)
+    assert time.perf_counter() - started < 0.1
+    with pytest.raises(InvalidSpec, match="too many to scan"):
+        gamma_exact(g)
+    # the refused check left the memo unbound
+    verify_threshold(P3, 7, memo=memo)
+
+
+def test_verify_threshold_rejects_a_negative_size():
+    for g in (P3, W3):
+        with pytest.raises(InvalidSpec, match="nonnegative"):
+            verify_threshold(g, -1)
+
+
 def test_verify_threshold_shared_memo_speedup_is_consistent():
     memo = SolveMemo()
     first = verify_threshold(P3, 7, memo=memo)
@@ -339,7 +362,7 @@ def test_trees_answer_every_size_without_a_scan(monkeypatch):
             assert verify_threshold(g, k) == exact.ThresholdResult(None, composition_count(g.n, k)), name
         result = verify_threshold(g, gamma - 1)
         assert result.witness.size == gamma - 1, name
-        assert not exact._tree_cover_test(g)(result.witness.counts), name
+        assert not exact._passes(exact._bfs_steps(g, 0), 0, result.witness.counts), name
 
 
 def test_cyclic_graphs_answer_without_a_scan(monkeypatch):
@@ -359,9 +382,9 @@ def test_cyclic_graphs_answer_without_a_scan(monkeypatch):
 
 def _pass_scan(g, k):
     # the first vector of size k that the tree pass fails, by a scan of every vector
-    solvable = exact._tree_cover_test(g)
+    steps = exact._bfs_steps(g, 0)
     for rank, vec in enumerate(iter_count_vectors(g.n, k)):
-        if not solvable(vec):
+        if not exact._passes(steps, 0, vec):
             return Configuration(vec), rank + 1
     return None, composition_count(g.n, k)
 
@@ -389,11 +412,11 @@ def test_tree_pass_matches_the_search_on_every_small_tree():
     checked = 0
     for n in range(1, 5):
         for g in labeled_trees(n):
-            solvable = exact._tree_cover_test(g)
+            steps = exact._bfs_steps(g, 0)
             search = exact._CoverSearch(g, range(g.n))
             for k in range(bound_report(g).lower_stacked + 2):
                 for vec in iter_count_vectors(g.n, k):
-                    assert solvable(vec) == search.decide(vec)[0], (g.edges, vec)
+                    assert exact._passes(steps, 0, vec) == search.decide(vec)[0], (g.edges, vec)
                     checked += 1
     assert checked > 60_000
 
@@ -411,7 +434,7 @@ def test_tree_pass_matches_the_search_on_random_configurations():
     grown = [random_tree(rng, n) for n in (8, 9, 10)]
     outcomes = set()
     for g in named + grown:
-        solvable = exact._tree_cover_test(g)
+        steps = exact._bfs_steps(g, 0)
         search = exact._CoverSearch(g, range(g.n))
         # refuting one big stack on a deep random tree takes the search
         # seconds, so there the stacks are checked against their cost
@@ -422,10 +445,10 @@ def test_tree_pass_matches_the_search_on_random_configurations():
             for _ in range(40):
                 vec = _spread(rng, g.n, k, rng.randint(smallest, g.n))
                 answer = search.decide(vec)[0]
-                assert solvable(vec) == answer, (g.edges, vec)
+                assert exact._passes(steps, 0, vec) == answer, (g.edges, vec)
                 outcomes.add(answer)
             for v in range(g.n):
-                assert solvable(stacked(g, v, k).counts) == (k >= stack_cost(g, v)), (g.edges, v, k)
+                assert exact._passes(steps, 0, stacked(g, v, k).counts) == (k >= stack_cost(g, v)), (g.edges, v, k)
     assert outcomes == {True, False}
 
 
@@ -535,9 +558,9 @@ def test_passed_up_matches_every_completion_with_vertices_held():
 def test_stack_potentials_refute_only_unsolvable_vectors():
     refuted = 0
     for g in small_catalog(4):
-        check = exact._ThresholdCheck(g, None)
-        search = exact._CoverSearch(g, range(g.n))
         costs = [stack_cost(g, v) for v in range(g.n)]
+        check = exact._ThresholdCheck(g, None, max(costs) + 1)
+        search = exact._CoverSearch(g, range(g.n))
         for k in range(max(costs) + 2):
             for vec in iter_count_vectors(g.n, k):
                 if check.refutes(vec):
@@ -592,13 +615,13 @@ def test_bfs_steps_span_the_graph_one_step_nearer_the_root():
 def test_bfs_tree_certificates_never_pass_an_unsolvable_vector():
     outcomes = set()
     for g in _cyclic_graphs():
-        trees = [exact._tree_cover_test(g, root) for root in range(g.n)]
+        trees = [exact._bfs_steps(g, root) for root in range(g.n)]
         search = exact._CoverSearch(g, range(g.n))
         gamma = bound_report(g).lower_stacked
         sizes = range(gamma + 2) if g.n <= 4 else (gamma - 1,)
         for k in sizes:
             for vec in iter_count_vectors(g.n, k):
-                certified = any(passes(vec) for passes in trees)
+                certified = any(exact._passes(steps, root, vec) for root, steps in enumerate(trees))
                 if certified or g.n <= 4:
                     solvable = search.decide(vec)[0]
                     assert solvable or not certified, (g.edges, vec)
@@ -610,10 +633,10 @@ def test_bfs_tree_certificates_never_pass_an_unsolvable_vector():
 def _certified_scan(g, k):
     # the flat scan the colex prefix search replaced: the BFS-tree passes
     # from every vertex, then the search, on every vector in colex order
-    trees = [exact._tree_cover_test(g, root) for root in range(g.n)]
+    trees = [exact._bfs_steps(g, root) for root in range(g.n)]
     search = exact._CoverSearch(g, range(g.n))
     for rank, vec in enumerate(iter_count_vectors(g.n, k)):
-        if not any(passes(vec) for passes in trees) and not search.decide(vec)[0]:
+        if not any(exact._passes(steps, root, vec) for root, steps in enumerate(trees)) and not search.decide(vec)[0]:
             return Configuration(vec), rank + 1
     return None, composition_count(g.n, k)
 

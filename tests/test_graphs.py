@@ -39,6 +39,12 @@ def test_build_rejects_disconnected():
         build_graph(4, [(0, 1), (2, 3)])
 
 
+def test_build_rejects_an_unreachable_vertex():
+    # three edges pass the edge count on four vertices, but miss vertex 3
+    with pytest.raises(DisconnectedGraph, match="vertex 3 is unreachable"):
+        build_graph(4, [(0, 1), (1, 2), (0, 2)])
+
+
 def test_build_rejects_too_few_edges_at_once():
     # a billion vertices with no edge: rejected before any per-vertex table
     started = time.perf_counter()
@@ -208,6 +214,8 @@ def test_graph_text_parse_errors():
         parse_graph_text("2 2\n0 1\n")
     with pytest.raises(ParseError):
         parse_graph_text("2 1\n0 x\n")
+    with pytest.raises(ParseError, match="header values must be integers"):
+        parse_graph_text("two 1\n0 1\n")
     err = None
     try:
         parse_graph_text("# head\n2 1\n0 1 9\n")

@@ -146,6 +146,11 @@ def test_validate_certificate_illegal_moves():
         validate_certificate(P3, cert)
     assert exc.value.index == 1
 
+    cert = Certificate(Configuration((4, 0, 0)), (PebblingMove(0, 3),))
+    with pytest.raises(IllegalMoveAt) as exc:
+        validate_certificate(P3, cert)
+    assert exc.value.reason == "vertex out of range"
+
     with pytest.raises(LengthMismatch):
         validate_certificate(K2, Certificate(Configuration((3, 0, 0)), ()))
 

@@ -40,7 +40,7 @@ from .errors import (
     PebblingError,
     StrategyIncomplete,
 )
-from .exact import gamma_exact, solve
+from .exact import check_threshold_size, gamma_exact, solve
 from .formulas import BoundReport, bound_report, gamma_multipartite, gamma_wheel
 from .graphs import (
     FamilySpec,
@@ -78,8 +78,8 @@ class VerificationReport:
     """One row of a verify run."""
 
     graph: str
-    gamma_formula: Optional[int]
-    gamma_oracle: Optional[int]
+    gamma_formula: int
+    gamma_oracle: int
     bound_lower: int
     bound_upper: int
     witness: Optional[Configuration]
@@ -91,28 +91,19 @@ class VerificationReport:
 _REPORT_FIELDS = tuple(f.name for f in fields(VerificationReport))
 
 
-def report_status(
-    gamma_formula: Optional[int],
-    gamma_oracle: Optional[int],
-    bound_lower: int,
-    bound_upper: int,
-) -> str:
-    """mismatch beats bound-violation beats match/ok; both cannot occur
-    at once when the oracle is correct."""
-    if gamma_formula is not None and gamma_oracle is not None and gamma_formula != gamma_oracle:
+def report_status(gamma_formula: int, gamma_oracle: int, bound_lower: int, bound_upper: int) -> str:
+    """mismatch beats bound-violation beats match; both cannot occur at
+    once when the oracle is correct."""
+    if gamma_formula != gamma_oracle:
         return "mismatch"
-    if gamma_oracle is not None and not bound_lower <= gamma_oracle <= bound_upper:
+    if not bound_lower <= gamma_oracle <= bound_upper:
         return "bound-violation"
-    if gamma_formula is not None and gamma_oracle is not None:
-        return "match"
-    return "ok"
+    return "match"
 
 
 def emit_report(reports, fmt: str = "json") -> str:
     """Serialize verification rows, one per line, fields in a fixed order
     shared by both formats."""
-    if fmt not in ("json", "csv"):
-        raise UsageError(f"unknown report format {fmt!r}")
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     if fmt == "csv":
@@ -209,15 +200,11 @@ def _family_specs(args, one: bool = False) -> list[tuple[str, FamilySpec]]:
     return out
 
 
-def _load_graph(args) -> tuple[Graph, Optional[FamilySpec]]:
+def _load_graph(args) -> Graph:
     if args.graph:
-        if args.family:
-            raise UsageError("give either --graph or --family, not both")
-        return parse_graph_text(_read_file(args.graph, "graph")), None
-    if args.family:
-        [(_, spec)] = _family_specs(args, one=True)
-        return generate(spec), spec
-    raise UsageError("a graph is required: give --graph FILE or --family ...")
+        return parse_graph_text(_read_file(args.graph, "graph"))
+    [(_, spec)] = _family_specs(args, one=True)
+    return generate(spec)
 
 
 def _formula_value(spec: FamilySpec, bounds: BoundReport) -> int:
@@ -243,23 +230,19 @@ def _write_out(args, text: str) -> None:
 def cmd_gen(args) -> int:
     if not args.family:
         raise UsageError("gen needs --family")
-    g, _ = _load_graph(args)
+    g = _load_graph(args)
     _write_out(args, format_graph_text(g))
     return 0
 
 
 def _read_config_arg(args, g: Graph) -> Configuration:
-    if args.config is not None and args.config_file is not None:
-        raise UsageError("give either --config or --config-file, not both")
     if args.config is not None:
         return parse_config(args.config, g.n)
-    if args.config_file is not None:
-        return parse_config(_read_file(args.config_file, "configuration"), g.n)
-    raise UsageError("a configuration is required: --config or --config-file")
+    return parse_config(_read_file(args.config_file, "configuration"), g.n)
 
 
 def cmd_solve(args) -> int:
-    g, _ = _load_graph(args)
+    g = _load_graph(args)
     c = _read_config_arg(args, g)
     b = parse_weighting(args.weighting, g.n) if args.weighting else None
     try:
@@ -278,7 +261,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_gamma(args) -> int:
-    g, _ = _load_graph(args)
+    g = _load_graph(args)
     result = gamma_exact(g)
     print(f"gamma={result.gamma}")
     print(f"witness={format_config(result.witness)}")
@@ -287,7 +270,7 @@ def cmd_gamma(args) -> int:
 
 
 def cmd_bound(args) -> int:
-    g, _ = _load_graph(args)
+    g = _load_graph(args)
     report = bound_report(g)
     print(f"lower_stacked={report.lower_stacked}")
     print(f"upper_diameter={report.upper_diameter}")
@@ -298,17 +281,19 @@ def cmd_bound(args) -> int:
 def cmd_verify(args) -> int:
     if not args.family:
         raise UsageError("verify needs --family")
+    specs = _family_specs(args)
+    # a range with one graph too big to check is refused before any runs
+    for _, spec in specs:
+        g = generate(spec)
+        check_threshold_size(g, bound_report(g).lower_stacked)
     reports = []
-    for label, spec in _family_specs(args):
+    for label, spec in specs:
         g = generate(spec)
         started = time.perf_counter()
         bounds = bound_report(g)
         result = gamma_exact(g)
-        elapsed_ms = int((time.perf_counter() - started) * 1000)
-        if args.no_timing:
-            elapsed_ms = 0
+        elapsed_ms = 0 if args.no_timing else int((time.perf_counter() - started) * 1000)
         formula = _formula_value(spec, bounds)
-        status = report_status(formula, result.gamma, bounds.lower_stacked, bounds.upper_diameter)
         reports.append(
             VerificationReport(
                 graph=label,
@@ -319,15 +304,15 @@ def cmd_verify(args) -> int:
                 witness=result.witness,
                 configs_checked=result.configs_checked,
                 elapsed_ms=elapsed_ms,
-                status=status,
+                status=report_status(formula, result.gamma, bounds.lower_stacked, bounds.upper_diameter),
             )
         )
     _write_out(args, emit_report(reports, args.format))
-    return 0 if all(r.status in ("match", "ok") for r in reports) else 1
+    return 0 if all(r.status == "match" for r in reports) else 1
 
 
 def cmd_construct(args) -> int:
-    g, spec = _load_graph(args)
+    g = _load_graph(args)
     c = _read_config_arg(args, g)
     trace = None
     weighting = None
@@ -341,13 +326,9 @@ def cmd_construct(args) -> int:
     elif args.algorithm == "wheel":
         cert = solve_wheel(g, c)
     else:
-        if isinstance(spec, Multipartite):
-            sizes = spec.sizes
-        elif args.sizes:
-            sizes = _parse_sizes(args.sizes[0])
-        else:
-            raise UsageError("multipartite construction needs --sizes or --family multipartite")
-        cert = solve_multipartite(g, sizes, c)
+        if not args.sizes:
+            raise UsageError("multipartite construction needs --sizes")
+        cert = solve_multipartite(g, _parse_sizes(args.sizes[0]), c)
     # never print a certificate that does not replay cleanly
     try:
         final = validate_certificate(g, cert, weighting)
@@ -363,12 +344,19 @@ def cmd_construct(args) -> int:
 
 
 def _add_graph_args(sub) -> None:
-    sub.add_argument("--graph", metavar="FILE", help="graph text file")
-    sub.add_argument("--family", choices=["multipartite", *_FAMILIES])
+    source = sub.add_mutually_exclusive_group(required=True)
+    source.add_argument("--graph", metavar="FILE", help="graph text file")
+    source.add_argument("--family", choices=["multipartite", *_FAMILIES])
     sub.add_argument("--sizes", action="append", help="class sizes, largest first, e.g. 2,2")
     sub.add_argument("--n", help="rim count / order (verify takes ranges like 3..5)")
     sub.add_argument("--d", help="fuse path length in edges")
     sub.add_argument("--leaves", help="star leaf count")
+
+
+def _add_config_args(sub) -> None:
+    source = sub.add_mutually_exclusive_group(required=True)
+    source.add_argument("--config", help="space separated pebble counts")
+    source.add_argument("--config-file", metavar="FILE")
 
 
 def build_parser() -> _Parser:
@@ -382,8 +370,7 @@ def build_parser() -> _Parser:
 
     slv = commands.add_parser("solve", help="decide one configuration")
     _add_graph_args(slv)
-    slv.add_argument("--config", help="space separated pebble counts")
-    slv.add_argument("--config-file", metavar="FILE")
+    _add_config_args(slv)
     slv.add_argument("--weighting", help="space separated 0/1 marks")
     slv.add_argument("--budget", type=int, help="state budget for the search")
     slv.set_defaults(func=cmd_solve)
@@ -410,8 +397,7 @@ def build_parser() -> _Parser:
         required=True,
         choices=["pigeonhole", "diameter", "wheel", "multipartite"],
     )
-    con.add_argument("--config", help="space separated pebble counts")
-    con.add_argument("--config-file", metavar="FILE")
+    _add_config_args(con)
     con.add_argument("--weighting", help="space separated 0/1 marks (pigeonhole)")
     con.set_defaults(func=cmd_construct)
 

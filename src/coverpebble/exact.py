@@ -59,6 +59,12 @@ from .formulas import bound_report
 from .graphs import Graph
 from .pebbles import BinaryWeighting, Certificate, Configuration, PebblingMove, check_length
 
+# Most entries the DP rows of one threshold check may hold: n rows of
+# top + 1 entries each, for sizes up to top on n vertices.  Path 16
+# (L = 65,535) holds 2**20 and answers in seconds; each vertex more on a
+# path doubles L, and path 20 would need gigabytes.
+MAX_ROW_ENTRIES = 1 << 21
+
 
 @dataclass(frozen=True)
 class SolveOutcome:
@@ -395,6 +401,27 @@ def _passed_up(steps: tuple[tuple[int, int], ...], root: int, held: dict[int, in
     return top if top.__class__ is list else [top]
 
 
+def check_threshold_size(g: Graph, top: int) -> None:
+    """Raise InvalidSpec unless a threshold check on g can run at sizes
+    up to top.
+
+    Refused: a negative top; on a graph with cycles, more than
+    sys.maxsize configurations of size top, since the search may see any
+    of them; on any graph, DP rows of more than MAX_ROW_ENTRIES entries
+    in all, g.n * (top + 1), which bounds their memory.
+    """
+    if top < 0:
+        raise InvalidSpec(f"size must be nonnegative, got {top}")
+    if len(g.edges) >= g.n:
+        total = composition_count(g.n, top)
+        if total > sys.maxsize:
+            raise InvalidSpec(f"{total} configurations of size {top} on {g.n} vertices are too many to scan")
+    if g.n * (top + 1) > MAX_ROW_ENTRIES:
+        raise InvalidSpec(
+            f"a check at size {top} on {g.n} vertices needs DP rows of more than {MAX_ROW_ENTRIES} entries"
+        )
+
+
 def _colex_rank(vec: tuple[int, ...]) -> int:
     """Rank of a count vector in the order of iter_count_vectors."""
     rank, rest = 0, sum(vec)
@@ -418,18 +445,13 @@ class _ThresholdCheck:
       sum, t's stack cost.  Built on first use, so a tree, where the
       refutation never runs, skips its n x n big integers.
 
-    A negative top, or on a graph with cycles more than sys.maxsize
-    configurations of size top, raises InvalidSpec before any table is
+    check_threshold_size refuses a top it cannot run before any table is
     built or the memo is bound.
     """
 
     def __init__(self, g: Graph, memo: Optional[SolveMemo], top: int):
-        if top < 0:
-            raise InvalidSpec(f"size must be nonnegative, got {top}")
-        total = composition_count(g.n, top)
+        check_threshold_size(g, top)
         cyclic = len(g.edges) >= g.n
-        if cyclic and total > sys.maxsize:
-            raise InvalidSpec(f"{total} configurations of size {top} on {g.n} vertices are too many to scan")
         self.n = g.n
         self.dist = g.dist
         self.search = None
@@ -514,9 +536,9 @@ def verify_threshold(
     sizes.
 
     configs_checked is the witness's rank plus one, or the full count
-    when the size is good, as a scan in that order would report.  A
-    negative k, or on a graph with cycles more than sys.maxsize
-    configurations, raises InvalidSpec before any table is built.
+    when the size is good, as a scan in that order would report.  A k
+    that check_threshold_size refuses raises InvalidSpec before any
+    table is built.
 
     worker_count is ignored.  It remains only because the benchmark's
     two-thread scan probe passes it, and goes with that probe.

@@ -76,14 +76,18 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     for src in range(n):
         row = [-1] * n
         row[src] = 0
+        # stop once every vertex is reached: on a dense graph that is
+        # after a few vertices, not after all n adjacency lists
+        left = n - 1
         queue = deque([src])
-        while queue:
+        while queue and left:
             cur = queue.popleft()
             for nxt in adj[cur]:
                 if row[nxt] < 0:
                     row[nxt] = row[cur] + 1
                     queue.append(nxt)
-        if -1 in row:
+                    left -= 1
+        if left:
             missing = row.index(-1)
             raise DisconnectedGraph(f"vertex {missing} is unreachable from vertex {src}")
         dist_rows.append(tuple(row))

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import resource
 import subprocess
 import sys
 import time
@@ -47,9 +48,7 @@ def test_parse_graph_file_contents():
 def test_report_status_precedence():
     assert report_status(9, 9, 9, 9) == "match"
     assert report_status(9, 8, 1, 100) == "mismatch"
-    assert report_status(None, 8, 9, 100) == "bound-violation"
-    assert report_status(None, 9, 9, 9) == "ok"
-    assert report_status(9, None, 9, 9) == "ok"
+    assert report_status(8, 8, 9, 100) == "bound-violation"
     # a wrong formula is reported even when the oracle also violates a bound
     assert report_status(5, 8, 9, 100) == "mismatch"
 
@@ -190,6 +189,12 @@ def test_usage_errors_exit_two(capsys):
         ["gen", "--n", "4"],
         ["verify", "--n", "4"],
         ["gamma", "--family", "multipartite", "--sizes", "2,2", "--sizes", "3,2"],
+        # argparse owns the either/or flags: both sources, or neither
+        ["construct", "--family", "wheel", "--n", "3", "--config", "7 0 0 0",
+         "--config-file", "x", "--algorithm", "wheel"],
+        ["construct", "--family", "wheel", "--n", "3", "--algorithm", "wheel"],
+        ["gamma", "--graph", "g.txt", "--family", "wheel", "--n", "4"],
+        ["gamma"],
     ]
     for argv in cases:
         assert run_cli(argv) == 2, argv
@@ -239,6 +244,33 @@ def test_verify_refuses_a_huge_range_at_once(capsys):
     # the graphs are counted from the range ends, before any spec is built
     _exits_two_at_once(capsys, ["verify", "--family", "wheel", "--n", "3..1000000000000"])
     _exits_two_at_once(capsys, ["verify", "--family", "fuse", "--n", "3..100", "--d", "1..100"])
+
+
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+
+def test_tree_checks_past_the_row_bound_exit_two_at_once():
+    # path n has L = 2**n - 1, so its DP rows outgrow memory fast; each
+    # command runs in a child capped at 512 MiB, so a missing bound shows
+    # as a MemoryError there.  verify sizes its whole range first and
+    # refuses path 17 before it checks paths 3..16.
+    cases = [["gamma", "--family", "path", "--n", n] for n in ("20", "30", "70")]
+    cases.append(["verify", "--family", "path", "--n", "3..70"])
+    for argv in cases:
+        started = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "coverpebble.cli", *argv],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            preexec_fn=_cap_address_space,
+        )
+        assert time.perf_counter() - started < 1.0, argv
+        assert proc.returncode == 2, (argv, proc.stderr)
+        assert proc.stdout == "", argv
+        assert proc.stderr.startswith("error:"), argv
+        assert len(proc.stderr.splitlines()) == 1, argv
 
 
 def test_graphs_over_the_order_cap_exit_two_at_once(capsys, tmp_path):

@@ -219,6 +219,32 @@ def test_verify_threshold_refuses_before_building_any_table():
     verify_threshold(P3, 7, memo=memo)
 
 
+def test_threshold_check_bounds_its_dp_rows():
+    # g.n rows of top + 1 entries: path 16 at its L holds 2**20 and is
+    # let through; path 17 would hold 17 * 2**17, path 70 about 2**76
+    # and star 999 about 4M, so each is refused before any row is built
+    path16 = generate(Path(16))
+    exact.check_threshold_size(path16, bound_report(path16).lower_stacked)
+    refused = [generate(Path(17)), generate(Path(70)), generate(Star(999))]
+    sizes = [bound_report(g).lower_stacked for g in refused]
+    memo = SolveMemo()
+    started = time.perf_counter()
+    for g, k in zip(refused, sizes):
+        with pytest.raises(InvalidSpec, match="DP rows"):
+            verify_threshold(g, k, memo=memo)
+    assert time.perf_counter() - started < 0.1
+    # the refused checks left the memo unbound
+    verify_threshold(P3, 7, memo=memo)
+
+
+@pytest.mark.slow
+def test_trees_below_the_row_bound_still_answer():
+    path16 = generate(Path(16))
+    assert gamma_exact(path16).gamma == bound_report(path16).upper_diameter == 2**16 - 1
+    fuse = generate(Fuse(15, 6))
+    assert gamma_exact(fuse).gamma == bound_report(fuse).upper_diameter
+
+
 def test_verify_threshold_rejects_a_negative_size():
     for g in (P3, W3):
         with pytest.raises(InvalidSpec, match="nonnegative"):

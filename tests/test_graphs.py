@@ -45,6 +45,16 @@ def test_build_rejects_an_unreachable_vertex():
         build_graph(4, [(0, 1), (1, 2), (0, 2)])
 
 
+def test_build_stops_each_bfs_once_every_vertex_is_reached():
+    # K(500, 499) has 249,500 edges; a BFS from each of its 999 vertices
+    # that scans every adjacency list takes over 10 s
+    started = time.perf_counter()
+    g = generate(Multipartite((500, 499)))
+    assert time.perf_counter() - started < 3.0
+    assert g.diam == 2
+    assert (g.dist[0][1], g.dist[0][500], g.dist[998][500]) == (2, 1, 2)
+
+
 def test_build_rejects_too_few_edges_at_once():
     # a billion vertices with no edge: rejected before any per-vertex table
     started = time.perf_counter()

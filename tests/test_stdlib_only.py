@@ -43,6 +43,14 @@ def _imported_names(tree):
                 yield node.lineno, alias.asname or alias.name
 
 
+def test_all_lists_exactly_the_names_the_package_imports():
+    # __init__.py imports only to re-export, and the two lists have drifted
+    # apart before: a name was imported but missing from __all__
+    tree = ast.parse((PACKAGE_DIR / "__init__.py").read_text(encoding="utf-8"))
+    imported = sorted(name for _, name in _imported_names(tree))
+    assert sorted(coverpebble.__all__) == imported
+
+
 def test_every_imported_name_is_used():
     # __init__.py imports in order to re-export
     modules = sorted(p for p in PACKAGE_DIR.rglob("*.py") if p.name != "__init__.py")

@@ -23,7 +23,6 @@ import math
 import sys
 import time
 from dataclasses import dataclass, fields
-from typing import Optional
 
 from .constructive import (
     format_trace,
@@ -82,7 +81,7 @@ class VerificationReport:
     gamma_oracle: int
     bound_lower: int
     bound_upper: int
-    witness: Optional[Configuration]
+    witness: Configuration
     configs_checked: int
     elapsed_ms: int
     status: str
@@ -111,11 +110,11 @@ def emit_report(reports, fmt: str = "json") -> str:
     for r in reports:
         row = {field: getattr(r, field) for field in _REPORT_FIELDS}
         if fmt == "json":
-            row["witness"] = list(r.witness.counts) if r.witness is not None else None
+            row["witness"] = list(r.witness.counts)
             buf.write(json.dumps(row) + "\n")
         else:
-            row["witness"] = format_config(r.witness) if r.witness is not None else None
-            writer.writerow("" if value is None else value for value in row.values())
+            row["witness"] = format_config(r.witness)
+            writer.writerow(row.values())
     return buf.getvalue()
 
 
@@ -228,10 +227,8 @@ def _write_out(args, text: str) -> None:
 
 
 def cmd_gen(args) -> int:
-    if not args.family:
-        raise UsageError("gen needs --family")
-    g = _load_graph(args)
-    _write_out(args, format_graph_text(g))
+    [(_, spec)] = _family_specs(args, one=True)
+    _write_out(args, format_graph_text(generate(spec)))
     return 0
 
 
@@ -279,8 +276,6 @@ def cmd_bound(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if not args.family:
-        raise UsageError("verify needs --family")
     specs = _family_specs(args)
     # a range with one graph too big to check is refused before any runs
     for _, spec in specs:
@@ -328,6 +323,8 @@ def cmd_construct(args) -> int:
     else:
         if not args.sizes:
             raise UsageError("multipartite construction needs --sizes")
+        if len(args.sizes) > 1:
+            raise UsageError(_NOT_ONE)
         cert = solve_multipartite(g, _parse_sizes(args.sizes[0]), c)
     # never print a certificate that does not replay cleanly
     try:
@@ -338,7 +335,7 @@ def cmd_construct(args) -> int:
     for move in cert.moves:
         print(f"{move.src} {move.dst}")
     print(f"final={format_config(final)}")
-    if trace is not None and trace.steps:
+    if trace is not None:
         sys.stdout.write(format_trace(trace))
     return 0
 
@@ -347,6 +344,16 @@ def _add_graph_args(sub) -> None:
     source = sub.add_mutually_exclusive_group(required=True)
     source.add_argument("--graph", metavar="FILE", help="graph text file")
     source.add_argument("--family", choices=["multipartite", *_FAMILIES])
+    _add_family_params(sub)
+
+
+def _add_family_args(sub) -> None:
+    # gen and verify read no graph file
+    sub.add_argument("--family", required=True, choices=["multipartite", *_FAMILIES])
+    _add_family_params(sub)
+
+
+def _add_family_params(sub) -> None:
     sub.add_argument("--sizes", action="append", help="class sizes, largest first, e.g. 2,2")
     sub.add_argument("--n", help="rim count / order (verify takes ranges like 3..5)")
     sub.add_argument("--d", help="fuse path length in edges")
@@ -364,7 +371,7 @@ def build_parser() -> _Parser:
     commands = parser.add_subparsers(dest="command", required=True)
 
     gen = commands.add_parser("gen", help="write a family graph as text")
-    _add_graph_args(gen)
+    _add_family_args(gen)
     gen.add_argument("--out", metavar="FILE")
     gen.set_defaults(func=cmd_gen)
 
@@ -380,7 +387,7 @@ def build_parser() -> _Parser:
     gam.set_defaults(func=cmd_gamma)
 
     ver = commands.add_parser("verify", help="formulas against the search")
-    _add_graph_args(ver)
+    _add_family_args(ver)
     ver.add_argument("--format", choices=["json", "csv"], default="json")
     ver.add_argument("--no-timing", action="store_true", help="report elapsed_ms as 0")
     ver.add_argument("--out", metavar="FILE")

@@ -7,15 +7,6 @@ terminates.  Decisions are cached in a SolveMemo.  In a threshold check
 the spanning-tree passes below certify nearly every configuration, and
 a memo shared across the check serves the few that reach the search.
 
-Configurations of a fixed size are enumerated in ascending
-colexicographic order on the count vectors.  That order starts with
-every stack on vertex 0, which is where unsolvable witnesses tend to
-live.  The enumerator steps from one vector to the next in place: with
-i the first nonzero index, it moves one pebble up to i + 1 and gathers
-the other c[i] - 1 on vertex 0; it stops when i is the last index.  The
-threshold check reports the first unsolvable vector in that order, but
-does not scan.
-
 gamma_exact checks two sizes: the worst stack cost L, which must pass,
 and L - 1, which must fail.  By the cover pebbling theorem (Sjostrand,
 2005) L is the answer, so any other outcome is an internal error, not a
@@ -48,7 +39,6 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import accumulate
 from math import comb
 from operator import add, mul, sub
@@ -301,13 +291,19 @@ def composition_count(n: int, k: int) -> int:
 
 def iter_count_vectors(n: int, k: int) -> Iterator[tuple[int, ...]]:
     """Count vectors of size k on n vertices in ascending colexicographic
-    order."""
+    order.
+
+    That order starts with the whole stack on vertex 0, which is where
+    unsolvable witnesses tend to live.  The vectors come from one list
+    stepped in place: with i the first nonzero index, one pebble moves
+    up to i + 1 and the other c[i] - 1 gather on vertex 0; the order
+    ends when i is the last index.  The threshold check reports the
+    first unsolvable vector in this order, but does not scan.
+    """
     if n < 1:
         raise InvalidSpec(f"need at least one vertex, got {n}")
     if k < 0:
         raise InvalidSpec(f"size must be nonnegative, got {k}")
-    # colex successor on one list: with i the first nonzero index, move
-    # one pebble up to i + 1 and gather the rest of c[i] on vertex 0
     c = [k] + [0] * (n - 1)
     last = n - 1
     while True:
@@ -375,13 +371,29 @@ def _passed_up(steps: tuple[tuple[int, int], ...], root: int, held: dict[int, in
     minimum.  Two other rows join entry by entry: entry j pairs the
     parent row, reversed, with the child's up row, one C-level min over
     a slice each.
+
+    A free leaf is a vertex whose row is still free when its step comes:
+    every child step replaces its parent's row.  Once its parent has
+    joined one free leaf, a free leaf joins as a held leaf with 0
+    pebbles, passing up -2, in O(spare).  This changes no entry.  Write
+    free_up[i] = phi(i - 1): -2 at i = 0, then (i - 1) // 2.  For
+    1 <= i < j, (i - 1) // 2 + (j - i - 1) // 2 >= j/2 - 2 >
+    (j - 1) // 2 - 2, so the least sum piles every pebble on one leaf,
+    and free_up (+) free_up = free_up - 2 on 0..spare, with (+) the
+    min-plus convolution.  That is associative and commutative, so
+    acc (+) free_up (+) free_up = (acc (+) free_up) - 2 for any row acc.
     """
     free = list(range(spare + 1))
     free_up = [(m - 1) >> 1 if m > 0 else 2 * m - 2 for m in free]
     row: list = [held.get(v, free) for v in range(len(steps) + 1)]
     row[root] = 0
+    took_free_leaf = set()
     for v, p in steps:
         bal, acc = row[v], row[p]
+        if bal is free:
+            if p in took_free_leaf:
+                bal = 0
+            took_free_leaf.add(p)
         if bal.__class__ is int:
             up = (bal - 1) >> 1 if bal > 0 else 2 * bal - 2
             row[p] = acc + up if acc.__class__ is int else list(map(up.__add__, acc))
@@ -436,14 +448,14 @@ class _ThresholdCheck:
     """Threshold checks on one graph at sizes up to top: the tables every
     size reads, built once, and the colex prefix search over them.
 
-    - ``search``: the cover search sharing the memo, on a graph with
-      cycles only.  On a tree the pass is exact, so the search never runs
-      and the memo is only bound.
+    - ``search``: the cover search sharing the memo.
+    - ``potentials``: per vertex t, the row of 2**d(w, t) over w and its
+      sum, t's stack cost, which ``refutes`` reads.
     - ``steps``: the _bfs_steps from every root, which the prefix DPs and
       the full-cover passes read.
-    - ``potentials``: per vertex t, the row of 2**d(w, t) over w and its
-      sum, t's stack cost.  Built on first use, so a tree, where the
-      refutation never runs, skips its n x n big integers.
+
+    Only a graph with cycles gets the first two.  On a tree the pass is
+    exact, so neither runs, both are None and the memo is only bound.
 
     check_threshold_size refuses a top it cannot run before any table is
     built or the memo is bound.
@@ -451,20 +463,15 @@ class _ThresholdCheck:
 
     def __init__(self, g: Graph, memo: Optional[SolveMemo], top: int):
         check_threshold_size(g, top)
-        cyclic = len(g.edges) >= g.n
         self.n = g.n
-        self.dist = g.dist
-        self.search = None
-        if cyclic:
+        self.search = self.potentials = None
+        if len(g.edges) >= g.n:
             self.search = _CoverSearch(g, range(g.n), memo=memo)
+            rows = [tuple(1 << d for d in dist) for dist in g.dist]
+            self.potentials = [(row, sum(row)) for row in rows]
         elif memo is not None:
             memo.bind(g, range(g.n), True)
         self.steps = [_bfs_steps(g, root) for root in range(g.n)]
-
-    @cached_property
-    def potentials(self) -> list[tuple[tuple[int, ...], int]]:
-        rows = [tuple(1 << d for d in dist) for dist in self.dist]
-        return [(row, sum(row)) for row in rows]
 
     def refutes(self, vec: tuple[int, ...]) -> bool:
         """Whether vec is below t's stack cost in the potential toward
@@ -555,11 +562,11 @@ def gamma_exact(g: Graph) -> GammaResult:
     size L - 1 must not; either surprise raises InternalAssertion.  The
     witness is the colexicographically first unsolvable configuration of
     size L - 1, and configs_checked sums the counts of both checks.  Both
-    sizes share one set of tables and one memo; on a tree neither
-    reaches the search.
+    sizes share one set of tables, the search and its memo among them;
+    on a tree neither size reaches the search.
     """
     k = bound_report(g).lower_stacked
-    check = _ThresholdCheck(g, SolveMemo(), k)
+    check = _ThresholdCheck(g, None, k)
     at = check.run(k)
     if not at.ok:
         raise InternalAssertion(

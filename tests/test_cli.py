@@ -79,12 +79,12 @@ def test_emit_report_json_field_order():
 
 
 def test_emit_report_csv_shape():
-    text = emit_report([_sample_report(None)], "csv")
+    text = emit_report([_sample_report(Configuration((6, 0, 0, 0)))], "csv")
     header, row = text.splitlines()
     assert header == ",".join(REPORT_FIELDS)
     cells = row.split(",")
+    assert len(cells) == len(REPORT_FIELDS)
     assert cells[0] == "wheel[3]"
-    assert cells[5] == ""
     assert cells[-1] == "match"
 
 
@@ -188,6 +188,9 @@ def test_usage_errors_exit_two(capsys):
         ["gamma", "--family", "multipartite", "--sizes", "2,x"],
         ["gen", "--n", "4"],
         ["verify", "--n", "4"],
+        # gen and verify take a family only
+        ["gen", "--graph", "f"],
+        ["verify", "--graph", "f"],
         ["gamma", "--family", "multipartite", "--sizes", "2,2", "--sizes", "3,2"],
         # argparse owns the either/or flags: both sources, or neither
         ["construct", "--family", "wheel", "--n", "3", "--config", "7 0 0 0",
@@ -518,6 +521,15 @@ def test_construct_diameter_prints_trace(capsys):
     assert "final=1 1 1" in out
     assert "step 0:" in out
     assert "handoff:" in out
+    # on a diameter-1 graph the endgame runs at once: the trace is the handoff alone
+    code = run_cli(
+        ["construct", "--family", "multipartite", "--sizes", "1,1,1",
+         "--config", "5 0 0", "--algorithm", "diameter"]
+    )
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.splitlines()[-1].startswith("handoff: marks=")
+    assert "step" not in out
 
 
 def test_construct_pigeonhole(capsys):
@@ -548,6 +560,9 @@ def test_construct_multipartite_takes_sizes_with_a_graph_file(capsys, tmp_path):
     argv = ["construct", "--graph", str(path), "--config", "9 0 0 0", "--algorithm", "multipartite"]
     assert run_cli(argv) == 2
     assert capsys.readouterr().err.startswith("error: multipartite construction needs --sizes")
+    assert run_cli([*argv, "--sizes", "2,2", "--sizes", "3,1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
     assert run_cli([*argv, "--sizes", "2,2"]) == 0
     from_file = capsys.readouterr().out
     assert run_cli(

@@ -1,6 +1,7 @@
 import time
 
 import pytest
+from util import connected_classes
 
 from coverpebble import (
     DisconnectedGraph,
@@ -232,3 +233,8 @@ def test_graph_text_parse_errors():
     except ParseError as exc:
         err = exc
     assert err is not None and err.line == 3
+
+
+def test_connected_classes_count_the_isomorphism_classes():
+    # connected graphs up to isomorphism, orders 1-6 (OEIS A001349)
+    assert [len(connected_classes(n)) for n in range(1, 7)] == [1, 1, 2, 6, 21, 112]

@@ -52,13 +52,15 @@ def connected_graphs(n: int) -> tuple[Graph, ...]:
 @lru_cache(maxsize=None)
 def connected_classes(n: int) -> tuple[Graph, ...]:
     """One connected graph on n vertices per isomorphism class: the
-    relabelling whose sorted edge tuple is least, in order of that tuple."""
+    relabelling whose sorted edge tuple is least, in order of that tuple.
+    Each class is relabelled once, from its first labelled member."""
     perms = list(itertools.permutations(range(n)))
-    canonical = set()
+    seen, canonical = set(), []
     for edges in connected_edge_sets(n):
-        canonical.add(
-            min(tuple(sorted(tuple(sorted((p[u], p[v]))) for u, v in edges)) for p in perms)
-        )
+        if edges not in seen:
+            orbit = {tuple(sorted(tuple(sorted((p[u], p[v]))) for u, v in edges)) for p in perms}
+            seen |= orbit
+            canonical.append(min(orbit))
     return tuple(build_graph(n, edges) for edges in sorted(canonical))
 
 

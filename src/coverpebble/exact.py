@@ -22,8 +22,10 @@ over any spanning tree is a sound certificate: a tree that passes moves
 pebbles along graph edges only.  A min-plus DP over the subtrees gives
 the least root balance over all configurations of a size, with some
 vertices held, so the threshold check skips the prefixes whose
-completions the DP certifies.  solve stays on the search, whose
-certificates the pass does not give.
+completions the DP certifies.  solve runs the same pass, with a keep
+vector for weightings, before its search, and a pass that succeeds
+gives its certificate: surpluses move up leaves first, then shortfalls
+move down root first.
 
 A vector no tree certifies meets the stack potentials next.  Toward a
 vertex t, sum_w c(w) * 2**d(w, t) never rises under a move, and a
@@ -267,15 +269,41 @@ def solve(
 ) -> SolveOutcome:
     """Decide whether a configuration can cover the targets.
 
-    Without a weighting every vertex is a target.  A solvable outcome
-    carries a certificate rebuilt from the memo's win chain; it always
-    replays cleanly through validate_certificate.  A negative budget
-    raises InvalidSpec.
+    Without a weighting every vertex is a target.  Three tests run in
+    turn.  No move adds a pebble, so fewer pebbles than targets is
+    unsolvable.  Then the pass that keeps one pebble on each target
+    (see _pass_moves): on a tree one pass from root 0 decides exactly,
+    and on a graph with cycles the BFS trees from each root in index
+    order are tried until one passes.  Only a configuration on a graph
+    with cycles that no tree passes reaches the search.
+
+    A solvable outcome carries a certificate, the passing tree's moves
+    or the search's win chain; it always replays cleanly through
+    validate_certificate, and a configuration that already covers its
+    targets gets no moves.  An answer from the size rule or a pass
+    reports states_explored 0 and writes nothing to the memo; budget
+    and pruning apply to the search only.  A given memo is bound on
+    every call, so one bound to another graph, target set or pruning
+    setting raises InvalidSpec even when the search does not run.  A
+    negative budget raises InvalidSpec.
     """
     check_length(c.counts, g.n, "configuration")
     if budget is not None and budget < 0:
         raise InvalidSpec(f"budget must be nonnegative, got {budget}")
-    search = _CoverSearch(g, _marked_vertices(g, b), memo=memo, pruning=pruning)
+    marked = _marked_vertices(g, b)
+    if memo is not None:
+        memo.bind(g, marked, pruning)
+    if c.size < len(marked):
+        return SolveOutcome(False, None, 0)
+    keep = b.marks if b is not None else (1,) * g.n
+    tree = len(g.edges) < g.n
+    for root in (0,) if tree else range(g.n):
+        moves = _pass_moves(_bfs_steps(g, root), root, c.counts, keep)
+        if moves is not None:
+            return SolveOutcome(True, Certificate(c, tuple(PebblingMove(u, x) for u, x in moves)), 0)
+    if tree:
+        return SolveOutcome(False, None, 0)
+    search = _CoverSearch(g, marked, memo=memo, pruning=pruning)
     solvable, explored = search.decide(c.counts, budget)
     certificate = None
     if solvable:
@@ -347,6 +375,60 @@ def _passes(steps: tuple[tuple[int, int], ...], root: int, vec: tuple[int, ...])
         b = bal[v] - 1
         bal[p] += b >> 1 if b >= 0 else 2 * b
     return bal[root] >= 1
+
+
+def _pass_moves(
+    steps: tuple[tuple[int, int], ...], root: int, vec: tuple[int, ...], keep: tuple[int, ...]
+) -> Optional[list[tuple[int, int]]]:
+    """The moves of a pass over steps, the _bfs_steps from root, that
+    leave keep[v] pebbles on every vertex v, or None when the pass fails.
+
+    Bottom-up, as in _passes, b(v) = vec[v] + sum_children phi(b(u)) -
+    keep[v]; the pass succeeds iff b(root) >= 0.  Top-down, each vertex
+    v asks its surplus children (b(u) >= 0), each for at most b(u) // 2,
+    for what it lacks: keep[v] + 2 * (what v sends up) +
+    2 * sum_{deficit children} (-b(u)) - vec[v].  A surplus v sends up
+    at most b(v) // 2, and b(v) counts its offers less that lack without
+    the sends, so the offers cover it.  A deficit v sends nothing up and
+    b(v) < 0 says its lack exceeds the offers, so it takes every offer,
+    and the -b(v) pebbles its parent sends down make up the rest.
+
+    The moves are the requested sends, leaves first, each as u -> parent,
+    then the deficits, root first, each as -b(u) moves parent -> u.  Each
+    step keeps enough pebbles for the next.  When u sends up, every
+    child of u has sent, so u holds vec[u] plus what it asked, which
+    covers its sends and everything it still owes: keep[u], twice its
+    deficit children's shortfalls.  A deficit u sends nothing up.  When v
+    fills a deficit child, v's own deficit was filled before, since its
+    parent comes earlier in root-first order, so v holds its keep plus
+    twice its deficit children's shortfalls.  Every move replays and every vertex
+    ends with keep[v].  A vector that already meets keep asks nothing
+    and gets no moves.
+    """
+    bal = list(vec)
+    for v, p in steps:
+        b = bal[v] = bal[v] - keep[v]
+        bal[p] += b >> 1 if b >= 0 else 2 * b
+    bal[root] -= keep[root]
+    if bal[root] < 0:
+        return None
+    lack = [k - c for k, c in zip(keep, vec)]
+    for u, p in steps:
+        if bal[u] < 0:
+            lack[p] -= 2 * bal[u]
+    sent = [0] * len(vec)
+    for u, p in reversed(steps):
+        if bal[u] >= 2 and lack[p] > 0:
+            sent[u] = give = min(lack[p], bal[u] >> 1)
+            lack[p] -= give
+            lack[u] += 2 * give
+    moves = []
+    for u, p in steps:
+        moves += [(u, p)] * sent[u]
+    for u, p in reversed(steps):
+        if bal[u] < 0:
+            moves += [(p, u)] * -bal[u]
+    return moves
 
 
 def _passed_up(steps: tuple[tuple[int, int], ...], root: int, held: dict[int, int], spare: int) -> list[int]:

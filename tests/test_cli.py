@@ -154,7 +154,7 @@ def test_solve_config_file(tmp_path, capsys):
 def test_solve_budget_exit_code(capsys):
     code = run_cli(
         ["solve", "--family", "wheel", "--n", "5",
-         "--config", "0 20 0 0 0 0", "--budget", "3"]
+         "--config", "0 14 0 0 0 0", "--budget", "3"]
     )
     out = capsys.readouterr().out
     assert code == 2

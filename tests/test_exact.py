@@ -7,6 +7,7 @@ import time
 
 import pytest
 from util import (
+    all_weightings,
     connected_classes,
     labeled_trees,
     move_pairs,
@@ -100,8 +101,10 @@ def test_solve_length_checks():
 
 
 def test_solve_budget():
+    # the worst stack one pebble short (L = 15) passes no tree, so it
+    # reaches the search, which the budget bounds
     with pytest.raises(BudgetExceeded):
-        solve(generate(Wheel(5)), stacked(generate(Wheel(5)), 1, 20), budget=3)
+        solve(generate(Wheel(5)), stacked(generate(Wheel(5)), 1, 14), budget=3)
     # a generous budget changes nothing
     out = solve(K2, Configuration((3, 0)), budget=10_000)
     assert out.solvable
@@ -118,11 +121,145 @@ def test_solve_rejects_a_negative_budget():
 
 
 def test_solve_memo_reuse_guard():
+    # these answers come from a pass, which writes nothing to the memo
+    # but still binds it: another graph, target set or pruning raises
     memo = SolveMemo()
     solve(P3, Configuration((1, 1, 1)), memo=memo)
     solve(P3, Configuration((2, 1, 1)), memo=memo)
-    with pytest.raises(ValueError):
-        solve(K2, Configuration((1, 1)), memo=memo)
+    assert not memo.win and not memo.fail
+    for g, c, b, pruning in (
+        (K2, Configuration((1, 1)), None, True),
+        (P3, Configuration((4, 0, 0)), BinaryWeighting((0, 0, 1)), True),
+        (P3, Configuration((4, 0, 0)), None, False),
+    ):
+        with pytest.raises(ValueError):
+            solve(g, c, b, pruning=pruning, memo=memo)
+
+
+def test_covered_configurations_get_no_moves():
+    w4 = generate(Wheel(4))
+    for g, c, b in (
+        (w4, Configuration((1, 1, 1, 1, 1)), None),
+        (w4, Configuration((0, 3, 1, 0, 2)), BinaryWeighting((0, 1, 1, 0, 1))),
+        (P3, Configuration((5, 1, 3)), None),
+    ):
+        out = solve(g, c, b)
+        assert out.solvable and out.certificate.moves == () and out.states_explored == 0
+
+
+def test_a_zero_budget_does_not_stop_a_pass_answer():
+    # 9 pebbles on the hub of wheel 4 pass the BFS tree from the hub
+    w4 = generate(Wheel(4))
+    out = solve(w4, Configuration((9, 0, 0, 0, 0)), budget=0)
+    assert out.solvable and out.states_explored == 0
+    validate_certificate(w4, out.certificate)
+
+
+def test_fewer_pebbles_than_targets_skip_every_pass():
+    # all 1,000 roots would fail before the search pruned at its first
+    # state; the size rule answers first
+    g = generate(Wheel(999))
+    out = solve(g, stacked(g, 0, 10))
+    assert not out.solvable and out.states_explored == 0
+    b = BinaryWeighting((1, 1, 1) + (0,) * 997)
+    assert not solve(g, Configuration((2,) + (0,) * 999), b).solvable
+
+
+def _stack_bound(g, marked):
+    # the weighted cover pebbling theorem (Sjostrand, 2005): the cover
+    # number toward the targets is max_v sum_{u in B} 2**d(u, v)
+    return max((sum(1 << g.dist[u][v] for u in marked) for v in range(g.n)), default=0)
+
+
+def _check_solve_against_the_search(g, b, vectors):
+    # solve's answer equals a search of its own, and every certificate
+    # replays and covers the targets
+    search = exact._CoverSearch(g, exact._marked_vertices(g, b))
+    checked = 0
+    for vec in vectors:
+        out = solve(g, Configuration(vec), b)
+        assert out.solvable == search.decide(vec)[0], (g.edges, b, vec)
+        if out.solvable:
+            validate_certificate(g, out.certificate, b)
+        checked += 1
+    return checked
+
+
+def _every_vector(g, top):
+    return (vec for k in range(top + 1) for vec in iter_count_vectors(g.n, k))
+
+
+def test_solve_agrees_with_the_search_on_every_small_graph():
+    checked = 0
+    for g in small_catalog(4):
+        for b in all_weightings(g.n):
+            checked += _check_solve_against_the_search(g, b, _every_vector(g, _stack_bound(g, b.support) + 1))
+    assert checked > 500_000
+
+
+@pytest.mark.slow
+def test_solve_agrees_with_the_search_on_the_order5_classes():
+    checked = 0
+    for g in connected_classes(5):
+        checked += _check_solve_against_the_search(g, None, _every_vector(g, bound_report(g).lower_stacked + 1))
+    assert checked > 1_000_000
+
+
+def test_the_pass_alone_decides_on_trees():
+    # every vertex's stack one short and at the cost toward the targets,
+    # and random vectors around that cost; on trees of order 6, one
+    # labelled tree in 18.  No state explored means no search ran.
+    rng = random.Random(16)
+    checked = 0
+    for n in range(1, 7):
+        trees = labeled_trees(n) if n < 6 else labeled_trees(n)[::18]
+        for g in trees:
+            weightings = all_weightings(n) if n < 5 else [None]
+            if n >= 5:
+                weightings += [BinaryWeighting(tuple(rng.randint(0, 1) for _ in range(n))) for _ in range(2)]
+            for b in weightings:
+                marked = exact._marked_vertices(g, b)
+                top = _stack_bound(g, marked)
+                vectors = [stacked(g, v, k).counts for v in range(n) for k in (top - 1, top) if k >= 0]
+                vectors += [random_composition(rng, max(k, 0), n) for k in range(top - 3, top + 2) for _ in range(2)]
+                search = exact._CoverSearch(g, marked)
+                for vec in vectors:
+                    out = solve(g, Configuration(vec), b)
+                    assert out.states_explored == 0, (g.edges, b, vec)
+                    assert out.solvable == search.decide(vec)[0], (g.edges, b, vec)
+                    if out.solvable:
+                        validate_certificate(g, out.certificate, b)
+                    checked += 1
+    assert checked > 17_000
+
+
+def test_a_stack_one_short_on_a_deep_random_tree_answers_at_once():
+    # the search needs more than 300,000 states, about 3 s, to refute
+    # this stack; on a tree the pass decides alone
+    rng = random.Random(9)
+    g = random_tree(rng, 9)
+    while g.diam != 6:
+        g = random_tree(rng, 9)
+    worst = max(range(g.n), key=lambda v: stack_cost(g, v))
+    short = stacked(g, worst, stack_cost(g, worst) - 1)
+    start = time.perf_counter()
+    out = solve(g, short)
+    assert time.perf_counter() - start < 0.1
+    assert not out.solvable and out.states_explored == 0
+    assert solve(g, stacked(g, worst, stack_cost(g, worst))).solvable
+
+
+def test_the_flow_passes_exactly_when_the_pass_does():
+    checked = 0
+    for g in small_catalog(4) + list(connected_classes(5)):
+        ones = (1,) * g.n
+        for root in range(g.n):
+            steps = exact._bfs_steps(g, root)
+            for vec in _every_vector(g, 8):
+                moves = exact._pass_moves(steps, root, vec, ones)
+                assert (moves is not None) == exact._passes(steps, root, vec), (g.edges, root, vec)
+                checked += 1
+    assert checked > 100_000
 
 
 def test_enumerate_examples():

@@ -20,6 +20,7 @@ from coverpebble import (
     Configuration,
     SolveMemo,
     bound_report,
+    exact,
     gamma_exact,
     iter_count_vectors,
     solve,
@@ -84,27 +85,29 @@ def run_all_ones_check(max_size: int = 6) -> int:
 
 
 def run_prune_equivalence_check(case_count: int = 300, seed: int = 5) -> int:
-    """Pruning must never flip a decision."""
+    """Pruning must never flip a decision of the search.  The searches
+    are called directly, since solve answers most of these
+    configurations by a tree pass before the search runs."""
     cases = 0
     for g in small_catalog(3):
-        fast = SolveMemo()
-        plain = SolveMemo()
+        fast = exact._CoverSearch(g, range(g.n))
+        plain = exact._CoverSearch(g, range(g.n), pruning=False)
         for k in range(7):
-            for c in map(Configuration, iter_count_vectors(g.n, k)):
-                a = solve(g, c, memo=fast).solvable
-                b = solve(g, c, pruning=False, memo=plain).solvable
+            for c in iter_count_vectors(g.n, k):
+                a = fast.decide(c)[0]
+                b = plain.decide(c)[0]
                 assert a == b, (g.edges, c)
                 cases += 1
     rng = random.Random(seed)
     graphs = connected_graphs(4)
-    fast_memos = [SolveMemo() for _ in graphs]
-    plain_memos = [SolveMemo() for _ in graphs]
+    fast_searches = [exact._CoverSearch(g, range(g.n)) for g in graphs]
+    plain_searches = [exact._CoverSearch(g, range(g.n), pruning=False) for g in graphs]
     for _ in range(case_count):
         idx = rng.randrange(len(graphs))
         g = graphs[idx]
-        c = random_config(rng, g.n, rng.randint(0, 7))
-        a = solve(g, c, memo=fast_memos[idx]).solvable
-        b = solve(g, c, pruning=False, memo=plain_memos[idx]).solvable
+        c = random_config(rng, g.n, rng.randint(0, 7)).counts
+        a = fast_searches[idx].decide(c)[0]
+        b = plain_searches[idx].decide(c)[0]
         assert a == b, (g.edges, c)
         cases += 1
     return cases
@@ -137,14 +140,15 @@ def test_gamma_equals_worst_stack_on_small_trees():
 
 
 def test_gamma_witness_is_the_colex_first_failure():
-    # pins the witness independently of the order gamma_exact scans sizes:
-    # a fresh, unpruned solve per configuration shares nothing with it
+    # pins the witness independently of the order gamma_exact scans sizes
+    # and of the tree pass: a fresh, unpruned search per configuration
+    # shares nothing with it
     for g in small_catalog(4):
         result = gamma_exact(g)
         first = next(
             vec
             for vec in iter_count_vectors(g.n, result.gamma - 1)
-            if not solve(g, Configuration(vec), pruning=False).solvable
+            if not exact._CoverSearch(g, range(g.n), pruning=False).decide(vec)[0]
         )
         assert result.witness.counts == first, g.edges
 
@@ -170,13 +174,15 @@ def test_gamma_equals_worst_stack_on_order5_trees():
 def test_gamma_equals_worst_stack_on_order6_trees():
     # gamma_exact answers trees without a scan: the colex prefix search
     # certifies L by one DP and finds the L - 1 witness by one DP per
-    # vertex; a search refutes the worst stack one pebble short
+    # vertex; the search, called directly since solve would answer by
+    # the tree pass, refutes the worst stack one pebble short
     # independently of both
     for name, g in order6_tree_representatives():
         formula = bound_report(g).lower_stacked
         worst = max(range(g.n), key=lambda v: stack_cost(g, v))
         assert stack_cost(g, worst) == formula, name
-        assert not solve(g, stacked(g, worst, formula - 1)).solvable, name
+        short = stacked(g, worst, formula - 1).counts
+        assert not exact._CoverSearch(g, range(g.n)).decide(short)[0], name
         result = gamma_exact(g)
         assert result.gamma == formula, name
         assert result.witness.size == formula - 1, name

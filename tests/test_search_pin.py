@@ -1,19 +1,21 @@
 """Pins the exhaustive search itself, not only its answers.
 
-Each case records, for one cold solve with a fresh memo, the number of
-states expanded, the size of the memo afterwards and the certificate
-moves.  Any change to the move order, the pruning or the memo writes
-moves at least one of these literals, even when every answer stays
-right.  A change that means to alter the search must update them on
-purpose.  The search's move order and pruning test are also compared,
-state by state, with plain reference versions on every small graph.
+Each case records, for one cold search with a fresh memo, the number of
+states expanded, the size of the memo afterwards and the winning
+moves.  The cases call the search directly: solve answers most of them
+by a spanning-tree pass before the search runs.  Any change to the move
+order, the pruning or the memo writes moves at least one of these
+literals, even when every answer stays right.  A change that means to
+alter the search must update them on purpose.  The search's move order
+and pruning test are also compared, state by state, with plain
+reference versions on every small graph.
 """
 
 import itertools
 import random
 
 import pytest
-from util import move_pairs, random_config, small_catalog
+from util import random_config, small_catalog
 
 from coverpebble import (
     BinaryWeighting,
@@ -67,13 +69,13 @@ CASES = [
 def test_search_trace_is_pinned(case):
     g, counts, b, states, entries, moves = CASES[case]
     memo = SolveMemo()
-    out = solve(g, Configuration(counts), b, memo=memo)
-    assert out.states_explored == states
+    search = exact._CoverSearch(g, exact._marked_vertices(g, b), memo=memo)
+    solvable, explored = search.decide(counts)
+    assert explored == states
     assert len(memo.win) + len(memo.fail) == entries
-    if moves is None:
-        assert not out.solvable
-    else:
-        assert move_pairs(out.certificate) == moves
+    assert solvable == (moves is not None)
+    if moves is not None:
+        assert search.winning_moves(counts) == moves
 
 
 def test_budget_stop_is_pinned():

@@ -12,6 +12,11 @@ validate_certificate, and the test suite does.
 
 from __future__ import annotations
 
+__all__ = [
+    "DiameterStep", "DiameterTrace", "format_trace", "shortest_path", "solve_diameter",
+    "solve_multipartite", "solve_pigeonhole", "solve_wheel",
+]
+
 from dataclasses import dataclass
 from typing import Optional
 

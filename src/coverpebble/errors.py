@@ -8,6 +8,12 @@ sets) to produce a one-line diagnostic without string surgery.
 
 from __future__ import annotations
 
+__all__ = [
+    "BudgetExceeded", "DisconnectedGraph", "IllegalMoveAt", "InternalAssertion", "InvalidEdge",
+    "InvalidSpec", "LengthMismatch", "NotCoveredAtEnd", "ParseError", "PebblingError",
+    "PreconditionViolated", "StrategyIncomplete",
+]
+
 
 class PebblingError(Exception):
     """Base class for all errors raised by this package."""

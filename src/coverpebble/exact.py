@@ -3,41 +3,25 @@
 The solver runs a depth-first search over configurations.  Every move
 removes one pebble from the board, so the state space is a directed
 acyclic graph layered by configuration size and the search always
-terminates.  Decisions are cached in a SolveMemo.  In a threshold check
-the spanning-tree passes below certify nearly every configuration, and
-a memo shared across the check serves the few that reach the search.
+terminates.  Decisions are cached in a SolveMemo.
 
 gamma_exact checks two sizes: the worst stack cost L, which must pass,
 and L - 1, which must fail.  By the cover pebbling theorem (Sjostrand,
 2005) L is the answer, so any other outcome is an internal error, not a
 reason to search further.
 
-Threshold checks lean on a bottom-up pass over a spanning tree.  A
-cover solution needs no cycle of moves (Milans and Clark, 2006), so on
-a tree each edge carries pebbles one way only: a subtree with s pebbles
-to spare sends s // 2 to its parent, and one short of d pebbles costs
-the parent 2d.  The root's balance then decides the configuration
-exactly, in time linear in the order.  On a graph with cycles the pass
-over any spanning tree is a sound certificate: a tree that passes moves
-pebbles along graph edges only.  A min-plus DP over the subtrees gives
-the least root balance over all configurations of a size, with some
-vertices held, so the threshold check skips the prefixes whose
-completions the DP certifies.  solve runs the same pass, with a keep
-vector for weightings, before its search, and a pass that succeeds
-gives its certificate: surpluses move up leaves first, then shortfalls
-move down root first.
-
-A vector no tree certifies meets the stack potentials next.  Toward a
-vertex t, sum_w c(w) * 2**d(w, t) never rises under a move, and a
-covered vector has at least t's stack cost, sum_u 2**d(u, t)
-(Sjostrand, 2005).  A vector below that for some t is unsolvable, so
-only the vectors neither certified nor refuted reach the search.  The
-tables all this reads (the search, the BFS steps from every root, the
-potential rows) are built once per graph and shared by every size
-checked.
+Both solve and the threshold check first try the bottom-up pass over a
+BFS tree that _pass describes: exact on a tree, and a sound certificate
+on a graph with cycles.  verify_threshold describes the threshold check
+in full; solve says what it tries before its search.
 """
 
 from __future__ import annotations
+
+__all__ = [
+    "GammaResult", "SolveMemo", "SolveOutcome", "ThresholdResult", "composition_count",
+    "gamma_exact", "iter_count_vectors", "solve", "verify_threshold",
+]
 
 import sys
 from dataclasses import dataclass
@@ -136,7 +120,12 @@ class _CoverSearch:
       targets t, sorted, so the first uncovered one gives x's distance to
       the nearest uncovered target.
     - ``targets``: per target t, the triple (t, weight row, demand) that
-      the pruning test compares.
+      the pruning test compares: t's near potential, sum_v c(v) *
+      2**(diam - d(v, t)), in which nearer pebbles count more, against
+      its value on a vector with one pebble on each target.  No move
+      raises it and a vector covering the targets meets the demand, so
+      a state below it is pruned.  The threshold check's stack potential
+      (_ThresholdCheck.refutes) is another quantity.
     """
 
     def __init__(self, g: Graph, marked, memo: Optional[SolveMemo] = None, pruning: bool = True):
@@ -150,9 +139,6 @@ class _CoverSearch:
         self.nearest = tuple(
             tuple(sorted((dist[x][t], t) for t in self.marked)) for x in range(g.n)
         )
-        # weight of a pebble at v toward target t: 2**(diam - dist(v, t)).
-        # No move increases the weighted total toward a fixed target, so a
-        # configuration below the demand of some empty target cannot win.
         targets = []
         for t in self.marked:
             row = tuple(1 << (g.diam - dist[v][t]) for v in range(g.n))
@@ -272,17 +258,17 @@ def solve(
     Without a weighting every vertex is a target.  Three tests run in
     turn.  No move adds a pebble, so fewer pebbles than targets is
     unsolvable.  Then the pass that keeps one pebble on each target
-    (see _pass_moves): on a tree one pass from root 0 decides exactly,
+    (see _pass): on a tree one pass from root 0 decides exactly,
     and on a graph with cycles the BFS trees from each root in index
     order are tried until one passes.  Only a configuration on a graph
     with cycles that no tree passes reaches the search.
 
     A solvable outcome carries a certificate, the passing tree's moves
-    or the search's win chain; it always replays cleanly through
-    validate_certificate, and a configuration that already covers its
-    targets gets no moves.  An answer from the size rule or a pass
-    reports states_explored 0 and writes nothing to the memo; budget
-    and pruning apply to the search only.  A given memo is bound on
+    (_pass_moves) or the search's win chain; it always replays cleanly
+    through validate_certificate, and a configuration that already
+    covers its targets gets no moves.  An answer from the size rule or
+    a pass reports states_explored 0 and writes nothing to the memo;
+    budget and pruning apply to the search only.  A given memo is bound on
     every call, so one bound to another graph, target set or pruning
     setting raises InvalidSpec even when the search does not run.  A
     negative budget raises InvalidSpec.
@@ -298,8 +284,10 @@ def solve(
     keep = b.marks if b is not None else (1,) * g.n
     tree = len(g.edges) < g.n
     for root in (0,) if tree else range(g.n):
-        moves = _pass_moves(_bfs_steps(g, root), root, c.counts, keep)
-        if moves is not None:
+        steps = _bfs_steps(g, root)
+        bal = _pass(steps, root, c.counts, keep)
+        if bal is not None:
+            moves = _pass_moves(steps, c.counts, keep, bal)
             return SolveOutcome(True, Certificate(c, tuple(PebblingMove(u, x) for u, x in moves)), 0)
     if tree:
         return SolveOutcome(False, None, 0)
@@ -358,40 +346,49 @@ def _bfs_steps(g: Graph, root: int) -> tuple[tuple[int, int], ...]:
     return tuple((v, next(p for p in g.adj[v] if depth[p] == depth[v] - 1)) for v in below)
 
 
-def _passes(steps: tuple[tuple[int, int], ...], root: int, vec: tuple[int, ...]) -> bool:
-    """Whether vec passes the full-cover pass over steps, the _bfs_steps
-    from root.
+def _pass(
+    steps: tuple[tuple[int, int], ...], root: int, vec: tuple[int, ...], keep: tuple[int, ...]
+) -> Optional[list[int]]:
+    """The balances of vec in the pass over steps, the _bfs_steps from
+    root, that keeps keep[v] pebbles on every vertex v, or None when the
+    pass fails.
 
     The pass visits the vertices leaves first, each with its parent.  A
-    vertex's balance is its own pebbles plus what its children's subtrees
-    pass up, minus the one pebble it keeps; a surplus s passes s // 2 up
-    and a shortfall d costs the parent 2d.  The vector passes iff the
-    root's balance is at least 1.  On a tree this is exact.  On a graph
-    with cycles a pass is a cover solution that moves pebbles along tree
-    edges only, so "solvable" is sound and "unsolvable" proves nothing.
+    vertex's balance is its own pebbles plus what its children's
+    subtrees pass up, minus the pebbles it keeps: b(v) = vec[v] +
+    sum_children phi(b(u)) - keep[v], where phi(b) is b // 2 for b >= 0
+    and 2b for b < 0, so a surplus s passes s // 2 up and a shortfall d
+    costs the parent 2d.  The pass succeeds iff b(root) >= 0.
+
+    A cover solution needs no cycle of moves (Milans and Clark, 2006),
+    so on a tree each edge carries pebbles one way only and the pass
+    decides exactly, in time linear in the order.  On a graph with
+    cycles a pass that succeeds is a cover solution that moves pebbles
+    along tree edges only (_pass_moves lists them), so "solvable" is
+    sound and "unsolvable" proves nothing.
     """
-    bal = list(vec)
+    bal = list(map(sub, vec, keep))
     for v, p in steps:
-        b = bal[v] - 1
+        b = bal[v]
         bal[p] += b >> 1 if b >= 0 else 2 * b
-    return bal[root] >= 1
+    return bal if bal[root] >= 0 else None
 
 
 def _pass_moves(
-    steps: tuple[tuple[int, int], ...], root: int, vec: tuple[int, ...], keep: tuple[int, ...]
-) -> Optional[list[tuple[int, int]]]:
-    """The moves of a pass over steps, the _bfs_steps from root, that
-    leave keep[v] pebbles on every vertex v, or None when the pass fails.
+    steps: tuple[tuple[int, int], ...], vec: tuple[int, ...], keep: tuple[int, ...], bal: list[int]
+) -> list[tuple[int, int]]:
+    """The moves of a pass that succeeded, which leave at least keep[v]
+    pebbles on every vertex v; bal is what _pass returned for steps, vec
+    and keep, and b(v) below is bal[v].
 
-    Bottom-up, as in _passes, b(v) = vec[v] + sum_children phi(b(u)) -
-    keep[v]; the pass succeeds iff b(root) >= 0.  Top-down, each vertex
-    v asks its surplus children (b(u) >= 0), each for at most b(u) // 2,
-    for what it lacks: keep[v] + 2 * (what v sends up) +
-    2 * sum_{deficit children} (-b(u)) - vec[v].  A surplus v sends up
-    at most b(v) // 2, and b(v) counts its offers less that lack without
-    the sends, so the offers cover it.  A deficit v sends nothing up and
-    b(v) < 0 says its lack exceeds the offers, so it takes every offer,
-    and the -b(v) pebbles its parent sends down make up the rest.
+    Top-down, each vertex v asks its surplus children (b(u) >= 0), each
+    for at most b(u) // 2, for what it lacks: keep[v] + 2 * (what v
+    sends up) + 2 * sum_{deficit children} (-b(u)) - vec[v].  A surplus
+    v sends up at most b(v) // 2, and b(v) counts its offers less that
+    lack without the sends, so the offers cover it.  A deficit v sends
+    nothing up and b(v) < 0 says its lack exceeds the offers, so it
+    takes every offer, and the -b(v) pebbles its parent sends down make
+    up the rest.
 
     The moves are the requested sends, leaves first, each as u -> parent,
     then the deficits, root first, each as -b(u) moves parent -> u.  Each
@@ -401,17 +398,10 @@ def _pass_moves(
     deficit children's shortfalls.  A deficit u sends nothing up.  When v
     fills a deficit child, v's own deficit was filled before, since its
     parent comes earlier in root-first order, so v holds its keep plus
-    twice its deficit children's shortfalls.  Every move replays and every vertex
-    ends with keep[v].  A vector that already meets keep asks nothing
-    and gets no moves.
+    twice its deficit children's shortfalls.  Every move replays and
+    every vertex ends with at least keep[v].  A vector that already
+    meets keep asks nothing and gets no moves.
     """
-    bal = list(vec)
-    for v, p in steps:
-        b = bal[v] = bal[v] - keep[v]
-        bal[p] += b >> 1 if b >= 0 else 2 * b
-    bal[root] -= keep[root]
-    if bal[root] < 0:
-        return None
     lack = [k - c for k, c in zip(keep, vec)]
     for u, p in steps:
         if bal[u] < 0:
@@ -442,9 +432,9 @@ def _passed_up(steps: tuple[tuple[int, int], ...], root: int, held: dict[int, in
     subtrees, leaves first: row[v][j] is the least balance that any
     placement of j spare pebbles in v's subtree leaves at v.  Each
     child's row joins its parent's by min-plus convolution after
-    phi(b - 1), where phi(b) is b // 2 for b >= 0 and 2b for b < 0.
-    phi is nondecreasing and the subtrees are disjoint, so the least sum
-    is the sum of the least terms.  O(n spare^2).
+    phi(b - 1), with phi and the keep of one pebble per vertex as in
+    _pass.  phi is nondecreasing and the subtrees are disjoint, so the
+    least sum is the sum of the least terms.  O(n spare^2).
 
     A subtree with no free vertex takes no spare pebble and has one
     balance, kept as a plain int, so a join with it is an add or a
@@ -528,17 +518,16 @@ def _colex_rank(vec: tuple[int, ...]) -> int:
 
 class _ThresholdCheck:
     """Threshold checks on one graph at sizes up to top: the tables every
-    size reads, built once, and the colex prefix search over them.
+    size reads, built once, and the colex prefix search over them, which
+    verify_threshold describes.
 
     - ``search``: the cover search sharing the memo.
     - ``potentials``: per vertex t, the row of 2**d(w, t) over w and its
       sum, t's stack cost, which ``refutes`` reads.
     - ``steps``: the _bfs_steps from every root, which the prefix DPs and
-      the full-cover passes read.
+      the full-vector passes read.
 
-    Only a graph with cycles gets the first two.  On a tree the pass is
-    exact, so neither runs, both are None and the memo is only bound.
-
+    On a tree the first two are None and the memo is only bound.
     check_threshold_size refuses a top it cannot run before any table is
     built or the memo is bound.
     """
@@ -556,10 +545,13 @@ class _ThresholdCheck:
         self.steps = [_bfs_steps(g, root) for root in range(g.n)]
 
     def refutes(self, vec: tuple[int, ...]) -> bool:
-        """Whether vec is below t's stack cost in the potential toward
-        some vertex t, which proves it unsolvable.  A move takes 2 pebbles
-        off u and puts 1 on a neighbour at most one step farther from t,
-        so no move raises sum_w vec[w] * 2**d(w, t)."""
+        """Whether vec's stack potential toward some vertex t, sum_w
+        vec[w] * 2**d(w, t), in which farther pebbles count more, is below
+        t's stack cost, which proves vec unsolvable.  A move takes 2
+        pebbles off u and puts 1 on a neighbour at most one step farther
+        from t, so no move raises it, and a covered vector has at least
+        t's stack cost (Sjostrand, 2005).  The search's near potential
+        (_CoverSearch) is another quantity."""
         return any(sum(map(mul, vec, row)) < cost for row, cost in self.potentials)
 
     def run(self, k: int) -> ThresholdResult:
@@ -568,6 +560,7 @@ class _ThresholdCheck:
         n = self.n
         steps, search = self.steps, self.search
         held: dict[int, int] = {}
+        ones = (1,) * n
 
         def uncertified(v: int, spare: int) -> list[int]:
             # counts of v, largest first, with a completion the pass from v fails
@@ -590,7 +583,7 @@ class _ThresholdCheck:
                 stack.append((v - 1, spare - x, uncertified(v - 1, spare - x)))
                 continue
             vec = tuple(held[u] for u in range(n))
-            if any(_passes(tree, root, vec) for root, tree in enumerate(steps)):
+            if any(_pass(tree, root, vec, ones) is not None for root, tree in enumerate(steps)):
                 continue
             if search is None or self.refutes(vec) or not search.decide(vec)[0]:
                 return ThresholdResult(Configuration(vec), _colex_rank(vec) + 1)
@@ -614,10 +607,11 @@ def verify_threshold(
     held, shows for every count x of v at once whether the pass covers
     all completions: x + below[spare - x] >= 1.  Only the counts it
     cannot certify are tried.  A full vector then meets three tests in
-    turn: the passes from every vertex certify it; failing those, on a
-    graph with cycles, the stack potentials refute it; only a vector
-    neither certified nor refuted goes to the search, which shares the
-    memo.  On a tree the pass is exact from every root, so no count is
+    turn: the passes from every vertex, each keeping one pebble on every
+    vertex (_pass), certify it; failing those, on a graph with cycles,
+    its stack potentials refute it (_ThresholdCheck.refutes); only a
+    vector neither certified nor refuted goes to the search, which
+    shares the memo.  On a tree the pass is exact from every root, so no count is
     retried and neither the refutation nor the search runs.  The memo is
     bound to g on a tree too, so one bound to another graph raises
     InvalidSpec.  The BFS steps, the potential rows and the search are

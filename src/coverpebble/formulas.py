@@ -8,6 +8,11 @@ while the diameter bound gives an upper bound on any connected graph.
 
 from __future__ import annotations
 
+__all__ = [
+    "BoundReport", "bound_report", "diameter_bound", "gamma_multipartite", "gamma_wheel",
+    "stack_cost", "weighted_cover_bound",
+]
+
 from dataclasses import dataclass
 
 from .errors import InvalidSpec

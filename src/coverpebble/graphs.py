@@ -10,6 +10,11 @@ always produces the identical labeled graph.
 
 from __future__ import annotations
 
+__all__ = [
+    "FamilySpec", "Fuse", "Graph", "Multipartite", "Path", "Star", "Wheel", "build_graph",
+    "format_graph_text", "generate", "parse_graph_text",
+]
+
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Union

@@ -8,6 +8,12 @@ established by replaying it, never by trusting the producer.
 
 from __future__ import annotations
 
+__all__ = [
+    "BinaryWeighting", "Certificate", "Configuration", "PebblingMove", "format_config",
+    "format_weighting", "is_covered", "is_permissible", "parse_config", "parse_weighting",
+    "stacked", "validate_certificate",
+]
+
 from dataclasses import dataclass
 from typing import Optional
 

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import operator
 import random
 import sys
 import threading
@@ -21,6 +22,7 @@ from util import (
 from coverpebble import (
     BinaryWeighting,
     BudgetExceeded,
+    Certificate,
     Configuration,
     Fuse,
     InternalAssertion,
@@ -28,6 +30,7 @@ from coverpebble import (
     LengthMismatch,
     Multipartite,
     Path,
+    PebblingMove,
     SolveMemo,
     Star,
     Wheel,
@@ -249,17 +252,26 @@ def test_a_stack_one_short_on_a_deep_random_tree_answers_at_once():
     assert solve(g, stacked(g, worst, stack_cost(g, worst))).solvable
 
 
-def test_the_flow_passes_exactly_when_the_pass_does():
-    checked = 0
-    for g in small_catalog(4) + list(connected_classes(5)):
-        ones = (1,) * g.n
-        for root in range(g.n):
-            steps = exact._bfs_steps(g, root)
-            for vec in _every_vector(g, 8):
-                moves = exact._pass_moves(steps, root, vec, ones)
-                assert (moves is not None) == exact._passes(steps, root, vec), (g.edges, root, vec)
-                checked += 1
-    assert checked > 100_000
+def test_the_flow_replays_from_every_passing_root():
+    # every root's pass, not only the first one that solve reaches
+    cases = [(g, None, 8) for g in small_catalog(4) + list(connected_classes(5))]
+    cases += [(g, b, 5) for g in small_catalog(4) for b in all_weightings(g.n)]
+    replayed = 0
+    for g, b, top in cases:
+        keep = b.marks if b is not None else (1,) * g.n
+        trees = [exact._bfs_steps(g, root) for root in range(g.n)]
+        for vec in _every_vector(g, top):
+            start = Configuration(vec)
+            for root, steps in enumerate(trees):
+                bal = exact._pass(steps, root, vec, keep)
+                if bal is None:
+                    continue
+                moves = exact._pass_moves(steps, vec, keep, bal)
+                cert = Certificate(start, tuple(PebblingMove(u, x) for u, x in moves))
+                final = validate_certificate(g, cert, b).counts
+                assert all(map(operator.ge, final, keep)), (g.edges, b, root, vec)
+                replayed += 1
+    assert replayed > 250_000
 
 
 def test_enumerate_examples():
@@ -535,7 +547,7 @@ def test_trees_answer_every_size_without_a_scan(monkeypatch):
             assert verify_threshold(g, k) == exact.ThresholdResult(None, composition_count(g.n, k)), name
         result = verify_threshold(g, gamma - 1)
         assert result.witness.size == gamma - 1, name
-        assert not exact._passes(exact._bfs_steps(g, 0), 0, result.witness.counts), name
+        assert exact._pass(exact._bfs_steps(g, 0), 0, result.witness.counts, (1,) * g.n) is None, name
 
 
 def test_cyclic_graphs_answer_without_a_scan(monkeypatch):
@@ -555,9 +567,9 @@ def test_cyclic_graphs_answer_without_a_scan(monkeypatch):
 
 def _pass_scan(g, k):
     # the first vector of size k that the tree pass fails, by a scan of every vector
-    steps = exact._bfs_steps(g, 0)
+    steps, ones = exact._bfs_steps(g, 0), (1,) * g.n
     for rank, vec in enumerate(iter_count_vectors(g.n, k)):
-        if not exact._passes(steps, 0, vec):
+        if exact._pass(steps, 0, vec, ones) is None:
             return Configuration(vec), rank + 1
     return None, composition_count(g.n, k)
 
@@ -585,11 +597,11 @@ def test_tree_pass_matches_the_search_on_every_small_tree():
     checked = 0
     for n in range(1, 5):
         for g in labeled_trees(n):
-            steps = exact._bfs_steps(g, 0)
+            steps, ones = exact._bfs_steps(g, 0), (1,) * g.n
             search = exact._CoverSearch(g, range(g.n))
             for k in range(bound_report(g).lower_stacked + 2):
                 for vec in iter_count_vectors(g.n, k):
-                    assert exact._passes(steps, 0, vec) == search.decide(vec)[0], (g.edges, vec)
+                    assert (exact._pass(steps, 0, vec, ones) is not None) == search.decide(vec)[0], (g.edges, vec)
                     checked += 1
     assert checked > 60_000
 
@@ -607,7 +619,7 @@ def test_tree_pass_matches_the_search_on_random_configurations():
     grown = [random_tree(rng, n) for n in (8, 9, 10)]
     outcomes = set()
     for g in named + grown:
-        steps = exact._bfs_steps(g, 0)
+        steps, ones = exact._bfs_steps(g, 0), (1,) * g.n
         search = exact._CoverSearch(g, range(g.n))
         # refuting one big stack on a deep random tree takes the search
         # seconds, so there the stacks are checked against their cost
@@ -618,10 +630,11 @@ def test_tree_pass_matches_the_search_on_random_configurations():
             for _ in range(40):
                 vec = _spread(rng, g.n, k, rng.randint(smallest, g.n))
                 answer = search.decide(vec)[0]
-                assert exact._passes(steps, 0, vec) == answer, (g.edges, vec)
+                assert (exact._pass(steps, 0, vec, ones) is not None) == answer, (g.edges, vec)
                 outcomes.add(answer)
             for v in range(g.n):
-                assert exact._passes(steps, 0, stacked(g, v, k).counts) == (k >= stack_cost(g, v)), (g.edges, v, k)
+                passed = exact._pass(steps, 0, stacked(g, v, k).counts, ones) is not None
+                assert passed == (k >= stack_cost(g, v)), (g.edges, v, k)
     assert outcomes == {True, False}
 
 
@@ -793,12 +806,12 @@ def test_bfs_tree_certificates_never_pass_an_unsolvable_vector():
     outcomes = set()
     for g in _cyclic_graphs():
         trees = [exact._bfs_steps(g, root) for root in range(g.n)]
-        search = exact._CoverSearch(g, range(g.n))
+        search, ones = exact._CoverSearch(g, range(g.n)), (1,) * g.n
         gamma = bound_report(g).lower_stacked
         sizes = range(gamma + 2) if g.n <= 4 else (gamma - 1,)
         for k in sizes:
             for vec in iter_count_vectors(g.n, k):
-                certified = any(exact._passes(steps, root, vec) for root, steps in enumerate(trees))
+                certified = any(exact._pass(steps, root, vec, ones) is not None for root, steps in enumerate(trees))
                 if certified or g.n <= 4:
                     solvable = search.decide(vec)[0]
                     assert solvable or not certified, (g.edges, vec)
@@ -811,9 +824,10 @@ def _certified_scan(g, k):
     # the flat scan the colex prefix search replaced: the BFS-tree passes
     # from every vertex, then the search, on every vector in colex order
     trees = [exact._bfs_steps(g, root) for root in range(g.n)]
-    search = exact._CoverSearch(g, range(g.n))
+    search, ones = exact._CoverSearch(g, range(g.n)), (1,) * g.n
     for rank, vec in enumerate(iter_count_vectors(g.n, k)):
-        if not any(exact._passes(steps, root, vec) for root, steps in enumerate(trees)) and not search.decide(vec)[0]:
+        certified = any(exact._pass(steps, root, vec, ones) is not None for root, steps in enumerate(trees))
+        if not certified and not search.decide(vec)[0]:
             return Configuration(vec), rank + 1
     return None, composition_count(g.n, k)
 

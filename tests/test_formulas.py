@@ -138,3 +138,4 @@ def test_package_exports_every_public_name():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert public == set(coverpebble.__all__)
+    assert len(coverpebble.__all__) == len(set(coverpebble.__all__))

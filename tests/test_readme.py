@@ -1,0 +1,39 @@
+"""README's command examples run as written.
+
+Each `coverpebble ...` line of README's fenced blocks goes through
+cli.run_cli, in order and in one directory, so `gen --out w4.txt` makes
+the file the later `--graph w4.txt` reads.  Every example exits 0,
+except the one whose text says it exits 1.
+"""
+
+import pathlib
+import shlex
+
+from coverpebble.cli import run_cli
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+
+# the wheel 5 stack one short that the search refutes in 341 states
+UNSOLVABLE = "coverpebble solve --family wheel --n 5 --config \"0 14 0 0 0 0\" --budget 1000"
+
+
+def _examples():
+    fenced = False
+    for line in README.read_text(encoding="utf-8").splitlines():
+        if line.startswith("```"):
+            fenced = not fenced
+        elif fenced and line.startswith("coverpebble "):
+            yield line
+
+
+def test_every_readme_example_exits_as_its_text_says(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    examples = list(_examples())
+    assert len(examples) == 13 and UNSOLVABLE in examples, examples
+    for line in examples:
+        code = run_cli(shlex.split(line)[1:])
+        out = capsys.readouterr().out
+        if line == UNSOLVABLE:
+            assert code == 1 and "unsolvable" in out and "states=341" in out, (line, code, out)
+        else:
+            assert code == 0, (line, code, out)

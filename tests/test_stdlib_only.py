@@ -1,9 +1,10 @@
 """The package has no runtime dependencies: every absolute import in its
 source names a standard-library module.  Every name a module imports is
 used in that module, and every parameter and local a function binds is
-read."""
+read.  Each export is defined in the one module whose __all__ lists it."""
 
 import ast
+import importlib
 import pathlib
 import sys
 
@@ -43,12 +44,30 @@ def _imported_names(tree):
                 yield node.lineno, alias.asname or alias.name
 
 
-def test_all_lists_exactly_the_names_the_package_imports():
-    # __init__.py imports only to re-export, and the two lists have drifted
-    # apart before: a name was imported but missing from __all__
-    tree = ast.parse((PACKAGE_DIR / "__init__.py").read_text(encoding="utf-8"))
-    imported = sorted(name for _, name in _imported_names(tree))
-    assert sorted(coverpebble.__all__) == imported
+def _top_level_names(tree):
+    # names a module's own statements bind at its top level; imports do not count
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                if isinstance(target, ast.Name):
+                    yield target.id
+
+
+def test_each_export_is_defined_in_the_one_module_that_lists_it():
+    # __init__.py re-exports each module's __all__, so a name listed there
+    # but bound nowhere, or listed by two modules, would be a drift
+    owners = {}
+    for path in sorted(p for p in PACKAGE_DIR.rglob("*.py") if p.name != "__init__.py"):
+        listed = getattr(importlib.import_module(f"coverpebble.{path.stem}"), "__all__", [])
+        defined = set(_top_level_names(ast.parse(path.read_text(encoding="utf-8"))))
+        assert set(listed) <= defined, (path.name, sorted(set(listed) - defined))
+        for name in listed:
+            owners.setdefault(name, []).append(path.name)
+    shared = {name: modules for name, modules in owners.items() if len(modules) > 1}
+    assert not shared, shared
+    assert sorted(owners) == sorted(coverpebble.__all__)
 
 
 def test_every_imported_name_is_used():

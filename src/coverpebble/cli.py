@@ -23,6 +23,7 @@ import math
 import sys
 import time
 from dataclasses import dataclass, fields
+from typing import get_type_hints
 
 from .constructive import (
     format_trace,
@@ -40,7 +41,7 @@ from .errors import (
     StrategyIncomplete,
 )
 from .exact import check_threshold_size, gamma_exact, solve
-from .formulas import BoundReport, bound_report, gamma_multipartite, gamma_wheel
+from .formulas import bound_report, gamma_multipartite, gamma_wheel
 from .graphs import (
     FamilySpec,
     Fuse,
@@ -141,51 +142,52 @@ def _parse_range(text: str, what: str) -> range:
 
 def _parse_sizes(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(p) for p in text.replace(",", " ").split())
+        return tuple(int(p) for p in text.split(","))
     except ValueError:
         raise UsageError(f"sizes must be comma separated integers, got {text!r}") from None
 
 
-# family name -> (spec type, the flags that carry its parameters in order);
-# multipartite takes its repeatable --sizes instead
+# family name -> (spec type, the value verify compares with the search).
+# A family's flags are its spec type's fields: an int field takes one
+# integer, or in verify a range, and the class sizes one list per use.  A
+# path or a star is a fuse, and the diameter bound is sharp on fuses.
 _FAMILIES = {
-    "wheel": (Wheel, ("n",)),
-    "fuse": (Fuse, ("n", "d")),
-    "path": (Path, ("n",)),
-    "star": (Star, ("leaves",)),
+    "multipartite": (Multipartite, lambda spec, _: gamma_multipartite(spec.sizes)),
+    "wheel": (Wheel, lambda spec, _: gamma_wheel(spec.n)),
+    "fuse": (Fuse, lambda _, bounds: bounds.upper_diameter),
+    "path": (Path, lambda _, bounds: bounds.upper_diameter),
+    "star": (Star, lambda _, bounds: bounds.upper_diameter),
 }
-
-_NOT_ONE = "this command takes exactly one graph, not a range"
 
 # Most graphs one verify range may name: each gets an exact check, so a
 # longer range could not finish.
 MAX_RANGE_GRAPHS = 1_000
 
 
+def _refuse_unread(args, taken) -> None:
+    # a family flag that the graph does not take would go unread
+    for make, _ in _FAMILIES.values():
+        for flag in get_type_hints(make):
+            if flag not in taken and getattr(args, flag) is not None:
+                raise UsageError(f"{args.family or 'a graph file'} does not take --{flag}")
+
+
 def _family_specs(args, one: bool = False) -> list[tuple[str, FamilySpec]]:
     """Expand family arguments (ranges allowed) into labeled specs.  A
     range naming more than MAX_RANGE_GRAPHS graphs, or with one=True more
     than one, is refused before any spec is built."""
-    if args.family == "multipartite":
-        if not args.sizes:
-            raise UsageError("multipartite needs --sizes")
-        if one and len(args.sizes) != 1:
-            raise UsageError(_NOT_ONE)
-        out = []
-        for text in args.sizes:
-            sizes = _parse_sizes(text)
-            label = "multipartite[" + ",".join(str(s) for s in sizes) + "]"
-            out.append((label, Multipartite(sizes)))
-        return out
-    make, flags = _FAMILIES[args.family]
+    make, _ = _FAMILIES[args.family]
+    flags = get_type_hints(make)
+    _refuse_unread(args, flags)
     texts = [getattr(args, flag) for flag in flags]
     if None in texts:
         raise UsageError(f"{args.family} needs " + " and ".join("--" + f for f in flags))
-    spans = [_parse_range(text, "--" + flag) for text, flag in zip(texts, flags)]
-    # count from the ends: len() overflows on spans past sys.maxsize
-    count = math.prod(span[-1] - span[0] + 1 for span in spans)
+    spans = [_parse_range(text, "--" + flag) if kind is int else [_parse_sizes(t) for t in text]
+             for (flag, kind), text in zip(flags.items(), texts)]
+    # count a range from its ends: len() overflows on spans past sys.maxsize
+    count = math.prod(s[-1] - s[0] + 1 if isinstance(s, range) else len(s) for s in spans)
     if one and count > 1:
-        raise UsageError(_NOT_ONE)
+        raise UsageError("this command takes exactly one graph, not a range")
     if count > MAX_RANGE_GRAPHS:
         raise UsageError(f"the ranges give {count} parameter sets, more than the limit of {MAX_RANGE_GRAPHS}")
     out = []
@@ -193,26 +195,19 @@ def _family_specs(args, one: bool = False) -> list[tuple[str, FamilySpec]]:
         # a fuse range may name pairs with no fuse; skip them
         if make is Fuse and not 1 <= params[1] <= params[0] - 1:
             continue
-        out.append((f"{args.family}[{','.join(map(str, params))}]", make(*params)))
+        text = ",".join(str(p) if isinstance(p, int) else ",".join(map(str, p)) for p in params)
+        out.append((f"{args.family}[{text}]", make(*params)))
     if not out:
-        raise UsageError("no valid (n, d) pairs in the given fuse ranges")
+        raise UsageError(f"the given ranges name no valid {args.family}")
     return out
 
 
 def _load_graph(args) -> Graph:
-    if args.graph:
+    if args.graph is not None:
+        _refuse_unread(args, ())
         return parse_graph_text(_read_file(args.graph, "graph"))
     [(_, spec)] = _family_specs(args, one=True)
     return generate(spec)
-
-
-def _formula_value(spec: FamilySpec, bounds: BoundReport) -> int:
-    if isinstance(spec, Multipartite):
-        return gamma_multipartite(spec.sizes)
-    if isinstance(spec, Wheel):
-        return gamma_wheel(spec.n)
-    # a path or a star is a fuse, and the diameter bound is sharp on fuses
-    return bounds.upper_diameter
 
 
 def _write_out(args, text: str) -> None:
@@ -277,7 +272,10 @@ def cmd_bound(args) -> int:
 
 def cmd_verify(args) -> int:
     specs = _family_specs(args)
-    # a range with one graph too big to check is refused before any runs
+    _, formula_value = _FAMILIES[args.family]
+    # a range with one graph too big to check is refused before any runs.
+    # Each graph is dropped here and generated again below: keeping all of
+    # star 1..723 alive would hold about 1.3e8 distance entries, roughly 1 GB.
     for _, spec in specs:
         g = generate(spec)
         check_threshold_size(g, bound_report(g).lower_stacked)
@@ -288,7 +286,7 @@ def cmd_verify(args) -> int:
         bounds = bound_report(g)
         result = gamma_exact(g)
         elapsed_ms = 0 if args.no_timing else int((time.perf_counter() - started) * 1000)
-        formula = _formula_value(spec, bounds)
+        formula = formula_value(spec, bounds)
         reports.append(
             VerificationReport(
                 graph=label,
@@ -307,13 +305,13 @@ def cmd_verify(args) -> int:
 
 
 def cmd_construct(args) -> int:
+    if (args.weighting is not None) != (args.algorithm == "pigeonhole"):
+        raise UsageError("--weighting goes with --algorithm pigeonhole, and only with it")
     g = _load_graph(args)
     c = _read_config_arg(args, g)
     trace = None
     weighting = None
     if args.algorithm == "pigeonhole":
-        if not args.weighting:
-            raise UsageError("pigeonhole needs --weighting")
         weighting = parse_weighting(args.weighting, g.n)
         cert = solve_pigeonhole(g, weighting, c)
     elif args.algorithm == "diameter":
@@ -321,11 +319,11 @@ def cmd_construct(args) -> int:
     elif args.algorithm == "wheel":
         cert = solve_wheel(g, c)
     else:
-        if not args.sizes:
-            raise UsageError("multipartite construction needs --sizes")
-        if len(args.sizes) > 1:
-            raise UsageError(_NOT_ONE)
-        cert = solve_multipartite(g, _parse_sizes(args.sizes[0]), c)
+        # the classes are the runs of consecutive vertices with no edge
+        # between them, so each starts where a vertex meets the one before
+        # it; solve_multipartite refuses a graph whose edges do not fit them
+        starts = [0, *(v for v in range(1, g.n) if g.dist[v][v - 1] == 1), g.n]
+        cert = solve_multipartite(g, [b - a for a, b in zip(starts, starts[1:])], c)
     # never print a certificate that does not replay cleanly
     try:
         final = validate_certificate(g, cert, weighting)
@@ -340,24 +338,22 @@ def cmd_construct(args) -> int:
     return 0
 
 
-def _add_graph_args(sub) -> None:
+def _add_graph_args(sub):
+    """Declare every family flag and --family.  Returns the required
+    either/or group, to which a command that reads a graph file adds
+    --graph."""
+    takers = {}
+    for family, (make, _) in _FAMILIES.items():
+        for flag_kind in get_type_hints(make).items():
+            takers.setdefault(flag_kind, []).append(family)
+    for (flag, kind), families in takers.items():
+        if kind is int:
+            sub.add_argument("--" + flag, help=", ".join(families) + "; verify takes a range like 3..5")
+        else:
+            sub.add_argument("--" + flag, action="append", help=", ".join(families) + "; like 2,2, repeated in verify")
     source = sub.add_mutually_exclusive_group(required=True)
-    source.add_argument("--graph", metavar="FILE", help="graph text file")
-    source.add_argument("--family", choices=["multipartite", *_FAMILIES])
-    _add_family_params(sub)
-
-
-def _add_family_args(sub) -> None:
-    # gen and verify read no graph file
-    sub.add_argument("--family", required=True, choices=["multipartite", *_FAMILIES])
-    _add_family_params(sub)
-
-
-def _add_family_params(sub) -> None:
-    sub.add_argument("--sizes", action="append", help="class sizes, largest first, e.g. 2,2")
-    sub.add_argument("--n", help="rim count / order (verify takes ranges like 3..5)")
-    sub.add_argument("--d", help="fuse path length in edges")
-    sub.add_argument("--leaves", help="star leaf count")
+    source.add_argument("--family", choices=_FAMILIES)
+    return source
 
 
 def _add_config_args(sub) -> None:
@@ -371,34 +367,34 @@ def build_parser() -> _Parser:
     commands = parser.add_subparsers(dest="command", required=True)
 
     gen = commands.add_parser("gen", help="write a family graph as text")
-    _add_family_args(gen)
+    _add_graph_args(gen)
     gen.add_argument("--out", metavar="FILE")
     gen.set_defaults(func=cmd_gen)
 
     slv = commands.add_parser("solve", help="decide one configuration")
-    _add_graph_args(slv)
+    _add_graph_args(slv).add_argument("--graph", metavar="FILE", help="graph text file")
     _add_config_args(slv)
     slv.add_argument("--weighting", help="space separated 0/1 marks")
     slv.add_argument("--budget", type=int, help="state budget for the search")
     slv.set_defaults(func=cmd_solve)
 
     gam = commands.add_parser("gamma", help="exact cover pebbling number")
-    _add_graph_args(gam)
+    _add_graph_args(gam).add_argument("--graph", metavar="FILE", help="graph text file")
     gam.set_defaults(func=cmd_gamma)
 
     ver = commands.add_parser("verify", help="formulas against the search")
-    _add_family_args(ver)
+    _add_graph_args(ver)
     ver.add_argument("--format", choices=["json", "csv"], default="json")
     ver.add_argument("--no-timing", action="store_true", help="report elapsed_ms as 0")
     ver.add_argument("--out", metavar="FILE")
     ver.set_defaults(func=cmd_verify)
 
     bnd = commands.add_parser("bound", help="bound sandwich for a graph")
-    _add_graph_args(bnd)
+    _add_graph_args(bnd).add_argument("--graph", metavar="FILE", help="graph text file")
     bnd.set_defaults(func=cmd_bound)
 
     con = commands.add_parser("construct", help="constructive certificate")
-    _add_graph_args(con)
+    _add_graph_args(con).add_argument("--graph", metavar="FILE", help="graph text file")
     con.add_argument(
         "--algorithm",
         required=True,

@@ -1,9 +1,12 @@
+import argparse
 import dataclasses
 import json
 import resource
 import subprocess
 import sys
 import time
+
+import pytest
 
 from coverpebble import (
     Configuration,
@@ -161,7 +164,11 @@ def test_solve_budget_exit_code(capsys):
     assert out.startswith("undecided:")
 
 
-def test_usage_errors_exit_two(capsys):
+def test_usage_errors_exit_two(capsys, tmp_path):
+    w4 = tmp_path / "w4.txt"
+    w4.write_text(format_graph_text(generate(Wheel(4))))
+    k22 = tmp_path / "k22.txt"
+    k22.write_text(format_graph_text(generate(Multipartite((2, 2)))))
     cases = [
         ["solve", "--config", "1 1"],
         ["solve", "--family", "wheel", "--n", "4"],
@@ -198,6 +205,21 @@ def test_usage_errors_exit_two(capsys):
         ["construct", "--family", "wheel", "--n", "3", "--algorithm", "wheel"],
         ["gamma", "--graph", "g.txt", "--family", "wheel", "--n", "4"],
         ["gamma"],
+        ["gamma", "--graph", ""],
+        # every flag a command accepts is read: a flag it would ignore is refused
+        ["gamma", "--family", "wheel", "--n", "4", "--leaves", "3"],
+        ["gamma", "--family", "fuse", "--n", "5", "--d", "3", "--sizes", "2"],
+        ["bound", "--family", "star", "--leaves", "3", "--n", "9"],
+        ["gamma", "--graph", str(w4), "--n", "9"],
+        ["construct", "--family", "wheel", "--n", "4", "--config", "11 0 0 0 0",
+         "--algorithm", "wheel", "--sizes", "3"],
+        ["construct", "--family", "fuse", "--n", "5", "--d", "3", "--config", "23 0 0 0 0",
+         "--algorithm", "diameter", "--weighting", "1 1 1 1 1"],
+        ["construct", "--graph", str(k22), "--config", "9 0 0 0",
+         "--algorithm", "multipartite", "--sizes", "2,2"],
+        # sizes split on commas only, and each field is an integer
+        ["gamma", "--family", "multipartite", "--sizes", "2,,1"],
+        ["gamma", "--family", "multipartite", "--sizes", "2 1"],
     ]
     for argv in cases:
         assert run_cli(argv) == 2, argv
@@ -554,22 +576,45 @@ def test_construct_multipartite_uses_family_sizes(capsys):
     assert len(final) == 4 and min(final) >= 1
 
 
-def test_construct_multipartite_takes_sizes_with_a_graph_file(capsys, tmp_path):
-    path = tmp_path / "k22.txt"
-    path.write_text(format_graph_text(generate(Multipartite((2, 2)))))
-    argv = ["construct", "--graph", str(path), "--config", "9 0 0 0", "--algorithm", "multipartite"]
-    assert run_cli(argv) == 2
-    assert capsys.readouterr().err.startswith("error: multipartite construction needs --sizes")
-    assert run_cli([*argv, "--sizes", "2,2", "--sizes", "3,1"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and len(err.splitlines()) == 1
-    assert run_cli([*argv, "--sizes", "2,2"]) == 0
+def test_construct_multipartite_reads_classes_from_the_graph(capsys, tmp_path):
+    k22 = tmp_path / "k22.txt"
+    k22.write_text(format_graph_text(generate(Multipartite((2, 2)))))
+    argv = ["construct", "--graph", str(k22), "--config", "9 0 0 0", "--algorithm", "multipartite"]
+    assert run_cli(argv) == 0
     from_file = capsys.readouterr().out
     assert run_cli(
         ["construct", "--family", "multipartite", "--sizes", "2,2",
          "--config", "9 0 0 0", "--algorithm", "multipartite"]
     ) == 0
     assert from_file == capsys.readouterr().out
+    # the classes come from the graph, so --sizes is not read with a file
+    assert run_cli([*argv, "--sizes", "2,2"]) == 2
+    capsys.readouterr()
+    # the 4-cycle's classes {0, 2} and {1, 3} are not runs of vertices
+    c4 = tmp_path / "c4.txt"
+    c4.write_text("4 4\n0 1\n1 2\n2 3\n0 3\n")
+    assert run_cli(["construct", "--graph", str(c4), "--config", "9 0 0 0",
+                    "--algorithm", "multipartite"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert run_cli(["construct", "--family", "star", "--leaves", "3",
+                    "--config", "13 0 0 0", "--algorithm", "multipartite"]) == 0
+    final = capsys.readouterr().out.splitlines()[-1]
+    assert min(int(x) for x in final.split("=")[1].split()) >= 1
+
+
+def test_every_subcommand_help_names_its_options(capsys):
+    # argparse formats help with %, so a stray % in a help string fails
+    # only when the help is printed
+    [commands] = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    for name, sub in commands.choices.items():
+        with pytest.raises(SystemExit) as exited:
+            cli.build_parser().parse_args([name, "--help"])
+        assert exited.value.code == 0, name
+        out = capsys.readouterr().out
+        for action in sub._actions:
+            for option in action.option_strings:
+                assert option in out, (name, option)
 
 
 def test_console_script_entry():

@@ -73,6 +73,14 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+class _Once(argparse.Action):
+    # a second value would silently replace the first
+    def __call__(self, _parser, namespace, values, _option_string=None):
+        if getattr(namespace, self.dest) is not None:
+            raise argparse.ArgumentError(self, "given twice")
+        setattr(namespace, self.dest, values)
+
+
 @dataclass(frozen=True)
 class VerificationReport:
     """One row of a verify run."""
@@ -236,7 +244,7 @@ def _read_config_arg(args, g: Graph) -> Configuration:
 def cmd_solve(args) -> int:
     g = _load_graph(args)
     c = _read_config_arg(args, g)
-    b = parse_weighting(args.weighting, g.n) if args.weighting else None
+    b = parse_weighting(args.weighting, g.n) if args.weighting is not None else None
     try:
         outcome = solve(g, c, b, budget=args.budget)
     except BudgetExceeded as exc:
@@ -348,7 +356,7 @@ def _add_graph_args(sub):
             takers.setdefault(flag_kind, []).append(family)
     for (flag, kind), families in takers.items():
         if kind is int:
-            sub.add_argument("--" + flag, help=", ".join(families) + "; verify takes a range like 3..5")
+            sub.add_argument("--" + flag, action=_Once, help=", ".join(families) + "; verify takes a range like 3..5")
         else:
             sub.add_argument("--" + flag, action="append", help=", ".join(families) + "; like 2,2, repeated in verify")
     source = sub.add_mutually_exclusive_group(required=True)

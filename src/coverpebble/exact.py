@@ -264,14 +264,16 @@ def solve(
     with cycles that no tree passes reaches the search.
 
     A solvable outcome carries a certificate, the passing tree's moves
-    (_pass_moves) or the search's win chain; it always replays cleanly
-    through validate_certificate, and a configuration that already
-    covers its targets gets no moves.  An answer from the size rule or
-    a pass reports states_explored 0 and writes nothing to the memo;
-    budget and pruning apply to the search only.  A given memo is bound on
-    every call, so one bound to another graph, target set or pruning
-    setting raises InvalidSpec even when the search does not run.  A
-    negative budget raises InvalidSpec.
+    (_pass_moves) or the search's win chain.  A tree's moves come in
+    runs, one per send up an edge and one per deficit filled down an
+    edge, and each run repeats one PebblingMove object.  A certificate
+    always replays cleanly through validate_certificate, and a
+    configuration that already covers its targets gets no moves.  An
+    answer from the size rule or a pass reports states_explored 0 and
+    writes nothing to the memo; budget and pruning apply to the search
+    only.  A given memo is bound on every call, so one bound to another
+    graph, target set or pruning setting raises InvalidSpec even when
+    the search does not run.  A negative budget raises InvalidSpec.
     """
     check_length(c.counts, g.n, "configuration")
     if budget is not None and budget < 0:
@@ -287,8 +289,7 @@ def solve(
         steps = _bfs_steps(g, root)
         bal = _pass(steps, root, c.counts, keep)
         if bal is not None:
-            moves = _pass_moves(steps, c.counts, keep, bal)
-            return SolveOutcome(True, Certificate(c, tuple(PebblingMove(u, x) for u, x in moves)), 0)
+            return SolveOutcome(True, Certificate(c, _pass_moves(steps, c.counts, keep, bal)), 0)
     if tree:
         return SolveOutcome(False, None, 0)
     search = _CoverSearch(g, marked, memo=memo, pruning=pruning)
@@ -340,10 +341,16 @@ def iter_count_vectors(n: int, k: int) -> Iterator[tuple[int, ...]]:
 def _bfs_steps(g: Graph, root: int) -> tuple[tuple[int, int], ...]:
     """The (vertex, parent) pairs of the BFS tree of g from root, leaves
     first: deepest vertices first, in index order within one depth.  Each
-    vertex's parent is its first neighbour one step nearer the root."""
+    vertex's parent is its first neighbour one step nearer the root.
+
+    Both come from C-level calls: a stable sort by depth, which ends
+    with the root, the one vertex at depth 0; and per vertex, the index
+    of depth - 1 among its neighbours' depths."""
     depth = g.dist[root]
-    below = sorted((v for v in range(g.n) if v != root), key=depth.__getitem__, reverse=True)
-    return tuple((v, next(p for p in g.adj[v] if depth[p] == depth[v] - 1)) for v in below)
+    adj = g.adj
+    below = sorted(range(g.n), key=depth.__getitem__, reverse=True)
+    below.pop()
+    return tuple((v, adj[v][list(map(depth.__getitem__, adj[v])).index(depth[v] - 1)]) for v in below)
 
 
 def _pass(
@@ -376,7 +383,7 @@ def _pass(
 
 def _pass_moves(
     steps: tuple[tuple[int, int], ...], vec: tuple[int, ...], keep: tuple[int, ...], bal: list[int]
-) -> list[tuple[int, int]]:
+) -> list[PebblingMove]:
     """The moves of a pass that succeeded, which leave at least keep[v]
     pebbles on every vertex v; bal is what _pass returned for steps, vec
     and keep, and b(v) below is bal[v].
@@ -401,6 +408,11 @@ def _pass_moves(
     twice its deficit children's shortfalls.  Every move replays and
     every vertex ends with at least keep[v].  A vector that already
     meets keep asks nothing and gets no moves.
+
+    Each send and each deficit fill is one run: a single PebblingMove
+    repeated, so the list holds one object per run, not one per move.
+    No two runs are equal and adjacent, since u -> p and p' -> u' are
+    equal only when each is the other's parent.
     """
     lack = [k - c for k, c in zip(keep, vec)]
     for u, p in steps:
@@ -414,10 +426,11 @@ def _pass_moves(
             lack[u] += 2 * give
     moves = []
     for u, p in steps:
-        moves += [(u, p)] * sent[u]
+        if sent[u]:
+            moves += [PebblingMove(u, p)] * sent[u]
     for u, p in reversed(steps):
         if bal[u] < 0:
-            moves += [(p, u)] * -bal[u]
+            moves += [PebblingMove(p, u)] * -bal[u]
     return moves
 
 

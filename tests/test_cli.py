@@ -217,6 +217,8 @@ def test_usage_errors_exit_two(capsys, tmp_path):
          "--algorithm", "diameter", "--weighting", "1 1 1 1 1"],
         ["construct", "--graph", str(k22), "--config", "9 0 0 0",
          "--algorithm", "multipartite", "--sizes", "2,2"],
+        # an empty weighting is a weighting of no vertices, not no weighting
+        ["solve", "--family", "wheel", "--n", "3", "--config", "7 0 0 0", "--weighting", ""],
         # sizes split on commas only, and each field is an integer
         ["gamma", "--family", "multipartite", "--sizes", "2,,1"],
         ["gamma", "--family", "multipartite", "--sizes", "2 1"],
@@ -226,6 +228,21 @@ def test_usage_errors_exit_two(capsys, tmp_path):
         err = capsys.readouterr().err
         assert err.startswith("error:"), argv
         assert len(err.splitlines()) == 1, argv
+
+
+def test_a_family_flag_given_twice_exits_two(capsys):
+    # the second value would silently replace the first
+    for argv in (
+        ["gamma", "--family", "wheel", "--n", "3", "--n", "4"],
+        ["verify", "--family", "fuse", "--n", "5", "--d", "3", "--d", "2"],
+        ["bound", "--family", "star", "--leaves", "3", "--leaves", "4"],
+    ):
+        assert run_cli(argv) == 2, argv
+        assert capsys.readouterr().err == f"error: argument {argv[-2]}: given twice\n", argv
+    # --sizes names one class list per use, so verify takes it repeated
+    assert run_cli(["verify", "--family", "multipartite", "--sizes", "1,1", "--sizes", "2,1", "--no-timing"]) == 0
+    rows = [json.loads(line)["graph"] for line in capsys.readouterr().out.splitlines()]
+    assert rows == ["multipartite[1,1]", "multipartite[2,1]"]
 
 
 def test_unreadable_input_files_exit_two(capsys, tmp_path):

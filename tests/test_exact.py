@@ -30,7 +30,6 @@ from coverpebble import (
     LengthMismatch,
     Multipartite,
     Path,
-    PebblingMove,
     SolveMemo,
     Star,
     Wheel,
@@ -266,12 +265,63 @@ def test_the_flow_replays_from_every_passing_root():
                 bal = exact._pass(steps, root, vec, keep)
                 if bal is None:
                     continue
-                moves = exact._pass_moves(steps, vec, keep, bal)
-                cert = Certificate(start, tuple(PebblingMove(u, x) for u, x in moves))
+                cert = Certificate(start, exact._pass_moves(steps, vec, keep, bal))
                 final = validate_certificate(g, cert, b).counts
                 assert all(map(operator.ge, final, keep)), (g.edges, b, root, vec)
                 replayed += 1
     assert replayed > 250_000
+
+
+# the pass certificates of three worst stacks: wheel 5's on rim vertex 1
+# one above L = 19, fuse(7,3)'s on the free path end 0 at L = 39, and
+# K(3,2,2)'s toward B on vertex 1 at its cost 12
+W5_20 = [(1, 0)] * 9 + [(0, 5), (0, 4), (0, 3), (0, 2)]
+F73_39 = [(0, 1)] * 19 + [(1, 2)] * 9 + [(2, 6), (2, 5), (2, 4), (2, 3)]
+K322_B = BinaryWeighting((1, 0, 1, 1, 0, 1, 0))
+K322_B_12 = [(1, 5)] + [(1, 3)] * 5 + [(3, 2), (3, 0)]
+PASS_CASES = [
+    (generate(Wheel(5)), (0, 20, 0, 0, 0, 0), None, W5_20),
+    (generate(Fuse(7, 3)), (39, 0, 0, 0, 0, 0, 0), None, F73_39),
+    (generate(Multipartite((3, 2, 2))), (0, 12, 0, 0, 0, 0, 0), K322_B, K322_B_12),
+]
+
+
+def test_pass_certificates_are_pinned():
+    for g, counts, b, moves in PASS_CASES:
+        out = solve(g, Configuration(counts), b)
+        assert out.states_explored == 0 and move_pairs(out.certificate) == moves, (g.edges, counts)
+        validate_certificate(g, out.certificate, b)
+
+
+def test_a_pass_certificate_holds_one_move_object_per_run():
+    # a run repeats one PebblingMove, so a certificate allocates one object
+    # per run of equal consecutive moves, not one per move
+    cases = [(g, c, b) for g, c, b, _ in PASS_CASES]
+    for g in small_catalog(4) + [generate(Wheel(6)), generate(Multipartite((4, 3)))]:
+        cases += [(g, stacked(g, v, stack_cost(g, v) + extra).counts, None) for v in range(g.n) for extra in (0, 1)]
+    runs = 0
+    for g, counts, b in cases:
+        out = solve(g, Configuration(counts), b)
+        if out.states_explored:
+            continue
+        moves = out.certificate.moves
+        assert len(set(map(id, moves))) == sum(1 for _ in itertools.groupby(moves)), (g.edges, counts)
+        runs += len(set(map(id, moves)))
+    assert runs > 1000
+
+
+def _generator_bfs_steps(g, root):
+    # an independent reference for _bfs_steps: the same pairs, each parent
+    # found by a generator over the vertex's neighbours
+    depth = g.dist[root]
+    below = sorted((v for v in range(g.n) if v != root), key=depth.__getitem__, reverse=True)
+    return tuple((v, next(p for p in g.adj[v] if depth[p] == depth[v] - 1)) for v in below)
+
+
+def test_bfs_steps_match_the_generator_formula():
+    for g in small_catalog(5) + [generate(Wheel(40)), generate(Multipartite((6, 6, 6, 6, 6)))]:
+        for root in range(g.n):
+            assert exact._bfs_steps(g, root) == _generator_bfs_steps(g, root), (g.edges, root)
 
 
 def test_enumerate_examples():

@@ -328,10 +328,10 @@ def cmd_construct(args) -> int:
         cert = solve_wheel(g, c)
     else:
         # the classes are the runs of consecutive vertices with no edge
-        # between them, so each starts where a vertex meets the one before
-        # it; solve_multipartite refuses a graph whose edges do not fit them
+        # between them, each starting where a vertex meets the one before;
+        # solve_multipartite refuses a graph that is not K(runs, largest first)
         starts = [0, *(v for v in range(1, g.n) if g.dist[v][v - 1] == 1), g.n]
-        cert = solve_multipartite(g, [b - a for a, b in zip(starts, starts[1:])], c)
+        cert = solve_multipartite(g, sorted((b - a for a, b in zip(starts, starts[1:])), reverse=True), c)
     # never print a certificate that does not replay cleanly
     try:
         final = validate_certificate(g, cert, weighting)

@@ -309,9 +309,9 @@ def _star_base(groups: dict[int, list[int]], counts: list[int], moves: list[Pebb
 
 
 def solve_multipartite(g: Graph, sizes, c: Configuration) -> Certificate:
-    """Cover a complete multipartite graph (classes in contiguous index
-    blocks of the given sizes) from any configuration of size at least
-    its closed-form cover pebbling number.
+    """Cover a complete multipartite graph, its classes in index blocks
+    of the given sizes, largest first, from any configuration of size at
+    least its closed-form cover pebbling number; refuse any other graph.
 
     Vertices needing no help are set aside one at a time: a vertex
     holding one or two pebbles is covered and never touched again, and
@@ -323,7 +323,8 @@ def solve_multipartite(g: Graph, sizes, c: Configuration) -> Certificate:
     sizes = tuple(sizes)
     threshold = gamma_multipartite(sizes)
     if g.n != sum(sizes) or g.edges != multipartite_edges(sizes):
-        raise PreconditionViolated("graph does not match the given class sizes")
+        shape = ", ".join(map(str, sizes))
+        raise PreconditionViolated(f"graph is not K({shape}) with its classes in index blocks, largest first")
     check_length(c.counts, g.n, "configuration")
     if c.size < threshold:
         raise PreconditionViolated(f"size {c.size} is below the threshold {threshold}")

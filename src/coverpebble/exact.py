@@ -104,8 +104,8 @@ class SolveMemo:
 
 
 class _CoverSearch:
-    """Depth-first cover-solvability search bound to one graph and
-    target set, with optional sound pruning.
+    """Depth-first cover-solvability search on one graph and target set,
+    with optional sound pruning, sharing a memo that its caller binds.
 
     The search is fixed by its move order: from each state it tries the
     moves off the biggest piles first, then those stepping onto a vertex
@@ -132,7 +132,6 @@ class _CoverSearch:
         self.marked = tuple(sorted(marked))
         self.pruning = pruning
         self.memo = memo if memo is not None else SolveMemo()
-        self.memo.bind(g, self.marked, pruning)
         self.full_cover = len(self.marked) == g.n
         self.adj = g.adj
         dist = g.dist
@@ -271,9 +270,9 @@ def solve(
     configuration that already covers its targets gets no moves.  An
     answer from the size rule or a pass reports states_explored 0 and
     writes nothing to the memo; budget and pruning apply to the search
-    only.  A given memo is bound on every call, so one bound to another
-    graph, target set or pruning setting raises InvalidSpec even when
-    the search does not run.  A negative budget raises InvalidSpec.
+    only.  A given memo is bound at entry on every call, so one bound to
+    another graph, target set or pruning setting raises InvalidSpec even
+    when the search does not run.  A negative budget raises InvalidSpec.
     """
     check_length(c.counts, g.n, "configuration")
     if budget is not None and budget < 0:
@@ -540,21 +539,21 @@ class _ThresholdCheck:
     - ``steps``: the _bfs_steps from every root, which the prefix DPs and
       the full-vector passes read.
 
-    On a tree the first two are None and the memo is only bound.
-    check_threshold_size refuses a top it cannot run before any table is
-    built or the memo is bound.
+    On a tree the first two are None.  A given memo is bound here, right
+    after check_threshold_size, on trees and graphs with cycles alike; a
+    top that check refuses builds no table and binds no memo.
     """
 
     def __init__(self, g: Graph, memo: Optional[SolveMemo], top: int):
         check_threshold_size(g, top)
+        if memo is not None:
+            memo.bind(g, range(g.n), True)
         self.n = g.n
         self.search = self.potentials = None
         if len(g.edges) >= g.n:
             self.search = _CoverSearch(g, range(g.n), memo=memo)
             rows = [tuple(1 << d for d in dist) for dist in g.dist]
             self.potentials = [(row, sum(row)) for row in rows]
-        elif memo is not None:
-            memo.bind(g, range(g.n), True)
         self.steps = [_bfs_steps(g, root) for root in range(g.n)]
 
     def refutes(self, vec: tuple[int, ...]) -> bool:
@@ -624,12 +623,12 @@ def verify_threshold(
     vertex (_pass), certify it; failing those, on a graph with cycles,
     its stack potentials refute it (_ThresholdCheck.refutes); only a
     vector neither certified nor refuted goes to the search, which
-    shares the memo.  On a tree the pass is exact from every root, so no count is
-    retried and neither the refutation nor the search runs.  The memo is
-    bound to g on a tree too, so one bound to another graph raises
-    InvalidSpec.  The BFS steps, the potential rows and the search are
-    built once per call; gamma_exact builds them once for both of its
-    sizes.
+    shares the memo.  On a tree the pass is exact from every root, so no
+    count is retried and neither the refutation nor the search runs.  A
+    given memo is bound to g at entry, on a tree too, so one bound to
+    another graph raises InvalidSpec.  The BFS steps, the potential rows
+    and the search are built once per call; gamma_exact builds them once
+    for both of its sizes.
 
     configs_checked is the witness's rank plus one, or the full count
     when the size is good, as a scan in that order would report.  A k

@@ -614,6 +614,17 @@ def test_construct_multipartite_reads_classes_from_the_graph(capsys, tmp_path):
                     "--algorithm", "multipartite"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "K(1, 1, 1, 1) with its classes in index blocks" in err
+    # a star with its hub first has runs 1, 2: out of order, so not K(2, 1) as laid out
+    star = tmp_path / "star.txt"
+    star.write_text("3 2\n0 1\n0 2\n")
+    assert run_cli(["construct", "--graph", str(star), "--config", "7 0 0",
+                    "--algorithm", "multipartite"]) == 2
+    star_err = capsys.readouterr().err
+    assert star_err.startswith("error:") and len(star_err.splitlines()) == 1
+    assert "K(2, 1) with its classes in index blocks, largest first" in star_err
+    for line in (err, star_err):
+        assert "nonincreasing" not in line and "given" not in line
     assert run_cli(["construct", "--family", "star", "--leaves", "3",
                     "--config", "13 0 0 0", "--algorithm", "multipartite"]) == 0
     final = capsys.readouterr().out.splitlines()[-1]

@@ -13,6 +13,7 @@ from coverpebble import (
     PreconditionViolated,
     Star,
     Wheel,
+    build_graph,
     diameter_bound,
     format_trace,
     gamma_multipartite,
@@ -249,6 +250,13 @@ def test_multipartite_preconditions():
         solve_multipartite(k22, (2, 1), stacked(k22, 0, 9))
     with pytest.raises(PreconditionViolated):
         solve_multipartite(k22, (2,), Configuration((9, 0, 0, 0)))
+
+
+def test_multipartite_refuses_a_star_with_its_hub_first():
+    # K(2, 1) puts the hub last, at index 2
+    star = build_graph(3, [(0, 1), (0, 2)])
+    with pytest.raises(PreconditionViolated):
+        solve_multipartite(star, (2, 1), Configuration((7, 0, 0)))
 
 
 def test_multipartite_threshold_exhaustive_k22():

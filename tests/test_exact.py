@@ -586,6 +586,16 @@ def test_tree_scan_still_checks_the_memo_binding():
             verify_threshold(P3, k, memo=memo)
 
 
+def test_cycle_scan_and_search_check_the_memo_binding():
+    memo = SolveMemo()
+    verify_threshold(generate(Multipartite((3, 2))), 9, memo=memo)
+    with pytest.raises(InvalidSpec):
+        verify_threshold(generate(Wheel(4)), 11, memo=memo)
+    # the rim stack one pebble short passes no tree, so it reaches the search
+    with pytest.raises(InvalidSpec):
+        solve(generate(Wheel(5)), Configuration((0, 14, 0, 0, 0, 0)), memo=memo)
+
+
 def test_trees_answer_every_size_without_a_scan(monkeypatch):
     def no_scan(*args):
         raise AssertionError("scanned a tree")

@@ -1,4 +1,5 @@
-"""README's command examples run as written.
+"""README's command examples run as written, and README names no
+private function.
 
 Each `coverpebble ...` line of README's fenced blocks goes through
 cli.run_cli, in order and in one directory, so `gen --out w4.txt` makes
@@ -7,6 +8,7 @@ except the one whose text says it exits 1.
 """
 
 import pathlib
+import re
 import shlex
 
 from coverpebble.cli import run_cli
@@ -37,3 +39,11 @@ def test_every_readme_example_exits_as_its_text_says(tmp_path, monkeypatch, caps
             assert code == 1 and "unsolvable" in out and "states=341" in out, (line, code, out)
         else:
             assert code == 0, (line, code, out)
+
+
+def test_readme_names_no_private_function():
+    # a private function's docstring owns its rule; README points there
+    prose = re.sub(r"^```.*?^```", "", README.read_text(encoding="utf-8"), flags=re.M | re.S)
+    spans = re.findall(r"`([^`]+)`", prose)
+    private = [span for span in spans if re.search(r"(?<![\w.])(?:\w+\.)*_[^\W_]", span)]
+    assert not private, private

@@ -38,7 +38,6 @@ from .errors import (
     InternalAssertion,
     NotCoveredAtEnd,
     PebblingError,
-    StrategyIncomplete,
 )
 from .exact import check_threshold_size, gamma_exact, solve
 from .formulas import bound_report, gamma_multipartite, gamma_wheel
@@ -219,7 +218,7 @@ def _load_graph(args) -> Graph:
 
 
 def _write_out(args, text: str) -> None:
-    if args.out:
+    if args.out is not None:
         try:
             with open(args.out, "w", encoding="utf-8") as handle:
                 handle.write(text)
@@ -419,7 +418,7 @@ def run_cli(argv) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (InternalAssertion, StrategyIncomplete) as exc:
+    except InternalAssertion as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
     except PebblingError as exc:

@@ -4,10 +4,10 @@ Each solver implements one guarantee: any configuration at or above its
 size threshold gets covered by an explicit move sequence.  Below the
 threshold the solver refuses with PreconditionViolated instead of
 guessing.  If a strategy ever reaches a state its case analysis does
-not handle, it raises StrategyIncomplete rather than emit a certificate
-it cannot stand behind; internal bookkeeping violations raise
-InternalAssertion.  Callers can replay any returned certificate through
-validate_certificate, and the test suite does.
+not handle, or its bookkeeping breaks, it raises InternalAssertion
+rather than emit a certificate it cannot stand behind.  Callers can
+replay any returned certificate through validate_certificate, and the
+test suite does.
 """
 
 from __future__ import annotations
@@ -20,11 +20,7 @@ __all__ = [
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import (
-    InternalAssertion,
-    PreconditionViolated,
-    StrategyIncomplete,
-)
+from .errors import InternalAssertion, PreconditionViolated
 from .formulas import diameter_bound, gamma_multipartite, gamma_wheel, weighted_cover_bound
 from .graphs import Graph, multipartite_edges, wheel_edges
 from .pebbles import (
@@ -264,14 +260,14 @@ def solve_wheel(g: Graph, c: Configuration) -> Certificate:
             while counts[w] >= 3:
                 _unit_move(w, hub, counts, moves)
     elif any(counts[w] >= 3 for w in rim):
-        raise StrategyIncomplete("spare rim pair left although the rim is nearly empty")
+        raise InternalAssertion("spare rim pair left although the rim is nearly empty")
     for x in rim:
         if counts[x] == 0:
             if counts[hub] < 3:
-                raise StrategyIncomplete("hub ran dry while covering the rim")
+                raise InternalAssertion("hub ran dry while covering the rim")
             _unit_move(hub, x, counts, moves)
     if any(x == 0 for x in counts):
-        raise StrategyIncomplete("wheel strategy finished with an uncovered vertex")
+        raise InternalAssertion("wheel strategy finished with an uncovered vertex")
     return Certificate(c, tuple(moves))
 
 
@@ -291,7 +287,7 @@ def _star_base(groups: dict[int, list[int]], counts: list[int], moves: list[Pebb
     if counts[center] == 0:
         donor = min(leaves, key=lambda v: (-counts[v], v))
         if counts[donor] < 2:
-            raise StrategyIncomplete("no pile can cover the hub of the star")
+            raise InternalAssertion("no pile can cover the hub of the star")
         _unit_move(donor, center, counts, moves)
     while True:
         hole = next((x for x in leaves if counts[x] == 0), None)
@@ -302,10 +298,10 @@ def _star_base(groups: dict[int, list[int]], counts: list[int], moves: list[Pebb
             continue
         donor = min((v for v in leaves if counts[v] >= 3), key=lambda v: (-counts[v], v), default=None)
         if donor is None:
-            raise StrategyIncomplete("piles exhausted with a leaf still uncovered")
+            raise InternalAssertion("piles exhausted with a leaf still uncovered")
         _unit_move(donor, center, counts, moves)
     if counts[center] == 0:
-        raise StrategyIncomplete("star hub left uncovered")
+        raise InternalAssertion("star hub left uncovered")
 
 
 def solve_multipartite(g: Graph, sizes, c: Configuration) -> Certificate:
@@ -340,11 +336,11 @@ def solve_multipartite(g: Graph, sizes, c: Configuration) -> Certificate:
             groups.setdefault(class_of[v], []).append(v)
         held = sum(counts[v] for v in active)
         if held < _active_threshold(groups):
-            raise StrategyIncomplete("active pool dropped below its cover threshold")
+            raise InternalAssertion("active pool dropped below its cover threshold")
         if len(groups) == 1:
             if len(active) == 1 and counts[active[0]] >= 1:
                 break
-            raise StrategyIncomplete("active subgraph collapsed into one class")
+            raise InternalAssertion("active subgraph collapsed into one class")
         if len(groups) == 2 and min(len(vs) for vs in groups.values()) == 1:
             _star_base(groups, counts, moves)
             break

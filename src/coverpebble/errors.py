@@ -4,6 +4,9 @@ Every error raised on purpose derives from PebblingError so callers can
 catch one base class at a process boundary.  Parsing and validation
 failures carry enough structure (line numbers, move indices, vertex
 sets) to produce a one-line diagnostic without string surgery.
+InternalAssertion alone marks a bug rather than bad input: a failed
+internal check, or a constructive strategy in a state its case analysis
+does not handle.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 __all__ = [
     "BudgetExceeded", "DisconnectedGraph", "IllegalMoveAt", "InternalAssertion", "InvalidEdge",
     "InvalidSpec", "LengthMismatch", "NotCoveredAtEnd", "ParseError", "PebblingError",
-    "PreconditionViolated", "StrategyIncomplete",
+    "PreconditionViolated",
 ]
 
 
@@ -70,13 +73,10 @@ class PreconditionViolated(PebblingError):
     """Input does not meet the documented entry condition of a solver."""
 
 
-class StrategyIncomplete(PebblingError):
-    """A constructive strategy reached a state its case analysis cannot
-    handle.  Raised instead of emitting a wrong certificate."""
-
-
 class InternalAssertion(PebblingError):
-    """An internal consistency check failed; indicates a bug, not bad input."""
+    """An internal consistency check failed, or a constructive strategy
+    reached a state its case analysis cannot handle; indicates a bug, not
+    bad input.  Raised instead of emitting a wrong answer or certificate."""
 
 
 class ParseError(PebblingError):

@@ -84,7 +84,7 @@ class SolveMemo:
     vector is already covered; following those moves reconstructs a
     certificate.  Entries are only added, never changed.
 
-    A memo is bound to the (graph, target set, pruning) combination of
+    A memo is bound to the (graph, keep vector, pruning) combination of
     its first use and refuses reuse under a different one.
     """
 
@@ -93,10 +93,10 @@ class SolveMemo:
         self.win: dict[tuple[int, ...], Optional[tuple[int, int]]] = {}
         self._bound_key = None
 
-    def bind(self, g: Graph, marked, pruning: bool) -> None:
+    def bind(self, g: Graph, keep: tuple[int, ...], pruning: bool) -> None:
         """Bind on first use; raise InvalidSpec on a later use under
-        another graph, target set or pruning setting."""
-        key = (g.n, g.edges, tuple(sorted(marked)), pruning)
+        another graph, keep vector or pruning setting."""
+        key = (g.n, g.edges, keep, pruning)
         if self._bound_key is None:
             self._bound_key = key
         elif self._bound_key != key:
@@ -104,8 +104,9 @@ class SolveMemo:
 
 
 class _CoverSearch:
-    """Depth-first cover-solvability search on one graph and target set,
-    with optional sound pruning, sharing a memo that its caller binds.
+    """Depth-first cover-solvability search on one graph toward the
+    targets v with keep[v] = 1, with optional sound pruning, sharing a
+    memo that its caller binds.
 
     The search is fixed by its move order: from each state it tries the
     moves off the biggest piles first, then those stepping onto a vertex
@@ -115,6 +116,7 @@ class _CoverSearch:
 
     Tables built once per search, read-only afterwards:
 
+    - ``marked``: the targets, in index order.
     - ``adj``: the graph's adjacency lists.
     - ``nearest``: per vertex x, the pairs (dist(x, t), t) over the
       targets t, sorted, so the first uncovered one gives x's distance to
@@ -128,8 +130,8 @@ class _CoverSearch:
       (_ThresholdCheck.refutes) is another quantity.
     """
 
-    def __init__(self, g: Graph, marked, memo: Optional[SolveMemo] = None, pruning: bool = True):
-        self.marked = tuple(sorted(marked))
+    def __init__(self, g: Graph, keep: tuple[int, ...], memo: Optional[SolveMemo] = None, pruning: bool = True):
+        self.marked = tuple(v for v, k in enumerate(keep) if k)
         self.pruning = pruning
         self.memo = memo if memo is not None else SolveMemo()
         self.full_cover = len(self.marked) == g.n
@@ -236,13 +238,6 @@ class _CoverSearch:
             state = self._apply(state, step)
 
 
-def _marked_vertices(g: Graph, b: Optional[BinaryWeighting]):
-    if b is None:
-        return range(g.n)
-    check_length(b.marks, g.n, "weighting")
-    return b.support
-
-
 def solve(
     g: Graph,
     c: Configuration,
@@ -277,12 +272,15 @@ def solve(
     check_length(c.counts, g.n, "configuration")
     if budget is not None and budget < 0:
         raise InvalidSpec(f"budget must be nonnegative, got {budget}")
-    marked = _marked_vertices(g, b)
+    if b is None:
+        keep = (1,) * g.n
+    else:
+        check_length(b.marks, g.n, "weighting")
+        keep = b.marks
     if memo is not None:
-        memo.bind(g, marked, pruning)
-    if c.size < len(marked):
+        memo.bind(g, keep, pruning)
+    if c.size < sum(keep):
         return SolveOutcome(False, None, 0)
-    keep = b.marks if b is not None else (1,) * g.n
     tree = len(g.edges) < g.n
     for root in (0,) if tree else range(g.n):
         steps = _bfs_steps(g, root)
@@ -291,7 +289,7 @@ def solve(
             return SolveOutcome(True, Certificate(c, _pass_moves(steps, c.counts, keep, bal)), 0)
     if tree:
         return SolveOutcome(False, None, 0)
-    search = _CoverSearch(g, marked, memo=memo, pruning=pruning)
+    search = _CoverSearch(g, keep, memo=memo, pruning=pruning)
     solvable, explored = search.decide(c.counts, budget)
     certificate = None
     if solvable:
@@ -533,6 +531,8 @@ class _ThresholdCheck:
     size reads, built once, and the colex prefix search over them, which
     verify_threshold describes.
 
+    - ``keep``: one pebble on every vertex, the target of the passes,
+      the search and the memo.
     - ``search``: the cover search sharing the memo.
     - ``potentials``: per vertex t, the row of 2**d(w, t) over w and its
       sum, t's stack cost, which ``refutes`` reads.
@@ -546,12 +546,13 @@ class _ThresholdCheck:
 
     def __init__(self, g: Graph, memo: Optional[SolveMemo], top: int):
         check_threshold_size(g, top)
+        self.keep = keep = (1,) * g.n
         if memo is not None:
-            memo.bind(g, range(g.n), True)
+            memo.bind(g, keep, True)
         self.n = g.n
         self.search = self.potentials = None
         if len(g.edges) >= g.n:
-            self.search = _CoverSearch(g, range(g.n), memo=memo)
+            self.search = _CoverSearch(g, keep, memo=memo)
             rows = [tuple(1 << d for d in dist) for dist in g.dist]
             self.potentials = [(row, sum(row)) for row in rows]
         self.steps = [_bfs_steps(g, root) for root in range(g.n)]
@@ -570,9 +571,8 @@ class _ThresholdCheck:
         """The first unsolvable vector of size k, at most top, in colex
         order, if any; see verify_threshold."""
         n = self.n
-        steps, search = self.steps, self.search
+        steps, search, keep = self.steps, self.search, self.keep
         held: dict[int, int] = {}
-        ones = (1,) * n
 
         def uncertified(v: int, spare: int) -> list[int]:
             # counts of v, largest first, with a completion the pass from v fails
@@ -595,7 +595,7 @@ class _ThresholdCheck:
                 stack.append((v - 1, spare - x, uncertified(v - 1, spare - x)))
                 continue
             vec = tuple(held[u] for u in range(n))
-            if any(_pass(tree, root, vec, ones) is not None for root, tree in enumerate(steps)):
+            if any(_pass(tree, root, vec, keep) is not None for root, tree in enumerate(steps)):
                 continue
             if search is None or self.refutes(vec) or not search.decide(vec)[0]:
                 return ThresholdResult(Configuration(vec), _colex_rank(vec) + 1)

@@ -230,7 +230,8 @@ def format_graph_text(g: Graph) -> str:
 
 
 def parse_graph_text(text: str) -> Graph:
-    """Parse the `n m` / `u v` format; `#` lines and blank lines are ignored.
+    """Parse the `n m` / `u v` format.  `#` starts a comment that runs to
+    the end of its line; lines left blank are ignored.
 
     Raises ParseError with a 1-based line number on malformed input and
     InvalidSpec, before the edges are read, when the header's order is
@@ -238,10 +239,9 @@ def parse_graph_text(text: str) -> Graph:
     """
     rows: list[tuple[int, str]] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        rows.append((line_no, stripped))
+        stripped = raw.partition("#")[0].strip()
+        if stripped:
+            rows.append((line_no, stripped))
     if not rows:
         raise ParseError("no data lines in graph text")
     head_no, head = rows[0]

@@ -206,6 +206,8 @@ def test_usage_errors_exit_two(capsys, tmp_path):
         ["gamma", "--graph", "g.txt", "--family", "wheel", "--n", "4"],
         ["gamma"],
         ["gamma", "--graph", ""],
+        ["gen", "--family", "wheel", "--n", "4", "--out", ""],
+        ["verify", "--family", "wheel", "--n", "4", "--out", ""],
         # every flag a command accepts is read: a flag it would ignore is refused
         ["gamma", "--family", "wheel", "--n", "4", "--leaves", "3"],
         ["gamma", "--family", "fuse", "--n", "5", "--d", "3", "--sizes", "2"],

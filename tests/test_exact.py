@@ -16,6 +16,7 @@ from util import (
     random_composition,
     random_tree,
     small_catalog,
+    solvable_levels,
     tree_representatives,
 )
 
@@ -128,6 +129,7 @@ def test_solve_memo_reuse_guard():
     memo = SolveMemo()
     solve(P3, Configuration((1, 1, 1)), memo=memo)
     solve(P3, Configuration((2, 1, 1)), memo=memo)
+    solve(P3, Configuration((2, 1, 1)), BinaryWeighting((1, 1, 1)), memo=memo)
     assert not memo.win and not memo.fail
     for g, c, b, pruning in (
         (K2, Configuration((1, 1)), None, True),
@@ -173,17 +175,20 @@ def _stack_bound(g, marked):
     return max((sum(1 << g.dist[u][v] for u in marked) for v in range(g.n)), default=0)
 
 
-def _check_solve_against_the_search(g, b, vectors):
-    # solve's answer equals a search of its own, and every certificate
+def _check_solve_against_the_search(g, b, top):
+    # on every vector of size up to top, solve's answer equals a search
+    # of its own and the solvable-set table, and every certificate
     # replays and covers the targets
-    search = exact._CoverSearch(g, exact._marked_vertices(g, b))
+    keep = (1,) * g.n if b is None else b.marks
+    search = exact._CoverSearch(g, keep)
     checked = 0
-    for vec in vectors:
-        out = solve(g, Configuration(vec), b)
-        assert out.solvable == search.decide(vec)[0], (g.edges, b, vec)
-        if out.solvable:
-            validate_certificate(g, out.certificate, b)
-        checked += 1
+    for k, level in enumerate(solvable_levels(g, keep, top)):
+        for vec in iter_count_vectors(g.n, k):
+            out = solve(g, Configuration(vec), b)
+            assert out.solvable == search.decide(vec)[0] == (vec in level), (g.edges, b, vec)
+            if out.solvable:
+                validate_certificate(g, out.certificate, b)
+            checked += 1
     return checked
 
 
@@ -195,7 +200,7 @@ def test_solve_agrees_with_the_search_on_every_small_graph():
     checked = 0
     for g in small_catalog(4):
         for b in all_weightings(g.n):
-            checked += _check_solve_against_the_search(g, b, _every_vector(g, _stack_bound(g, b.support) + 1))
+            checked += _check_solve_against_the_search(g, b, _stack_bound(g, b.support) + 1)
     assert checked > 500_000
 
 
@@ -203,7 +208,7 @@ def test_solve_agrees_with_the_search_on_every_small_graph():
 def test_solve_agrees_with_the_search_on_the_order5_classes():
     checked = 0
     for g in connected_classes(5):
-        checked += _check_solve_against_the_search(g, None, _every_vector(g, bound_report(g).lower_stacked + 1))
+        checked += _check_solve_against_the_search(g, None, bound_report(g).lower_stacked + 1)
     assert checked > 1_000_000
 
 
@@ -220,11 +225,11 @@ def test_the_pass_alone_decides_on_trees():
             if n >= 5:
                 weightings += [BinaryWeighting(tuple(rng.randint(0, 1) for _ in range(n))) for _ in range(2)]
             for b in weightings:
-                marked = exact._marked_vertices(g, b)
+                marked = range(n) if b is None else b.support
                 top = _stack_bound(g, marked)
                 vectors = [stacked(g, v, k).counts for v in range(n) for k in (top - 1, top) if k >= 0]
                 vectors += [random_composition(rng, max(k, 0), n) for k in range(top - 3, top + 2) for _ in range(2)]
-                search = exact._CoverSearch(g, marked)
+                search = exact._CoverSearch(g, (1,) * n if b is None else b.marks)
                 for vec in vectors:
                     out = solve(g, Configuration(vec), b)
                     assert out.states_explored == 0, (g.edges, b, vec)
@@ -522,6 +527,19 @@ def test_gamma_rejects_a_passing_size_below_the_stack_bound(monkeypatch):
         gamma_exact(P3)
 
 
+def test_the_solvable_set_table_gives_gamma_exact_up_to_order5():
+    # the table's gamma, the least size whose level holds every vector,
+    # rests on no theorem; the 44 labelled graphs of order <= 4 and the
+    # 21 order-5 classes
+    graphs = small_catalog(4) + list(connected_classes(5))
+    for g in graphs:
+        gamma = gamma_exact(g).gamma
+        levels = solvable_levels(g, (1,) * g.n, gamma)
+        full = [len(level) == composition_count(g.n, k) for k, level in enumerate(levels)]
+        assert full.index(True) == gamma, g.edges
+    assert len(graphs) == 65
+
+
 def test_gamma_single_vertex():
     single = generate(Path(1))
     result = gamma_exact(single)
@@ -531,7 +549,7 @@ def test_gamma_single_vertex():
 
 def _reference_scan(g, k, memo):
     # decides every configuration with the search, sharing one memo
-    search = exact._CoverSearch(g, range(g.n), memo=memo)
+    search = exact._CoverSearch(g, (1,) * g.n, memo=memo)
     for rank, vec in enumerate(iter_count_vectors(g.n, k)):
         if not search.decide(vec)[0]:
             return Configuration(vec), rank + 1
@@ -658,7 +676,7 @@ def test_tree_pass_matches_the_search_on_every_small_tree():
     for n in range(1, 5):
         for g in labeled_trees(n):
             steps, ones = exact._bfs_steps(g, 0), (1,) * g.n
-            search = exact._CoverSearch(g, range(g.n))
+            search = exact._CoverSearch(g, ones)
             for k in range(bound_report(g).lower_stacked + 2):
                 for vec in iter_count_vectors(g.n, k):
                     assert (exact._pass(steps, 0, vec, ones) is not None) == search.decide(vec)[0], (g.edges, vec)
@@ -680,7 +698,7 @@ def test_tree_pass_matches_the_search_on_random_configurations():
     outcomes = set()
     for g in named + grown:
         steps, ones = exact._bfs_steps(g, 0), (1,) * g.n
-        search = exact._CoverSearch(g, range(g.n))
+        search = exact._CoverSearch(g, ones)
         # refuting one big stack on a deep random tree takes the search
         # seconds, so there the stacks are checked against their cost
         # and the sampled configurations use at least two vertices
@@ -810,7 +828,7 @@ def test_stack_potentials_refute_only_unsolvable_vectors():
             # the pass is exact on a tree, so no refutation runs there
             assert check.potentials is None, g.edges
             continue
-        search = exact._CoverSearch(g, range(g.n))
+        search = exact._CoverSearch(g, (1,) * g.n)
         for k in range(max(costs) + 2):
             for vec in iter_count_vectors(g.n, k):
                 if check.refutes(vec):
@@ -866,7 +884,8 @@ def test_bfs_tree_certificates_never_pass_an_unsolvable_vector():
     outcomes = set()
     for g in _cyclic_graphs():
         trees = [exact._bfs_steps(g, root) for root in range(g.n)]
-        search, ones = exact._CoverSearch(g, range(g.n)), (1,) * g.n
+        ones = (1,) * g.n
+        search = exact._CoverSearch(g, ones)
         gamma = bound_report(g).lower_stacked
         sizes = range(gamma + 2) if g.n <= 4 else (gamma - 1,)
         for k in sizes:
@@ -884,7 +903,8 @@ def _certified_scan(g, k):
     # the flat scan the colex prefix search replaced: the BFS-tree passes
     # from every vertex, then the search, on every vector in colex order
     trees = [exact._bfs_steps(g, root) for root in range(g.n)]
-    search, ones = exact._CoverSearch(g, range(g.n)), (1,) * g.n
+    ones = (1,) * g.n
+    search = exact._CoverSearch(g, ones)
     for rank, vec in enumerate(iter_count_vectors(g.n, k)):
         certified = any(exact._pass(steps, root, vec, ones) is not None for root, steps in enumerate(trees))
         if not certified and not search.decide(vec)[0]:

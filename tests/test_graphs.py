@@ -210,7 +210,7 @@ def test_graph_text_round_trip():
 
 
 def test_graph_text_comments_and_blanks():
-    text = "# a wheel\n\n4 4\n0 1\n0 2\n# middle comment\n0 3\n1 2\n"
+    text = "# a wheel\n\n4 4\n0 1  # first\n0 2\n# middle comment\n0 3\n1 2\n"
     g = parse_graph_text(text)
     assert g.n == 4
     assert len(g.edges) == 4

@@ -90,8 +90,8 @@ def run_prune_equivalence_check(case_count: int = 300, seed: int = 5) -> int:
     configurations by a tree pass before the search runs."""
     cases = 0
     for g in small_catalog(3):
-        fast = exact._CoverSearch(g, range(g.n))
-        plain = exact._CoverSearch(g, range(g.n), pruning=False)
+        fast = exact._CoverSearch(g, (1,) * g.n)
+        plain = exact._CoverSearch(g, (1,) * g.n, pruning=False)
         for k in range(7):
             for c in iter_count_vectors(g.n, k):
                 a = fast.decide(c)[0]
@@ -100,8 +100,8 @@ def run_prune_equivalence_check(case_count: int = 300, seed: int = 5) -> int:
                 cases += 1
     rng = random.Random(seed)
     graphs = connected_graphs(4)
-    fast_searches = [exact._CoverSearch(g, range(g.n)) for g in graphs]
-    plain_searches = [exact._CoverSearch(g, range(g.n), pruning=False) for g in graphs]
+    fast_searches = [exact._CoverSearch(g, (1,) * g.n) for g in graphs]
+    plain_searches = [exact._CoverSearch(g, (1,) * g.n, pruning=False) for g in graphs]
     for _ in range(case_count):
         idx = rng.randrange(len(graphs))
         g = graphs[idx]
@@ -148,7 +148,7 @@ def test_gamma_witness_is_the_colex_first_failure():
         first = next(
             vec
             for vec in iter_count_vectors(g.n, result.gamma - 1)
-            if not exact._CoverSearch(g, range(g.n), pruning=False).decide(vec)[0]
+            if not exact._CoverSearch(g, (1,) * g.n, pruning=False).decide(vec)[0]
         )
         assert result.witness.counts == first, g.edges
 
@@ -182,7 +182,7 @@ def test_gamma_equals_worst_stack_on_order6_trees():
         worst = max(range(g.n), key=lambda v: stack_cost(g, v))
         assert stack_cost(g, worst) == formula, name
         short = stacked(g, worst, formula - 1).counts
-        assert not exact._CoverSearch(g, range(g.n)).decide(short)[0], name
+        assert not exact._CoverSearch(g, (1,) * g.n).decide(short)[0], name
         result = gamma_exact(g)
         assert result.gamma == formula, name
         assert result.witness.size == formula - 1, name

@@ -69,7 +69,7 @@ CASES = [
 def test_search_trace_is_pinned(case):
     g, counts, b, states, entries, moves = CASES[case]
     memo = SolveMemo()
-    search = exact._CoverSearch(g, exact._marked_vertices(g, b), memo=memo)
+    search = exact._CoverSearch(g, (1,) * g.n if b is None else b.marks, memo=memo)
     solvable, explored = search.decide(counts)
     assert explored == states
     assert len(memo.win) + len(memo.fail) == entries
@@ -120,7 +120,7 @@ def test_move_order_and_pruning_match_the_reference():
     for g in small_catalog(4):
         for marks in itertools.product((0, 1), repeat=g.n):
             marked = [v for v, m in enumerate(marks) if m]
-            search = exact._CoverSearch(g, marked)
+            search = exact._CoverSearch(g, marks)
             for _ in range(12):
                 state = random_config(rng, g.n, rng.randint(0, 9)).counts
                 assert search._ordered_moves(state) == reference_moves(g, marked, state)

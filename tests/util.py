@@ -4,6 +4,7 @@ enumeration, and uniform configuration sampling."""
 from __future__ import annotations
 
 import itertools
+import operator
 from functools import lru_cache
 
 from coverpebble import (
@@ -107,18 +108,51 @@ def all_weightings(n: int, min_order: int = 0) -> list[BinaryWeighting]:
     return out
 
 
+def _composition(cuts, total: int, parts: int) -> tuple[int, ...]:
+    # stars and bars: parts - 1 bars at the sorted cuts among
+    # total + parts - 1 slots; each part is the run of stars between bars
+    ends = (-1, *cuts, total + parts - 1)
+    return tuple(b - a - 1 for a, b in zip(ends, ends[1:]))
+
+
 def random_composition(rng, total: int, parts: int) -> tuple[int, ...]:
     """Uniform composition of total into the given number of parts."""
     if parts == 1:
         return (total,)
-    cuts = sorted(rng.sample(range(total + parts - 1), parts - 1))
-    counts = []
-    prev = -1
-    for cut in cuts:
-        counts.append(cut - prev - 1)
-        prev = cut
-    counts.append(total + parts - 2 - prev)
-    return tuple(counts)
+    return _composition(sorted(rng.sample(range(total + parts - 1), parts - 1)), total, parts)
+
+
+def solvable_levels(g: Graph, keep: tuple[int, ...], top: int):
+    """Yield, for each size k from 0 to top, the set of count vectors of
+    size k on g that can end with at least keep[v] pebbles on every
+    vertex v.
+
+    Straight from the definition: level k holds the vectors that meet
+    keep, and those with one pebbling move into level k - 1.  It uses
+    no pass, potential, pruning or theorem, and nothing from
+    coverpebble.exact, so it checks them all.  Its gamma is the least
+    size whose level holds every vector.
+    """
+    n = g.n
+    moves = [(u, x) for u in range(n) for x in g.adj[u]]
+    below: set[tuple[int, ...]] = set()
+    for k in range(top + 1):
+        level = set()
+        for cuts in itertools.combinations(range(k + n - 1), n - 1):
+            vec = _composition(cuts, k, n)
+            if all(map(operator.ge, vec, keep)):
+                level.add(vec)
+                continue
+            for u, x in moves:
+                if vec[u] > 1:
+                    nxt = list(vec)
+                    nxt[u] -= 2
+                    nxt[x] += 1
+                    if tuple(nxt) in below:
+                        level.add(vec)
+                        break
+        yield level
+        below = level
 
 
 def random_tree(rng, n: int) -> Graph:

@@ -25,9 +25,9 @@ __all__ = [
 
 import sys
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain, repeat
 from math import comb
-from operator import add, mul, sub
+from operator import add, lshift, mul, sub
 from typing import Iterator, Optional
 
 from .errors import BudgetExceeded, InternalAssertion, InvalidSpec
@@ -79,18 +79,23 @@ class GammaResult:
 class SolveMemo:
     """Shared decision cache for repeated solves on one search setup.
 
-    ``fail`` holds count vectors known unsolvable.  ``win`` maps a count
-    vector to one move of a known cover solution, or None when the
-    vector is already covered; following those moves reconstructs a
-    certificate.  Entries are only added, never changed.
+    Its keys are states packed as _CoverSearch packs them, one int per
+    count vector, at the field width W that the memo records.  ``fail``
+    holds the states known unsolvable.  ``win`` maps a state to one move
+    (u, x) of a known cover solution, or None when the state already
+    covers its targets; following those moves reconstructs a
+    certificate.  Entries are only added, never changed, except that a
+    search needing a wider W re-packs every key to it once, so one memo
+    serves searches of any size.  W never narrows.
 
     A memo is bound to the (graph, keep vector, pruning) combination of
     its first use and refuses reuse under a different one.
     """
 
     def __init__(self):
-        self.fail: set[tuple[int, ...]] = set()
-        self.win: dict[tuple[int, ...], Optional[tuple[int, int]]] = {}
+        self.fail: set[int] = set()
+        self.win: dict[int, Optional[tuple[int, int]]] = {}
+        self._width = 0
         self._bound_key = None
 
     def bind(self, g: Graph, keep: tuple[int, ...], pruning: bool) -> None:
@@ -105,137 +110,233 @@ class SolveMemo:
 
 class _CoverSearch:
     """Depth-first cover-solvability search on one graph toward the
-    targets v with keep[v] = 1, with optional sound pruning, sharing a
+    targets t with keep[t] = 1, with optional sound pruning, sharing a
     memo that its caller binds.
 
     The search is fixed by its move order: from each state it tries the
     moves off the biggest piles first, then those stepping onto a vertex
-    nearest an uncovered target, then by source and destination index.
-    States, memo entries and certificates follow from that order alone,
-    so any rewrite of the hot path must keep it exactly.
+    nearest an uncovered target, then by source and destination index,
+    that is by (-c(u), near(x), u, x).  States, memo entries and
+    certificates follow from that order alone, so any rewrite of the hot
+    path must keep it exactly.
 
-    Tables built once per search, read-only afterwards:
+    Packed layout.  A state is one int with a field of W bits per vertex
+    v, bits W*v .. W*v + W - 1, holding c(v); the top bit of each field
+    is its guard bit.  W = (size << diam).bit_length() + 1 for the
+    largest size seen, or the memo's W if that is wider, so every count
+    and every near potential stays below its guard bit and no field ever
+    carries into the next.  Then:
+
+    - a move u -> x adds its state step (1 << W*x) - (2 << W*u);
+    - the memo key is the state itself;
+    - the cover test is (S + LOW) & GUARD_T == GUARD_T, where GUARD_T
+      holds the targets' guard bits and LOW puts 2**(W-1) - 1 in each
+      target field, so a field reaches its guard bit iff it holds a
+      pebble;
+    - t's near potential, sum_v c(v) * 2**(diam - d(v, t)), in which
+      nearer pebbles count more, sits in field t of one int P, carried
+      per frame as P + DP for the move's potential step DP.  No move
+      raises it, and a state covering the targets has at least t's
+      demand DEM_t, its value with one pebble on each target.  A state
+      is pruned when some uncovered target is below its demand:
+      ((P + GUARD_T - DEM) | covered) & GUARD_T != GUARD_T, where
+      covered = (S + LOW) & GUARD_T marks the covered targets;
+    - the size rule, fewer pebbles than targets, reads the size from the
+      frame depth, since each move takes one pebble off the board.
+
+    The counts are decoded only when a state is expanded, to rank its
+    moves.  The threshold check's stack potential
+    (_ThresholdCheck.refutes) is another quantity.
+
+    Tables, built once per W by ``_build``, which ``_fit`` calls when a
+    larger size needs a wider W, after re-packing the memo:
 
     - ``marked``: the targets, in index order.
-    - ``adj``: the graph's adjacency lists.
-    - ``nearest``: per vertex x, the pairs (dist(x, t), t) over the
-      targets t, sorted, so the first uncovered one gives x's distance to
-      the nearest uncovered target.
-    - ``targets``: per target t, the triple (t, weight row, demand) that
-      the pruning test compares: t's near potential, sum_v c(v) *
-      2**(diam - d(v, t)), in which nearer pebbles count more, against
-      its value on a vector with one pebble on each target.  No move
-      raises it and a vector covering the targets meets the demand, so
-      a state below it is pruned.  The threshold check's stack potential
-      (_ThresholdCheck.refutes) is another quantity.
+    - ``shifts``: W * v per vertex v; ``field``: (1 << W) - 1.
+    - ``low``, ``guard``: LOW and GUARD_T above; ``guard_bits``: per
+      target t, the pair (t, t's guard bit).
+    - ``near_rows``: per vertex v, 2**(diam - d(v, t)) packed at field
+      t for every target t, so P = sum_v c(v) * near_rows[v].
+    - ``slack``: GUARD_T - DEM, nonnegative in every field whenever the
+      size rule passes.
+    - ``moves_off``: per vertex u, its moves u -> x as (u * n + x, x,
+      state step, potential step, (u, x)).
+
+    Two caches keyed by the covered mask fill as the search meets
+    masks: ``near``, near(x) per vertex x, and ``ranked``, a slot per
+    vertex u holding, once u is first a source under the mask, u's moves
+    as (key, state step, potential step, (u, x)) sorted by the key
+    (near(x) * n + u) * n + x.  Sources with equal piles merge their
+    moves by that key, which orders them by (near(x), u, x).
     """
 
     def __init__(self, g: Graph, keep: tuple[int, ...], memo: Optional[SolveMemo] = None, pruning: bool = True):
         self.marked = tuple(v for v, k in enumerate(keep) if k)
         self.pruning = pruning
         self.memo = memo if memo is not None else SolveMemo()
-        self.full_cover = len(self.marked) == g.n
+        self.n = g.n
         self.adj = g.adj
-        dist = g.dist
-        self.nearest = tuple(
-            tuple(sorted((dist[x][t], t) for t in self.marked)) for x in range(g.n)
-        )
-        targets = []
-        for t in self.marked:
-            row = tuple(1 << (g.diam - dist[v][t]) for v in range(g.n))
-            targets.append((t, row, sum(row[u] for u in self.marked)))
-        self.targets = tuple(targets)
+        self.dist = g.dist
+        self.diam = g.diam
+        self.width = 0
 
-    def _covered(self, state: tuple[int, ...]) -> bool:
-        if self.full_cover:
-            return 0 not in state
-        return all(state[t] for t in self.marked)
+    def _fit(self, size: int) -> None:
+        """Make the tables and the memo hold states of ``size`` pebbles."""
+        memo = self.memo
+        width = max((size << self.diam).bit_length() + 1, memo._width)
+        if width > memo._width:
+            if memo._width:
+                old, new = memo._width, width
+                mask = (1 << old) - 1
 
-    def _prunable(self, state: tuple[int, ...]) -> bool:
-        if sum(state) < len(self.marked):
-            return True
-        for t, row, demand in self.targets:
-            if not state[t] and sum(map(mul, state, row)) < demand:
-                return True
-        return False
+                def repack(state):
+                    return sum((state >> (old * v) & mask) << (new * v) for v in range(self.n))
 
-    def _ordered_moves(self, state: tuple[int, ...]) -> list[tuple[int, int]]:
-        # big piles first, stepping toward the nearest uncovered target;
-        # index order breaks ties so the search is deterministic
-        near = []
-        for pairs in self.nearest:
-            for d, t in pairs:
-                if not state[t]:
-                    near.append(d)
-                    break
+                memo.fail = set(map(repack, memo.fail))
+                memo.win = {repack(s): move for s, move in memo.win.items()}
+            memo._width = width
+        if width != self.width:
+            self._build(width)
+
+    def _build(self, w: int) -> None:
+        n, marked, diam = self.n, self.marked, self.diam
+        self.width = w
+        self.shifts = shifts = range(0, n * w, w)
+        self.field = (1 << w) - 1
+        at_targets = [shifts[t] for t in marked]
+        ones = sum(map(lshift, repeat(1), at_targets))
+        self.guard = ones << (w - 1)
+        self.guard_bits = [(t, 1 << (shift + w - 1)) for t, shift in zip(marked, at_targets)]
+        self.low = self.guard - ones
+        weight = [1 << (diam - d) for d in range(diam + 1)]
+        rows = [sum(map(lshift, map(weight.__getitem__, map(row.__getitem__, marked)), at_targets)) for row in self.dist]
+        self.near_rows = rows
+        self.slack = self.guard - sum(map(rows.__getitem__, marked))
+        self.moves_off = [
+            [(u * n + x, x, (1 << shifts[x]) - (2 << shifts[u]), rows[x] - 2 * rows[u], (u, x)) for x in xs]
+            for u, xs in enumerate(self.adj)
+        ]
+        self.near: dict[int, list[int]] = {}
+        self.ranked: dict[int, list] = {}
+
+    def _pack(self, counts: tuple[int, ...]) -> int:
+        return sum(map(lshift, counts, self.shifts))
+
+    def _potential(self, counts: tuple[int, ...]) -> int:
+        """The near potentials of counts toward every target, packed."""
+        return sum(map(mul, counts, self.near_rows))
+
+    def _rank(self, covered: int, u: int) -> tuple:
+        """u's moves under a covered mask, as ``ranked`` holds them; the
+        mask's near(x) is worked out on its first use."""
+        near = self.near.get(covered)
+        if near is None:
+            uncovered = [t for t, bit in self.guard_bits if not covered & bit]
+            near = [min(map(row.__getitem__, uncovered)) for row in self.dist] if uncovered else [0] * self.n
+            self.near[covered] = near
+        nn = self.n * self.n
+        moves = tuple(sorted([(near[x] * nn + ux, step, drop, move) for ux, x, step, drop, move in self.moves_off[u]]))
+        self.ranked[covered][u] = moves
+        return moves
+
+    def _expand(self, state: int, potential: int, size: int, covered: int):
+        """The moves of an expanded state in search order, each as (rank
+        key, state step, potential step, (u, x)), or None when the state
+        is pruned.  ``covered`` is (state + LOW) & GUARD_T and ``size``
+        the state's pebble count."""
+        if self.pruning:
+            guard = self.guard
+            if size < len(self.marked) or ((potential + self.slack) | covered) & guard != guard:
+                return None
+        slots = self.ranked.get(covered)
+        if slots is None:
+            slots = self.ranked[covered] = [None] * self.n
+        field = self.field
+        counts = [state >> s & field for s in self.shifts]
+        sources = [u for u, c in enumerate(counts) if c > 1]
+        if not sources:
+            return iter(())
+        if len(sources) == 1:
+            u = sources[0]
+            return iter(slots[u] or self._rank(covered, u))
+        # big piles first, the stable sort keeping index order among
+        # equal piles, whose moves then merge by their keys (near(x), u, x)
+        sources.sort(key=counts.__getitem__, reverse=True)
+        runs = []
+        last = 0
+        for u in sources:
+            moves = slots[u] or self._rank(covered, u)
+            if counts[u] == last:
+                runs[-1] = sorted(chain(runs[-1], moves))
             else:
-                near.append(0)
-        adj = self.adj
-        ranked = [(-cu, near[x], u, x) for u, cu in enumerate(state) if cu > 1 for x in adj[u]]
-        ranked.sort()
-        return [(u, x) for _, _, u, x in ranked]
-
-    @staticmethod
-    def _apply(state: tuple[int, ...], move: tuple[int, int]) -> tuple[int, ...]:
-        u, x = move
-        nxt = list(state)
-        nxt[u] -= 2
-        nxt[x] += 1
-        return tuple(nxt)
+                runs.append(moves)
+                last = counts[u]
+        return chain.from_iterable(runs)
 
     def decide(self, counts: tuple[int, ...], budget: Optional[int] = None) -> tuple[bool, int]:
         """Return (solvable, states explored).  Raises BudgetExceeded when
-        more than ``budget`` fresh states get expanded."""
+        more than ``budget`` fresh states get expanded.
+
+        A state is visited as soon as the move reaching it is taken, and
+        gets a frame only when it is expanded, so the states that are
+        pruned or known to fail cost no frame."""
+        size = sum(counts)
+        self._fit(size)
         win = self.memo.win
         fail = self.memo.fail
+        low, guard, expand = self.low, self.guard, self._expand
+        limit = sys.maxsize if budget is None else budget
         explored = 0
-        # frame: [state, move iterator or None, move that produced the state]
-        frames: list[list] = [[counts, None, None]]
-        solved = False
-        while frames:
-            frame = frames[-1]
-            state = frame[0]
-            if frame[1] is None:
-                explored += 1
-                if budget is not None and explored > budget:
-                    raise BudgetExceeded(explored)
-                if state in win or self._covered(state):
-                    if state not in win:
-                        win[state] = None
-                    # record the discovered winning path
-                    for parent, child in zip(frames, frames[1:]):
-                        win[parent[0]] = child[2]
-                    solved = True
-                    break
-                if state in fail or (self.pruning and self._prunable(state)):
-                    fail.add(state)
+        # frames of the expanded states on the path: [state, potential, move iterator, move that produced it]
+        frames: list[list] = []
+        state, potential, move = self._pack(counts), self._potential(counts), None
+        while True:
+            explored += 1
+            if explored > limit:
+                raise BudgetExceeded(explored)
+            covered = (state + low) & guard
+            if state in win or covered == guard:
+                win.setdefault(state, None)
+                # record the discovered winning path
+                for parent, child in zip(frames, frames[1:]):
+                    win[parent[0]] = child[3]
+                if frames:
+                    win[frames[-1][0]] = move
+                return True, explored
+            moves = None if state in fail else expand(state, potential, size - len(frames), covered)
+            if moves is None:
+                fail.add(state)
+            else:
+                frames.append([state, potential, moves, move])
+            # take the next move not known to fail, backtracking as needed
+            while frames:
+                parent, reached, moves, _ = frames[-1]
+                for _, step, drop, move in moves:
+                    state = parent + step
+                    if state not in fail:
+                        break
+                else:
+                    fail.add(parent)
                     frames.pop()
                     continue
-                frame[1] = iter(self._ordered_moves(state))
-            pushed = False
-            for move in frame[1]:
-                child = self._apply(state, move)
-                if child in fail:
-                    continue
-                frames.append([child, None, move])
-                pushed = True
+                potential = reached + drop
                 break
-            if not pushed:
-                fail.add(state)
-                frames.pop()
-        return solved, explored
+            else:
+                return False, explored
 
     def winning_moves(self, counts: tuple[int, ...]) -> list[tuple[int, int]]:
         """Follow the cached win chain from a configuration decided solvable."""
-        win = self.memo.win
+        self._fit(sum(counts))
+        win, shifts = self.memo.win, self.shifts
         moves = []
-        state = counts
+        state = self._pack(counts)
         while True:
-            step = win[state]
-            if step is None:
+            move = win[state]
+            if move is None:
                 return moves
-            moves.append(step)
-            state = self._apply(state, step)
+            moves.append(move)
+            u, x = move
+            state += (1 << shifts[x]) - (2 << shifts[u])
 
 
 def solve(

@@ -47,8 +47,8 @@ class BinaryWeighting:
     def __post_init__(self):
         object.__setattr__(self, "marks", tuple(self.marks))
         for m in self.marks:
-            if m not in (0, 1):
-                raise InvalidSpec(f"marks must be 0 or 1, got {m!r}")
+            if not isinstance(m, int) or m not in (0, 1):
+                raise InvalidSpec(f"marks must be the integers 0 or 1, got {m!r}")
 
     @property
     def order(self) -> int:

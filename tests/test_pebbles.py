@@ -49,6 +49,14 @@ def test_weighting_basics():
         BinaryWeighting((1, 2))
 
 
+@pytest.mark.parametrize("mark", [1.0, 0.0, "1", None])
+def test_weighting_refuses_marks_that_are_not_integers(mark):
+    # 1.0 == 1, so a test by value alone let (1.0, 0, 0, 0, 0) through
+    # and solve then failed with a TypeError in the pass
+    with pytest.raises(InvalidSpec, match="marks must be"):
+        BinaryWeighting((mark, 0, 0, 0, 0))
+
+
 def _reuse_memo_on_another_graph():
     memo = SolveMemo()
     solve(P3, Configuration((1, 1, 1)), memo=memo)

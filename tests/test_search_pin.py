@@ -6,16 +6,19 @@ moves.  The cases call the search directly: solve answers most of them
 by a spanning-tree pass before the search runs.  Any change to the move
 order, the pruning or the memo writes moves at least one of these
 literals, even when every answer stays right.  A change that means to
-alter the search must update them on purpose.  The search's move order
-and pruning test are also compared, state by state, with plain
-reference versions on every small graph.
+alter the search must update them on purpose.  The move order and the
+pruning test that the search runs on each expanded state are compared
+with plain reference versions on every small graph, and whole searches
+with ReferenceSearch, the tuple search the packed kernel replaced: on
+the benchmark's graph families, and on memos shared across field
+widths.
 """
 
 import itertools
 import random
 
 import pytest
-from util import random_config, small_catalog
+from util import ReferenceSearch, random_config, small_catalog
 
 from coverpebble import (
     BinaryWeighting,
@@ -25,13 +28,17 @@ from coverpebble import (
     Multipartite,
     SolveMemo,
     Wheel,
+    build_graph,
     exact,
     generate,
     solve,
+    verify_threshold,
 )
 
 W6 = generate(Wheel(6))
+W7 = generate(Wheel(7))
 F73 = generate(Fuse(7, 3))
+K43 = generate(Multipartite((4, 3)))
 K322 = generate(Multipartite((3, 2, 2)))
 B = BinaryWeighting((1, 0, 1, 1, 0, 1, 0))
 
@@ -115,6 +122,8 @@ def reference_prunable(g, marked, state):
 
 
 def test_move_order_and_pruning_match_the_reference():
+    # what _expand returns for each expanded state is what decide runs:
+    # None when pruned, else the moves in the order they are tried
     rng = random.Random(7)
     checked = 0
     for g in small_catalog(4):
@@ -123,7 +132,125 @@ def test_move_order_and_pruning_match_the_reference():
             search = exact._CoverSearch(g, marks)
             for _ in range(12):
                 state = random_config(rng, g.n, rng.randint(0, 9)).counts
-                assert search._ordered_moves(state) == reference_moves(g, marked, state)
-                assert search._prunable(state) == reference_prunable(g, marked, state)
+                search._fit(sum(state))
+                packed, potential = search._pack(state), search._potential(state)
+                covered = (packed + search.low) & search.guard
+                moves = search._expand(packed, potential, sum(state), covered)
+                assert (moves is None) == reference_prunable(g, marked, state)
+                if moves is not None:
+                    moves = list(moves)
+                    assert [move for *_, move in moves] == reference_moves(g, marked, state)
+                    for _, step, drop, move in moves:
+                        child = ReferenceSearch._apply(state, move)
+                        assert (packed + step, potential + drop) == (search._pack(child), search._potential(child))
                 checked += 1
     assert checked > 5000
+
+
+def trace(search, memo, counts, budget=None):
+    """(solvable, states, win entries, fail entries, win chain) of one
+    decide on a packed search or a ReferenceSearch; a budget stop gives
+    the states at the stop and no chain."""
+    try:
+        solvable, states = search.decide(counts, budget)
+    except BudgetExceeded as stop:
+        solvable, states = "stopped", stop.states
+    chain = search.winning_moves(counts) if solvable is True else None
+    return solvable, states, len(memo.win), len(memo.fail), chain
+
+
+def stack_inputs(rng, g, keep):
+    """Stacks of L - 2 .. L + 1 pebbles on a worst-stack vertex toward the
+    targets, L their worst stack cost, each plus 0 .. 3 pebbles
+    scattered at random."""
+    costs = [sum(1 << g.dist[u][v] for u, k in enumerate(keep) if k) for v in range(g.n)]
+    top = max(costs)
+    out = []
+    for k in range(top - 2, top + 2):
+        counts = [0] * g.n
+        counts[rng.choice([v for v, cost in enumerate(costs) if cost == top])] = k
+        for _ in range(rng.randrange(4)):
+            counts[rng.randrange(g.n)] += 1
+        out.append(tuple(counts))
+    return out
+
+
+@pytest.mark.parametrize("g", [W6, W7, K43, K322, F73], ids=["W6", "W7", "K43", "K322", "F73"])
+def test_decide_matches_the_reference_search(g):
+    rng = random.Random(g.n * 100 + len(g.edges))
+    for weighted in (False, True):
+        keep = (1,) * g.n
+        while weighted and keep in ((1,) * g.n, (0,) * g.n):
+            keep = tuple(rng.randint(0, 1) for _ in range(g.n))
+        for counts in stack_inputs(rng, g, keep):
+            memo, ref = SolveMemo(), ReferenceSearch(g, keep)
+            got = trace(exact._CoverSearch(g, keep, memo=memo), memo, counts)
+            assert got == trace(ref, ref, counts), (keep, counts)
+    # one budget stop: the stack two short of the worst cost, cut off
+    # after a tenth of the states its refutation takes
+    ones = (1,) * g.n
+    counts = min(stack_inputs(random.Random(0), g, ones), key=sum)
+    states = ReferenceSearch(g, ones).decide(counts)[1]
+    memo, ref = SolveMemo(), ReferenceSearch(g, ones)
+    got = trace(exact._CoverSearch(g, ones, memo=memo), memo, counts, states // 10)
+    assert got[0] == "stopped"
+    assert got == trace(ref, ref, counts, states // 10)
+
+
+@pytest.mark.parametrize("sizes", [(6, 17, 40), (40, 17, 6)], ids=["widening", "narrowing"])
+def test_a_memo_shared_across_widths_matches_the_reference(sizes):
+    # at each size, the stack on rim vertex 1 and a scattered vector, all
+    # on one memo, each also answered as with a fresh memo; W = (size << diam).bit_length() + 1 is 6 at size 6, 8
+    # at 17 and 9 at 40, and a memo re-packs to a wider W, never narrower
+    rng = random.Random(3)
+    ones = (1,) * W6.n
+    memo, ref = SolveMemo(), ReferenceSearch(W6, ones)
+    search = exact._CoverSearch(W6, ones, memo=memo)
+    widths = []
+    for k in sizes:
+        for counts in ((0, k, 0, 0, 0, 0, 0), random_config(rng, W6.n, k).counts):
+            got = trace(search, memo, counts)
+            assert got == trace(ref, ref, counts), counts
+            assert got[0] == exact._CoverSearch(W6, ones).decide(counts)[0], counts
+            widths.append(memo._width)
+    assert widths == ([6, 6, 8, 8, 9, 9] if sizes[0] == 6 else [9] * 6)
+
+
+def test_a_threshold_memo_repacks_for_the_next_size():
+    # two adjacent hubs joined to four more vertices, two of them
+    # adjacent: diameter 2, so W is 7 at size 15 and 8 at 16, and both
+    # checks end at an unsolvable vector the search refutes
+    g = build_graph(6, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 2), (1, 3), (1, 4), (1, 5), (2, 3)])
+    memo = SolveMemo()
+    first = verify_threshold(g, 15, memo=memo)
+    width = memo._width
+    second = verify_threshold(g, 16, memo=memo)
+    assert (width, memo._width) == (7, 8)
+    assert first == verify_threshold(g, 15, memo=SolveMemo())
+    assert second == verify_threshold(g, 16, memo=SolveMemo())
+    # every entry, re-packed, is still the right answer for its vector
+    assert memo.fail and memo.win
+    ref = ReferenceSearch(g, (1,) * g.n)
+    mask = (1 << memo._width) - 1
+    for key in [*memo.fail, *memo.win]:
+        counts = tuple(key >> (memo._width * v) & mask for v in range(g.n))
+        assert ref.decide(counts)[0] == (key in memo.win), counts
+
+
+@pytest.mark.parametrize(
+    "g, keep, counts, answer",
+    [
+        (W6, (0,) * 7, (0, 0, 0, 0, 0, 0, 0), (True, 1)),
+        (W6, (0,) * 7, (0, 5, 0, 0, 0, 0, 1), (True, 1)),
+        (build_graph(1, []), (1,), (0,), (False, 1)),
+        (build_graph(1, []), (1,), (3,), (True, 1)),
+        (build_graph(1, []), (0,), (0,), (True, 1)),
+    ],
+    ids=["no-targets-empty", "no-targets", "order1-empty", "order1", "order1-no-targets"],
+)
+def test_edge_searches_match_the_reference(g, keep, counts, answer):
+    for pruning in (True, False):
+        memo, ref = SolveMemo(), ReferenceSearch(g, keep, pruning)
+        got = trace(exact._CoverSearch(g, keep, memo=memo, pruning=pruning), memo, counts)
+        assert got == trace(ref, ref, counts)
+        assert got[:2] == answer

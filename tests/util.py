@@ -1,5 +1,7 @@
 """Shared helpers for the test suite: small-graph catalogs, weighting
-enumeration, and uniform configuration sampling."""
+enumeration, uniform configuration sampling, and two independent
+references for the exact layer: a table of solvable vectors and a plain
+tuple cover search."""
 
 from __future__ import annotations
 
@@ -9,6 +11,7 @@ from functools import lru_cache
 
 from coverpebble import (
     BinaryWeighting,
+    BudgetExceeded,
     Configuration,
     Fuse,
     Graph,
@@ -153,6 +156,100 @@ def solvable_levels(g: Graph, keep: tuple[int, ...], top: int):
                         break
         yield level
         below = level
+
+
+class ReferenceSearch:
+    """The cover search on count tuples, as it stood before the exact
+    layer packed each state into one int: the reference whose states,
+    memo writes and win chains that kernel must reproduce exactly.
+
+    Depth-first from the given counts.  A state that covers the targets
+    (keep[t] = 1), or is in ``win``, wins, and the path to it is written
+    to ``win``.  With pruning on, a state is dead when it has fewer
+    pebbles than targets, or when some uncovered target t has a near
+    potential sum_v c(v) * 2**(diam - d(v, t)) below its value with one
+    pebble on each target.  The moves of a live state are tried in the
+    order (-c(u), near(x), u, x), near(x) being the distance from x to
+    the nearest uncovered target, skipping children in ``fail``; a state
+    whose moves all fail goes to ``fail``.  ``win`` and ``fail`` persist
+    across calls, as a shared memo does.
+    """
+
+    def __init__(self, g: Graph, keep: tuple[int, ...], pruning: bool = True):
+        self.g = g
+        self.marked = [t for t, k in enumerate(keep) if k]
+        self.pruning = pruning
+        self.win: dict = {}
+        self.fail: set = set()
+        # per target t: t, its near-potential row over v, and its demand
+        self.targets = []
+        for t in self.marked:
+            row = [1 << (g.diam - g.dist[v][t]) for v in range(g.n)]
+            self.targets.append((t, row, sum(row[u] for u in self.marked)))
+
+    def _prunable(self, state) -> bool:
+        if sum(state) < len(self.marked):
+            return True
+        return any(not state[t] and sum(map(operator.mul, state, row)) < demand for t, row, demand in self.targets)
+
+    def _ordered_moves(self, state) -> list[tuple[int, int]]:
+        g = self.g
+        uncovered = [t for t in self.marked if not state[t]]
+        ranked = []
+        for u, cu in enumerate(state):
+            if cu > 1:
+                for x in g.adj[u]:
+                    near = min(g.dist[x][t] for t in uncovered) if uncovered else 0
+                    ranked.append((-cu, near, u, x))
+        return [(u, x) for _, _, u, x in sorted(ranked)]
+
+    @staticmethod
+    def _apply(state, move):
+        u, x = move
+        nxt = list(state)
+        nxt[u] -= 2
+        nxt[x] += 1
+        return tuple(nxt)
+
+    def decide(self, counts, budget=None) -> tuple[bool, int]:
+        """(solvable, states explored); BudgetExceeded past ``budget``."""
+        win, fail = self.win, self.fail
+        explored = 0
+        frames = [[tuple(counts), None, None]]
+        while frames:
+            frame = frames[-1]
+            state = frame[0]
+            if frame[1] is None:
+                explored += 1
+                if budget is not None and explored > budget:
+                    raise BudgetExceeded(explored)
+                if state in win or all(state[t] for t in self.marked):
+                    win.setdefault(state, None)
+                    for parent, child in zip(frames, frames[1:]):
+                        win[parent[0]] = child[2]
+                    return True, explored
+                if state in fail or (self.pruning and self._prunable(state)):
+                    fail.add(state)
+                    frames.pop()
+                    continue
+                frame[1] = iter(self._ordered_moves(state))
+            for move in frame[1]:
+                child = self._apply(state, move)
+                if child not in fail:
+                    frames.append([child, None, move])
+                    break
+            else:
+                fail.add(state)
+                frames.pop()
+        return False, explored
+
+    def winning_moves(self, counts) -> list[tuple[int, int]]:
+        """The win chain from a configuration decided solvable."""
+        moves, state = [], tuple(counts)
+        while self.win[state] is not None:
+            moves.append(self.win[state])
+            state = self._apply(state, moves[-1])
+        return moves
 
 
 def random_tree(rng, n: int) -> Graph:

@@ -77,41 +77,21 @@ class GammaResult:
 
 
 class SolveMemo:
-    """Shared decision cache for repeated solves on one search setup.
+    """Depth-first cover-solvability search on one graph toward the
+    targets t with keep[t] = 1, with optional sound pruning, and the
+    decision cache that repeated solves on that setup share.
 
-    Its keys are states packed as _CoverSearch packs them, one int per
-    count vector, at the field width W that the memo records.  ``fail``
-    holds the states known unsolvable.  ``win`` maps a state to one move
-    (u, x) of a known cover solution, or None when the state already
-    covers its targets; following those moves reconstructs a
+    ``fail`` holds the states known unsolvable.  ``win`` maps a state to
+    one move (u, x) of a known cover solution, or None when the state
+    already covers its targets; following those moves reconstructs a
     certificate.  Entries are only added, never changed, except that a
     search needing a wider W re-packs every key to it once, so one memo
     serves searches of any size.  W never narrows.
 
     A memo is bound to the (graph, keep vector, pruning) combination of
-    its first use and refuses reuse under a different one.
-    """
-
-    def __init__(self):
-        self.fail: set[int] = set()
-        self.win: dict[int, Optional[tuple[int, int]]] = {}
-        self._width = 0
-        self._bound_key = None
-
-    def bind(self, g: Graph, keep: tuple[int, ...], pruning: bool) -> None:
-        """Bind on first use; raise InvalidSpec on a later use under
-        another graph, keep vector or pruning setting."""
-        key = (g.n, g.edges, keep, pruning)
-        if self._bound_key is None:
-            self._bound_key = key
-        elif self._bound_key != key:
-            raise InvalidSpec("memo reused with a different graph, targets, or pruning")
-
-
-class _CoverSearch:
-    """Depth-first cover-solvability search on one graph toward the
-    targets t with keep[t] = 1, with optional sound pruning, sharing a
-    memo that its caller binds.
+    its first use and refuses reuse under a different one.  Binding
+    stores only that combination and the graph; the tables below are
+    derived at the first search.
 
     The search is fixed by its move order: from each state it tries the
     moves off the biggest piles first, then those stepping onto a vertex
@@ -123,9 +103,8 @@ class _CoverSearch:
     Packed layout.  A state is one int with a field of W bits per vertex
     v, bits W*v .. W*v + W - 1, holding c(v); the top bit of each field
     is its guard bit.  W = (size << diam).bit_length() + 1 for the
-    largest size seen, or the memo's W if that is wider, so every count
-    and every near potential stays below its guard bit and no field ever
-    carries into the next.  Then:
+    largest size seen, so every count and every near potential stays
+    below its guard bit and no field ever carries into the next.  Then:
 
     - a move u -> x adds its state step (1 << W*x) - (2 << W*u);
     - the memo key is the state itself;
@@ -148,10 +127,12 @@ class _CoverSearch:
     moves.  The threshold check's stack potential
     (_ThresholdCheck.refutes) is another quantity.
 
-    Tables, built once per W by ``_build``, which ``_fit`` calls when a
-    larger size needs a wider W, after re-packing the memo:
+    Tables, built by ``_build``, which ``_fit`` calls after re-packing
+    the keys when a larger size needs a wider W; every later search at
+    that W reuses them, across solves:
 
-    - ``marked``: the targets, in index order.
+    - ``marked``: the targets, in index order; ``pruning`` and ``n``,
+      the bound setting and order.
     - ``shifts``: W * v per vertex v; ``field``: (1 << W) - 1.
     - ``low``, ``guard``: LOW and GUARD_T above; ``guard_bits``: per
       target t, the pair (t, t's guard bit).
@@ -170,37 +151,45 @@ class _CoverSearch:
     moves by that key, which orders them by (near(x), u, x).
     """
 
-    def __init__(self, g: Graph, keep: tuple[int, ...], memo: Optional[SolveMemo] = None, pruning: bool = True):
-        self.marked = tuple(v for v, k in enumerate(keep) if k)
-        self.pruning = pruning
-        self.memo = memo if memo is not None else SolveMemo()
-        self.n = g.n
-        self.adj = g.adj
-        self.dist = g.dist
-        self.diam = g.diam
-        self.width = 0
+    def __init__(self):
+        self.fail: set[int] = set()
+        self.win: dict[int, Optional[tuple[int, int]]] = {}
+        self._width = 0
+        self._bound_key = None
+        self._graph: Optional[Graph] = None
+
+    def bind(self, g: Graph, keep: tuple[int, ...], pruning: bool) -> None:
+        """Bind on first use; raise InvalidSpec on a later use under
+        another graph, keep vector or pruning setting."""
+        key = (g.n, g.edges, keep, pruning)
+        if self._bound_key is None:
+            self._bound_key, self._graph = key, g
+        elif self._bound_key != key:
+            raise InvalidSpec("memo reused with a different graph, targets, or pruning")
 
     def _fit(self, size: int) -> None:
-        """Make the tables and the memo hold states of ``size`` pebbles."""
-        memo = self.memo
-        width = max((size << self.diam).bit_length() + 1, memo._width)
-        if width > memo._width:
-            if memo._width:
-                old, new = memo._width, width
-                mask = (1 << old) - 1
+        """Make the tables and the keys hold states of ``size`` pebbles."""
+        old = self._width
+        width = (size << self._graph.diam).bit_length() + 1
+        if width <= old:
+            return
+        if old:
+            n, mask = self._graph.n, (1 << old) - 1
 
-                def repack(state):
-                    return sum((state >> (old * v) & mask) << (new * v) for v in range(self.n))
+            def repack(state):
+                return sum((state >> (old * v) & mask) << (width * v) for v in range(n))
 
-                memo.fail = set(map(repack, memo.fail))
-                memo.win = {repack(s): move for s, move in memo.win.items()}
-            memo._width = width
-        if width != self.width:
-            self._build(width)
+            self.fail = set(map(repack, self.fail))
+            self.win = {repack(s): move for s, move in self.win.items()}
+        self._build(width)
 
     def _build(self, w: int) -> None:
-        n, marked, diam = self.n, self.marked, self.diam
-        self.width = w
+        g = self._graph
+        _, _, keep, self.pruning = self._bound_key
+        self.marked = marked = tuple(v for v, k in enumerate(keep) if k)
+        self.n = n = g.n
+        diam = g.diam
+        self._width = w
         self.shifts = shifts = range(0, n * w, w)
         self.field = (1 << w) - 1
         at_targets = [shifts[t] for t in marked]
@@ -209,12 +198,12 @@ class _CoverSearch:
         self.guard_bits = [(t, 1 << (shift + w - 1)) for t, shift in zip(marked, at_targets)]
         self.low = self.guard - ones
         weight = [1 << (diam - d) for d in range(diam + 1)]
-        rows = [sum(map(lshift, map(weight.__getitem__, map(row.__getitem__, marked)), at_targets)) for row in self.dist]
+        rows = [sum(map(lshift, map(weight.__getitem__, map(row.__getitem__, marked)), at_targets)) for row in g.dist]
         self.near_rows = rows
         self.slack = self.guard - sum(map(rows.__getitem__, marked))
         self.moves_off = [
             [(u * n + x, x, (1 << shifts[x]) - (2 << shifts[u]), rows[x] - 2 * rows[u], (u, x)) for x in xs]
-            for u, xs in enumerate(self.adj)
+            for u, xs in enumerate(g.adj)
         ]
         self.near: dict[int, list[int]] = {}
         self.ranked: dict[int, list] = {}
@@ -232,7 +221,7 @@ class _CoverSearch:
         near = self.near.get(covered)
         if near is None:
             uncovered = [t for t, bit in self.guard_bits if not covered & bit]
-            near = [min(map(row.__getitem__, uncovered)) for row in self.dist] if uncovered else [0] * self.n
+            near = [min(map(row.__getitem__, uncovered)) for row in self._graph.dist] if uncovered else [0] * self.n
             self.near[covered] = near
         nn = self.n * self.n
         moves = tuple(sorted([(near[x] * nn + ux, step, drop, move) for ux, x, step, drop, move in self.moves_off[u]]))
@@ -273,7 +262,7 @@ class _CoverSearch:
                 last = counts[u]
         return chain.from_iterable(runs)
 
-    def decide(self, counts: tuple[int, ...], budget: Optional[int] = None) -> tuple[bool, int]:
+    def _decide(self, counts: tuple[int, ...], budget: Optional[int] = None) -> tuple[bool, int]:
         """Return (solvable, states explored).  Raises BudgetExceeded when
         more than ``budget`` fresh states get expanded.
 
@@ -282,8 +271,8 @@ class _CoverSearch:
         pruned or known to fail cost no frame."""
         size = sum(counts)
         self._fit(size)
-        win = self.memo.win
-        fail = self.memo.fail
+        win = self.win
+        fail = self.fail
         low, guard, expand = self.low, self.guard, self._expand
         limit = sys.maxsize if budget is None else budget
         explored = 0
@@ -324,10 +313,10 @@ class _CoverSearch:
             else:
                 return False, explored
 
-    def winning_moves(self, counts: tuple[int, ...]) -> list[tuple[int, int]]:
+    def _winning_moves(self, counts: tuple[int, ...]) -> list[tuple[int, int]]:
         """Follow the cached win chain from a configuration decided solvable."""
         self._fit(sum(counts))
-        win, shifts = self.memo.win, self.shifts
+        win, shifts = self.win, self.shifts
         moves = []
         state = self._pack(counts)
         while True:
@@ -368,18 +357,20 @@ def solve(
     writes nothing to the memo; budget and pruning apply to the search
     only.  A given memo is bound at entry on every call, so one bound to
     another graph, target set or pruning setting raises InvalidSpec even
-    when the search does not run.  A negative budget raises InvalidSpec.
+    when the search does not run.  Without a memo the search runs on a
+    fresh one.  A budget that is not a nonnegative int, a bool among
+    them, raises InvalidSpec.
     """
     check_length(c.counts, g.n, "configuration")
-    if budget is not None and budget < 0:
-        raise InvalidSpec(f"budget must be nonnegative, got {budget}")
+    if budget is not None and (type(budget) is not int or budget < 0):
+        raise InvalidSpec(f"budget must be a nonnegative integer, got {budget!r}")
     if b is None:
         keep = (1,) * g.n
     else:
         check_length(b.marks, g.n, "weighting")
         keep = b.marks
-    if memo is not None:
-        memo.bind(g, keep, pruning)
+    memo = memo if memo is not None else SolveMemo()
+    memo.bind(g, keep, pruning)
     if c.size < sum(keep):
         return SolveOutcome(False, None, 0)
     tree = len(g.edges) < g.n
@@ -390,11 +381,10 @@ def solve(
             return SolveOutcome(True, Certificate(c, _pass_moves(steps, c.counts, keep, bal)), 0)
     if tree:
         return SolveOutcome(False, None, 0)
-    search = _CoverSearch(g, keep, memo=memo, pruning=pruning)
-    solvable, explored = search.decide(c.counts, budget)
+    solvable, explored = memo._decide(c.counts, budget)
     certificate = None
     if solvable:
-        moves = tuple(PebblingMove(u, x) for u, x in search.winning_moves(c.counts))
+        moves = tuple(PebblingMove(u, x) for u, x in memo._winning_moves(c.counts))
         certificate = Certificate(c, moves)
     return SolveOutcome(solvable, certificate, explored)
 
@@ -600,13 +590,13 @@ def check_threshold_size(g: Graph, top: int) -> None:
     """Raise InvalidSpec unless a threshold check on g can run at sizes
     up to top.
 
-    Refused: a negative top; on a graph with cycles, more than
-    sys.maxsize configurations of size top, since the search may see any
-    of them; on any graph, DP rows of more than MAX_ROW_ENTRIES entries
+    Refused: a top that is not a nonnegative int, a bool among them; on
+    a graph with cycles, more than sys.maxsize configurations of size
+    top, since the search may see any of them; on any graph, DP rows of more than MAX_ROW_ENTRIES entries
     in all, g.n * (top + 1), which bounds their memory.
     """
-    if top < 0:
-        raise InvalidSpec(f"size must be nonnegative, got {top}")
+    if type(top) is not int or top < 0:
+        raise InvalidSpec(f"size must be a nonnegative integer, got {top!r}")
     if len(g.edges) >= g.n:
         total = composition_count(g.n, top)
         if total > sys.maxsize:
@@ -632,28 +622,29 @@ class _ThresholdCheck:
     size reads, built once, and the colex prefix search over them, which
     verify_threshold describes.
 
-    - ``keep``: one pebble on every vertex, the target of the passes,
-      the search and the memo.
-    - ``search``: the cover search sharing the memo.
+    - ``keep``: one pebble on every vertex, the target of the passes
+      and of the memo's search.
+    - ``memo``: the given memo or a fresh one, whose search both sizes
+      share.
     - ``potentials``: per vertex t, the row of 2**d(w, t) over w and its
       sum, t's stack cost, which ``refutes`` reads.
     - ``steps``: the _bfs_steps from every root, which the prefix DPs and
       the full-vector passes read.
 
-    On a tree the first two are None.  A given memo is bound here, right
-    after check_threshold_size, on trees and graphs with cycles alike; a
-    top that check refuses builds no table and binds no memo.
+    On a tree ``potentials`` is None and the search never runs.  The
+    memo is bound here, right after check_threshold_size, on trees and
+    graphs with cycles alike; a top that check refuses builds no table
+    and binds no memo.
     """
 
     def __init__(self, g: Graph, memo: Optional[SolveMemo], top: int):
         check_threshold_size(g, top)
         self.keep = keep = (1,) * g.n
-        if memo is not None:
-            memo.bind(g, keep, True)
+        self.memo = memo = memo if memo is not None else SolveMemo()
+        memo.bind(g, keep, True)
         self.n = g.n
-        self.search = self.potentials = None
+        self.potentials = None
         if len(g.edges) >= g.n:
-            self.search = _CoverSearch(g, keep, memo=memo)
             rows = [tuple(1 << d for d in dist) for dist in g.dist]
             self.potentials = [(row, sum(row)) for row in rows]
         self.steps = [_bfs_steps(g, root) for root in range(g.n)]
@@ -665,14 +656,14 @@ class _ThresholdCheck:
         pebbles off u and puts 1 on a neighbour at most one step farther
         from t, so no move raises it, and a covered vector has at least
         t's stack cost (Sjostrand, 2005).  The search's near potential
-        (_CoverSearch) is another quantity."""
+        (SolveMemo) is another quantity."""
         return any(sum(map(mul, vec, row)) < cost for row, cost in self.potentials)
 
     def run(self, k: int) -> ThresholdResult:
         """The first unsolvable vector of size k, at most top, in colex
         order, if any; see verify_threshold."""
         n = self.n
-        steps, search, keep = self.steps, self.search, self.keep
+        steps, memo, keep = self.steps, self.memo, self.keep
         held: dict[int, int] = {}
 
         def uncertified(v: int, spare: int) -> list[int]:
@@ -698,7 +689,7 @@ class _ThresholdCheck:
             vec = tuple(held[u] for u in range(n))
             if any(_pass(tree, root, vec, keep) is not None for root, tree in enumerate(steps)):
                 continue
-            if search is None or self.refutes(vec) or not search.decide(vec)[0]:
+            if self.potentials is None or self.refutes(vec) or not memo._decide(vec)[0]:
                 return ThresholdResult(Configuration(vec), _colex_rank(vec) + 1)
         return ThresholdResult(None, composition_count(n, k))
 
@@ -723,13 +714,13 @@ def verify_threshold(
     turn: the passes from every vertex, each keeping one pebble on every
     vertex (_pass), certify it; failing those, on a graph with cycles,
     its stack potentials refute it (_ThresholdCheck.refutes); only a
-    vector neither certified nor refuted goes to the search, which
-    shares the memo.  On a tree the pass is exact from every root, so no
-    count is retried and neither the refutation nor the search runs.  A
-    given memo is bound to g at entry, on a tree too, so one bound to
-    another graph raises InvalidSpec.  The BFS steps, the potential rows
-    and the search are built once per call; gamma_exact builds them once
-    for both of its sizes.
+    vector neither certified nor refuted goes to the memo's search.  On
+    a tree the pass is exact from every root, so no count is retried and
+    neither the refutation nor the search runs.  A given memo is bound
+    to g at entry, on a tree too, so one bound to another graph raises
+    InvalidSpec.  The BFS steps, the potential rows and the search's
+    tables are built once per call; gamma_exact builds them once for
+    both of its sizes.
 
     configs_checked is the witness's rank plus one, or the full count
     when the size is good, as a scan in that order would report.  A k
@@ -751,8 +742,8 @@ def gamma_exact(g: Graph) -> GammaResult:
     size L - 1 must not; either surprise raises InternalAssertion.  The
     witness is the colexicographically first unsolvable configuration of
     size L - 1, and configs_checked sums the counts of both checks.  Both
-    sizes share one set of tables, the search and its memo among them;
-    on a tree neither size reaches the search.
+    sizes share one set of tables and one memo; on a tree neither size
+    reaches the memo's search.
     """
     k = bound_report(g).lower_stacked
     check = _ThresholdCheck(g, None, k)

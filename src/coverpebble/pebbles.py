@@ -29,8 +29,10 @@ class Configuration:
 
     def __post_init__(self):
         object.__setattr__(self, "counts", tuple(self.counts))
+        # a bool is an int, but True would print as "True", which
+        # parse_config refuses
         for c in self.counts:
-            if not isinstance(c, int) or c < 0:
+            if type(c) is not int or c < 0:
                 raise InvalidSpec(f"pebble counts must be nonnegative integers, got {c!r}")
 
     @property
@@ -46,8 +48,10 @@ class BinaryWeighting:
 
     def __post_init__(self):
         object.__setattr__(self, "marks", tuple(self.marks))
+        # bools too: True would print as "True", which parse_weighting
+        # refuses
         for m in self.marks:
-            if not isinstance(m, int) or m not in (0, 1):
+            if type(m) is not int or m not in (0, 1):
                 raise InvalidSpec(f"marks must be the integers 0 or 1, got {m!r}")
 
     @property

@@ -9,6 +9,7 @@ import time
 import pytest
 from util import (
     all_weightings,
+    bound_memo,
     connected_classes,
     labeled_trees,
     move_pairs,
@@ -116,8 +117,10 @@ def test_solve_budget():
 def test_solve_rejects_a_negative_budget():
     w4 = generate(Wheel(4))
     c = Configuration((0, 9, 0, 0, 0))
-    with pytest.raises(InvalidSpec):
-        solve(w4, c, budget=-5)
+    # a float or bool budget is refused too, not read as a state count
+    for budget in (-5, 1.5, True):
+        with pytest.raises(InvalidSpec, match="budget must be"):
+            solve(w4, c, budget=budget)
     # a zero budget still stops at the first state
     with pytest.raises(BudgetExceeded):
         solve(w4, c, budget=0)
@@ -180,12 +183,12 @@ def _check_solve_against_the_search(g, b, top):
     # of its own and the solvable-set table, and every certificate
     # replays and covers the targets
     keep = (1,) * g.n if b is None else b.marks
-    search = exact._CoverSearch(g, keep)
+    search = bound_memo(g, keep)
     checked = 0
     for k, level in enumerate(solvable_levels(g, keep, top)):
         for vec in iter_count_vectors(g.n, k):
             out = solve(g, Configuration(vec), b)
-            assert out.solvable == search.decide(vec)[0] == (vec in level), (g.edges, b, vec)
+            assert out.solvable == search._decide(vec)[0] == (vec in level), (g.edges, b, vec)
             if out.solvable:
                 validate_certificate(g, out.certificate, b)
             checked += 1
@@ -229,11 +232,11 @@ def test_the_pass_alone_decides_on_trees():
                 top = _stack_bound(g, marked)
                 vectors = [stacked(g, v, k).counts for v in range(n) for k in (top - 1, top) if k >= 0]
                 vectors += [random_composition(rng, max(k, 0), n) for k in range(top - 3, top + 2) for _ in range(2)]
-                search = exact._CoverSearch(g, (1,) * n if b is None else b.marks)
+                search = bound_memo(g, None if b is None else b.marks)
                 for vec in vectors:
                     out = solve(g, Configuration(vec), b)
                     assert out.states_explored == 0, (g.edges, b, vec)
-                    assert out.solvable == search.decide(vec)[0], (g.edges, b, vec)
+                    assert out.solvable == search._decide(vec)[0], (g.edges, b, vec)
                     if out.solvable:
                         validate_certificate(g, out.certificate, b)
                     checked += 1
@@ -460,9 +463,12 @@ def test_star_100_answers_in_seconds():
 
 
 def test_verify_threshold_rejects_a_negative_size():
-    for g in (P3, W3):
-        with pytest.raises(InvalidSpec, match="nonnegative"):
-            verify_threshold(g, -1)
+    # a float or bool size is refused too, before math.comb or range
+    # would fail on it with a TypeError
+    for g in (P3, W3, generate(Wheel(4))):
+        for k in (-1, 3.0, True):
+            with pytest.raises(InvalidSpec, match="nonnegative"):
+                verify_threshold(g, k)
 
 
 def test_verify_threshold_shared_memo_speedup_is_consistent():
@@ -548,10 +554,9 @@ def test_gamma_single_vertex():
 
 
 def _reference_scan(g, k, memo):
-    # decides every configuration with the search, sharing one memo
-    search = exact._CoverSearch(g, (1,) * g.n, memo=memo)
+    # decides every configuration with the search of one memo, bound to g
     for rank, vec in enumerate(iter_count_vectors(g.n, k)):
-        if not search.decide(vec)[0]:
+        if not memo._decide(vec)[0]:
             return Configuration(vec), rank + 1
     return None, composition_count(g.n, k)
 
@@ -561,7 +566,7 @@ def test_scan_matches_a_search_of_every_vector():
     # tree certificates in front of the search
     results = []
     for g in small_catalog(4):
-        memo = SolveMemo()
+        memo = bound_memo(g)
         for k in range(2, 9):
             result = verify_threshold(g, k)
             witness, checked = _reference_scan(g, k, memo)
@@ -586,7 +591,7 @@ def test_tree_scan_matches_a_scan_of_every_vector():
         ("K(2,2,1) relabelled", _relabelled(Multipartite((2, 2, 1)))),
     ]
     for name, g in cases:
-        memo = SolveMemo()
+        memo = bound_memo(g)
         gamma = bound_report(g).lower_stacked
         for k in (gamma - 1, gamma):
             witness, checked = _reference_scan(g, k, memo)
@@ -676,10 +681,10 @@ def test_tree_pass_matches_the_search_on_every_small_tree():
     for n in range(1, 5):
         for g in labeled_trees(n):
             steps, ones = exact._bfs_steps(g, 0), (1,) * g.n
-            search = exact._CoverSearch(g, ones)
+            search = bound_memo(g, ones)
             for k in range(bound_report(g).lower_stacked + 2):
                 for vec in iter_count_vectors(g.n, k):
-                    assert (exact._pass(steps, 0, vec, ones) is not None) == search.decide(vec)[0], (g.edges, vec)
+                    assert (exact._pass(steps, 0, vec, ones) is not None) == search._decide(vec)[0], (g.edges, vec)
                     checked += 1
     assert checked > 60_000
 
@@ -698,7 +703,7 @@ def test_tree_pass_matches_the_search_on_random_configurations():
     outcomes = set()
     for g in named + grown:
         steps, ones = exact._bfs_steps(g, 0), (1,) * g.n
-        search = exact._CoverSearch(g, ones)
+        search = bound_memo(g, ones)
         # refuting one big stack on a deep random tree takes the search
         # seconds, so there the stacks are checked against their cost
         # and the sampled configurations use at least two vertices
@@ -707,7 +712,7 @@ def test_tree_pass_matches_the_search_on_random_configurations():
         for k in range(gamma - 3, gamma + 2):
             for _ in range(40):
                 vec = _spread(rng, g.n, k, rng.randint(smallest, g.n))
-                answer = search.decide(vec)[0]
+                answer = search._decide(vec)[0]
                 assert (exact._pass(steps, 0, vec, ones) is not None) == answer, (g.edges, vec)
                 outcomes.add(answer)
             for v in range(g.n):
@@ -828,11 +833,11 @@ def test_stack_potentials_refute_only_unsolvable_vectors():
             # the pass is exact on a tree, so no refutation runs there
             assert check.potentials is None, g.edges
             continue
-        search = exact._CoverSearch(g, (1,) * g.n)
+        search = bound_memo(g)
         for k in range(max(costs) + 2):
             for vec in iter_count_vectors(g.n, k):
                 if check.refutes(vec):
-                    assert not search.decide(vec)[0], (g.edges, vec)
+                    assert not search._decide(vec)[0], (g.edges, vec)
                     refuted += 1
         for v, cost in enumerate(costs):
             assert check.refutes(stacked(g, v, cost - 1).counts), (g.edges, v)
@@ -844,13 +849,13 @@ def test_failing_checks_below_the_stack_bound_skip_the_search(monkeypatch):
     # the colex-first witness at L - 1 is a stack the potentials refute,
     # and the tree passes certify every vector before it
     calls = []
-    real = exact._CoverSearch.decide
+    real = SolveMemo._decide
 
     def counted(self, counts, budget=None):
         calls.append(counts)
         return real(self, counts, budget)
 
-    monkeypatch.setattr(exact._CoverSearch, "decide", counted)
+    monkeypatch.setattr(SolveMemo, "_decide", counted)
     graphs = [
         generate(Wheel(5)),
         generate(Multipartite((3, 2, 2))),
@@ -885,14 +890,14 @@ def test_bfs_tree_certificates_never_pass_an_unsolvable_vector():
     for g in _cyclic_graphs():
         trees = [exact._bfs_steps(g, root) for root in range(g.n)]
         ones = (1,) * g.n
-        search = exact._CoverSearch(g, ones)
+        search = bound_memo(g, ones)
         gamma = bound_report(g).lower_stacked
         sizes = range(gamma + 2) if g.n <= 4 else (gamma - 1,)
         for k in sizes:
             for vec in iter_count_vectors(g.n, k):
                 certified = any(exact._pass(steps, root, vec, ones) is not None for root, steps in enumerate(trees))
                 if certified or g.n <= 4:
-                    solvable = search.decide(vec)[0]
+                    solvable = search._decide(vec)[0]
                     assert solvable or not certified, (g.edges, vec)
                     outcomes.add((certified, solvable))
     # the trees certify most solvable vectors, but not all of them
@@ -904,10 +909,10 @@ def _certified_scan(g, k):
     # from every vertex, then the search, on every vector in colex order
     trees = [exact._bfs_steps(g, root) for root in range(g.n)]
     ones = (1,) * g.n
-    search = exact._CoverSearch(g, ones)
+    search = bound_memo(g, ones)
     for rank, vec in enumerate(iter_count_vectors(g.n, k)):
         certified = any(exact._pass(steps, root, vec, ones) is not None for root, steps in enumerate(trees))
-        if not certified and not search.decide(vec)[0]:
+        if not certified and not search._decide(vec)[0]:
             return Configuration(vec), rank + 1
     return None, composition_count(g.n, k)
 

@@ -49,10 +49,11 @@ def test_weighting_basics():
         BinaryWeighting((1, 2))
 
 
-@pytest.mark.parametrize("mark", [1.0, 0.0, "1", None])
+@pytest.mark.parametrize("mark", [1.0, 0.0, "1", None, True, False])
 def test_weighting_refuses_marks_that_are_not_integers(mark):
     # 1.0 == 1, so a test by value alone let (1.0, 0, 0, 0, 0) through
-    # and solve then failed with a TypeError in the pass
+    # and solve then failed with a TypeError in the pass; True is an
+    # int, but would print as "True"
     with pytest.raises(InvalidSpec, match="marks must be"):
         BinaryWeighting((mark, 0, 0, 0, 0))
 
@@ -67,12 +68,13 @@ def _reuse_memo_on_another_graph():
     "bad",
     [
         lambda: Configuration((1, -1)),
+        lambda: Configuration((True, 0)),
         lambda: BinaryWeighting((1, 2)),
         lambda: stacked(P3, 3, 4),
         lambda: stacked(P3, 0, -1),
         _reuse_memo_on_another_graph,
     ],
-    ids=["configuration", "weighting", "stacked", "stacked-negative", "memo-bind"],
+    ids=["configuration", "configuration-bool", "weighting", "stacked", "stacked-negative", "memo-bind"],
 )
 def test_invalid_values_raise_a_pebbling_error(bad):
     # one except clause at a process boundary catches every deliberate

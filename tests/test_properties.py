@@ -8,6 +8,7 @@ them with its own parameters.
 import random
 
 from util import (
+    bound_memo,
     connected_graphs,
     labeled_trees,
     order6_tree_representatives,
@@ -20,7 +21,6 @@ from coverpebble import (
     Configuration,
     SolveMemo,
     bound_report,
-    exact,
     gamma_exact,
     iter_count_vectors,
     solve,
@@ -90,24 +90,24 @@ def run_prune_equivalence_check(case_count: int = 300, seed: int = 5) -> int:
     configurations by a tree pass before the search runs."""
     cases = 0
     for g in small_catalog(3):
-        fast = exact._CoverSearch(g, (1,) * g.n)
-        plain = exact._CoverSearch(g, (1,) * g.n, pruning=False)
+        fast = bound_memo(g)
+        plain = bound_memo(g, pruning=False)
         for k in range(7):
             for c in iter_count_vectors(g.n, k):
-                a = fast.decide(c)[0]
-                b = plain.decide(c)[0]
+                a = fast._decide(c)[0]
+                b = plain._decide(c)[0]
                 assert a == b, (g.edges, c)
                 cases += 1
     rng = random.Random(seed)
     graphs = connected_graphs(4)
-    fast_searches = [exact._CoverSearch(g, (1,) * g.n) for g in graphs]
-    plain_searches = [exact._CoverSearch(g, (1,) * g.n, pruning=False) for g in graphs]
+    fast_searches = [bound_memo(g) for g in graphs]
+    plain_searches = [bound_memo(g, pruning=False) for g in graphs]
     for _ in range(case_count):
         idx = rng.randrange(len(graphs))
         g = graphs[idx]
         c = random_config(rng, g.n, rng.randint(0, 7)).counts
-        a = fast_searches[idx].decide(c)[0]
-        b = plain_searches[idx].decide(c)[0]
+        a = fast_searches[idx]._decide(c)[0]
+        b = plain_searches[idx]._decide(c)[0]
         assert a == b, (g.edges, c)
         cases += 1
     return cases
@@ -148,7 +148,7 @@ def test_gamma_witness_is_the_colex_first_failure():
         first = next(
             vec
             for vec in iter_count_vectors(g.n, result.gamma - 1)
-            if not exact._CoverSearch(g, (1,) * g.n, pruning=False).decide(vec)[0]
+            if not bound_memo(g, pruning=False)._decide(vec)[0]
         )
         assert result.witness.counts == first, g.edges
 
@@ -182,7 +182,7 @@ def test_gamma_equals_worst_stack_on_order6_trees():
         worst = max(range(g.n), key=lambda v: stack_cost(g, v))
         assert stack_cost(g, worst) == formula, name
         short = stacked(g, worst, formula - 1).counts
-        assert not exact._CoverSearch(g, (1,) * g.n).decide(short)[0], name
+        assert not bound_memo(g)._decide(short)[0], name
         result = gamma_exact(g)
         assert result.gamma == formula, name
         assert result.witness.size == formula - 1, name

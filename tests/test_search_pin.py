@@ -2,23 +2,23 @@
 
 Each case records, for one cold search with a fresh memo, the number of
 states expanded, the size of the memo afterwards and the winning
-moves.  The cases call the search directly: solve answers most of them
-by a spanning-tree pass before the search runs.  Any change to the move
-order, the pruning or the memo writes moves at least one of these
-literals, even when every answer stays right.  A change that means to
-alter the search must update them on purpose.  The move order and the
-pruning test that the search runs on each expanded state are compared
-with plain reference versions on every small graph, and whole searches
-with ReferenceSearch, the tuple search the packed kernel replaced: on
-the benchmark's graph families, and on memos shared across field
-widths.
+moves.  The cases call the memo's search directly: solve answers most
+of them by a spanning-tree pass before the search runs.  Any change to
+the move order, the pruning or the memo writes moves at least one of
+these literals, even when every answer stays right.  A change that
+means to alter the search must update them on purpose.  The move order
+and the pruning test that the search runs on each expanded state, and
+whole searches, are compared with ReferenceSearch, the tuple search the
+packed kernel replaced: the first two on every small graph, whole
+searches on the benchmark's graph families and on memos shared across
+field widths.
 """
 
 import itertools
 import random
 
 import pytest
-from util import ReferenceSearch, random_config, small_catalog
+from util import ReferenceSearch, bound_memo, random_config, small_catalog
 
 from coverpebble import (
     BinaryWeighting,
@@ -29,7 +29,6 @@ from coverpebble import (
     SolveMemo,
     Wheel,
     build_graph,
-    exact,
     generate,
     solve,
     verify_threshold,
@@ -75,14 +74,13 @@ CASES = [
 @pytest.mark.parametrize("case", range(len(CASES)))
 def test_search_trace_is_pinned(case):
     g, counts, b, states, entries, moves = CASES[case]
-    memo = SolveMemo()
-    search = exact._CoverSearch(g, (1,) * g.n if b is None else b.marks, memo=memo)
-    solvable, explored = search.decide(counts)
+    memo = bound_memo(g, None if b is None else b.marks)
+    solvable, explored = memo._decide(counts)
     assert explored == states
     assert len(memo.win) + len(memo.fail) == entries
     assert solvable == (moves is not None)
     if moves is not None:
-        assert search.winning_moves(counts) == moves
+        assert memo._winning_moves(counts) == moves
 
 
 def test_budget_stop_is_pinned():
@@ -93,70 +91,46 @@ def test_budget_stop_is_pinned():
     assert len(memo.win) + len(memo.fail) == 189
 
 
-def reference_moves(g, marked, state):
-    # big piles first, stepping toward the nearest uncovered target,
-    # then source and destination index
-    uncovered = [t for t in marked if not state[t]]
-    ranked = []
-    for u, cu in enumerate(state):
-        if cu >= 2:
-            for x in g.adj[u]:
-                near = min(g.dist[x][t] for t in uncovered) if uncovered else 0
-                ranked.append((-cu, near, u, x))
-    return [(u, x) for _, _, u, x in sorted(ranked)]
-
-
-def reference_prunable(g, marked, state):
-    # too few pebbles for the targets, or some empty target whose
-    # weighted total 2**(diam - dist) is below that of one pebble on
-    # every target
-    if sum(state) < len(marked):
-        return True
-    for t in marked:
-        if not state[t]:
-            have = sum(c << (g.diam - g.dist[v][t]) for v, c in enumerate(state))
-            demand = sum(1 << (g.diam - g.dist[u][t]) for u in marked)
-            if have < demand:
-                return True
-    return False
-
-
 def test_move_order_and_pruning_match_the_reference():
-    # what _expand returns for each expanded state is what decide runs:
-    # None when pruned, else the moves in the order they are tried
+    # what _expand returns for each expanded state is what _decide runs:
+    # None when pruned, else the moves in the order they are tried, as
+    # ReferenceSearch prunes and orders them
     rng = random.Random(7)
     checked = 0
     for g in small_catalog(4):
         for marks in itertools.product((0, 1), repeat=g.n):
-            marked = [v for v, m in enumerate(marks) if m]
-            search = exact._CoverSearch(g, marks)
+            memo, ref = bound_memo(g, marks), ReferenceSearch(g, marks)
             for _ in range(12):
                 state = random_config(rng, g.n, rng.randint(0, 9)).counts
-                search._fit(sum(state))
-                packed, potential = search._pack(state), search._potential(state)
-                covered = (packed + search.low) & search.guard
-                moves = search._expand(packed, potential, sum(state), covered)
-                assert (moves is None) == reference_prunable(g, marked, state)
+                memo._fit(sum(state))
+                packed, potential = memo._pack(state), memo._potential(state)
+                covered = (packed + memo.low) & memo.guard
+                moves = memo._expand(packed, potential, sum(state), covered)
+                assert (moves is None) == ref._prunable(state)
                 if moves is not None:
                     moves = list(moves)
-                    assert [move for *_, move in moves] == reference_moves(g, marked, state)
+                    assert [move for *_, move in moves] == ref._ordered_moves(state)
                     for _, step, drop, move in moves:
                         child = ReferenceSearch._apply(state, move)
-                        assert (packed + step, potential + drop) == (search._pack(child), search._potential(child))
+                        assert (packed + step, potential + drop) == (memo._pack(child), memo._potential(child))
                 checked += 1
     assert checked > 5000
 
 
-def trace(search, memo, counts, budget=None):
+def trace(search, counts, budget=None):
     """(solvable, states, win entries, fail entries, win chain) of one
-    decide on a packed search or a ReferenceSearch; a budget stop gives
-    the states at the stop and no chain."""
+    decide on a bound SolveMemo or a ReferenceSearch; a budget stop
+    gives the states at the stop and no chain."""
+    if isinstance(search, SolveMemo):
+        decide, chain_of = search._decide, search._winning_moves
+    else:
+        decide, chain_of = search.decide, search.winning_moves
     try:
-        solvable, states = search.decide(counts, budget)
+        solvable, states = decide(counts, budget)
     except BudgetExceeded as stop:
         solvable, states = "stopped", stop.states
-    chain = search.winning_moves(counts) if solvable is True else None
-    return solvable, states, len(memo.win), len(memo.fail), chain
+    chain = chain_of(counts) if solvable is True else None
+    return solvable, states, len(search.win), len(search.fail), chain
 
 
 def stack_inputs(rng, g, keep):
@@ -183,18 +157,16 @@ def test_decide_matches_the_reference_search(g):
         while weighted and keep in ((1,) * g.n, (0,) * g.n):
             keep = tuple(rng.randint(0, 1) for _ in range(g.n))
         for counts in stack_inputs(rng, g, keep):
-            memo, ref = SolveMemo(), ReferenceSearch(g, keep)
-            got = trace(exact._CoverSearch(g, keep, memo=memo), memo, counts)
-            assert got == trace(ref, ref, counts), (keep, counts)
+            got = trace(bound_memo(g, keep), counts)
+            assert got == trace(ReferenceSearch(g, keep), counts), (keep, counts)
     # one budget stop: the stack two short of the worst cost, cut off
     # after a tenth of the states its refutation takes
     ones = (1,) * g.n
     counts = min(stack_inputs(random.Random(0), g, ones), key=sum)
     states = ReferenceSearch(g, ones).decide(counts)[1]
-    memo, ref = SolveMemo(), ReferenceSearch(g, ones)
-    got = trace(exact._CoverSearch(g, ones, memo=memo), memo, counts, states // 10)
+    got = trace(bound_memo(g, ones), counts, states // 10)
     assert got[0] == "stopped"
-    assert got == trace(ref, ref, counts, states // 10)
+    assert got == trace(ReferenceSearch(g, ones), counts, states // 10)
 
 
 @pytest.mark.parametrize("sizes", [(6, 17, 40), (40, 17, 6)], ids=["widening", "narrowing"])
@@ -204,14 +176,13 @@ def test_a_memo_shared_across_widths_matches_the_reference(sizes):
     # at 17 and 9 at 40, and a memo re-packs to a wider W, never narrower
     rng = random.Random(3)
     ones = (1,) * W6.n
-    memo, ref = SolveMemo(), ReferenceSearch(W6, ones)
-    search = exact._CoverSearch(W6, ones, memo=memo)
+    memo, ref = bound_memo(W6, ones), ReferenceSearch(W6, ones)
     widths = []
     for k in sizes:
         for counts in ((0, k, 0, 0, 0, 0, 0), random_config(rng, W6.n, k).counts):
-            got = trace(search, memo, counts)
-            assert got == trace(ref, ref, counts), counts
-            assert got[0] == exact._CoverSearch(W6, ones).decide(counts)[0], counts
+            got = trace(memo, counts)
+            assert got == trace(ref, counts), counts
+            assert got[0] == bound_memo(W6, ones)._decide(counts)[0], counts
             widths.append(memo._width)
     assert widths == ([6, 6, 8, 8, 9, 9] if sizes[0] == 6 else [9] * 6)
 
@@ -237,6 +208,26 @@ def test_a_threshold_memo_repacks_for_the_next_size():
         assert ref.decide(counts)[0] == (key in memo.win), counts
 
 
+def test_solves_sharing_a_memo_at_one_width_build_the_tables_once(monkeypatch):
+    # on wheel 6 (diameter 2) W is 8 at sizes 16 to 18; a solve that a
+    # tree pass answers builds nothing, and a search at a width the memo
+    # already holds reuses its tables
+    built = []
+    real = SolveMemo._build
+
+    def counted(self, w):
+        built.append(w)
+        real(self, w)
+
+    monkeypatch.setattr(SolveMemo, "_build", counted)
+    memo = SolveMemo()
+    assert solve(W6, Configuration((1,) * 7), memo=memo).states_explored == 0
+    assert (built, memo._width) == ([], 0)
+    for k in (17, 18, 16):
+        assert solve(W6, Configuration((0, k, 0, 0, 0, 0, 0)), memo=memo).states_explored > 0
+    assert built == [8]
+
+
 @pytest.mark.parametrize(
     "g, keep, counts, answer",
     [
@@ -250,7 +241,6 @@ def test_a_threshold_memo_repacks_for_the_next_size():
 )
 def test_edge_searches_match_the_reference(g, keep, counts, answer):
     for pruning in (True, False):
-        memo, ref = SolveMemo(), ReferenceSearch(g, keep, pruning)
-        got = trace(exact._CoverSearch(g, keep, memo=memo, pruning=pruning), memo, counts)
-        assert got == trace(ref, ref, counts)
+        got = trace(bound_memo(g, keep, pruning), counts)
+        assert got == trace(ReferenceSearch(g, keep, pruning), counts)
         assert got[:2] == answer

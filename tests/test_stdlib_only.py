@@ -1,7 +1,9 @@
 """The package has no runtime dependencies: every absolute import in its
 source names a standard-library module.  Every name a module imports is
 used in that module, and every parameter and local a function binds is
-read.  Each export is defined in the one module whose __all__ lists it."""
+read.  Each export is defined in the one module whose __all__ lists it,
+and every private definition is referenced somewhere else in the
+package."""
 
 import ast
 import importlib
@@ -130,3 +132,38 @@ def test_every_parameter_and_local_is_read():
     assert not unread, unread
     # an exemption outlives its reason once the name is read or gone
     assert _UNREAD_ALLOWED <= found.keys()
+
+
+def _definitions(tree):
+    # (name, node defining it): functions, classes and methods at any
+    # depth, and the plain names that module and class bodies assign
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, (ast.Module, ast.ClassDef)):
+            for stmt in node.body:
+                if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                    targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                    yield from ((t.id, stmt) for t in targets if isinstance(t, ast.Name))
+
+
+def test_every_private_definition_is_referenced():
+    # a private helper, class, method or alias that no code in the
+    # package reads outside its own definition is dead
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE_DIR.rglob("*.py"))}
+    assert trees, PACKAGE_DIR
+    reads = [
+        (path, node.lineno, node.id if isinstance(node, ast.Name) else node.attr)
+        for path, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    ]
+    dead = []
+    for path, tree in trees.items():
+        for name, node in _definitions(tree):
+            if not name.startswith("_") or name.startswith("__"):
+                continue
+            own = range(node.lineno, node.end_lineno + 1)
+            if not any(read == name and (where != path or line not in own) for where, line, read in reads):
+                dead.append(f"{path.relative_to(PACKAGE_DIR)}:{node.lineno}: {name}")
+    assert not dead, dead

@@ -1,13 +1,15 @@
 """Shared helpers for the test suite: small-graph catalogs, weighting
 enumeration, uniform configuration sampling, and two independent
 references for the exact layer: a table of solvable vectors and a plain
-tuple cover search."""
+tuple cover search; and bound memos, whose search the tests call
+directly."""
 
 from __future__ import annotations
 
 import itertools
 import operator
 from functools import lru_cache
+from typing import Optional
 
 from coverpebble import (
     BinaryWeighting,
@@ -17,6 +19,7 @@ from coverpebble import (
     Graph,
     Multipartite,
     Path,
+    SolveMemo,
     Star,
     build_graph,
     generate,
@@ -250,6 +253,15 @@ class ReferenceSearch:
             moves.append(self.win[state])
             state = self._apply(state, moves[-1])
         return moves
+
+
+def bound_memo(g: Graph, keep: Optional[tuple[int, ...]] = None, pruning: bool = True) -> SolveMemo:
+    """A fresh SolveMemo bound to g toward the targets of keep, every
+    vertex by default, for tests that call its search directly, since
+    solve answers most configurations by a tree pass first."""
+    memo = SolveMemo()
+    memo.bind(g, (1,) * g.n if keep is None else keep, pruning)
+    return memo
 
 
 def random_tree(rng, n: int) -> Graph:

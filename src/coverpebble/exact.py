@@ -27,7 +27,7 @@ import sys
 from dataclasses import dataclass
 from itertools import accumulate, chain, repeat
 from math import comb
-from operator import add, lshift, mul, sub
+from operator import add, gt, lshift, mul, sub
 from typing import Iterator, Optional
 
 from .errors import BudgetExceeded, InternalAssertion, InvalidSpec
@@ -78,7 +78,7 @@ class GammaResult:
 
 class SolveMemo:
     """Depth-first cover-solvability search on one graph toward the
-    targets t with keep[t] = 1, with optional sound pruning, and the
+    targets T, the t with keep[t] = 1, with optional sound pruning, and the
     decision cache that repeated solves on that setup share.
 
     ``fail`` holds the states known unsolvable.  ``win`` maps a state to
@@ -92,6 +92,17 @@ class SolveMemo:
     its first use and refuses reuse under a different one.  Binding
     stores only that combination and the graph; the tables below are
     derived at the first search.
+
+    With pruning on, an expanded state goes to ``fail`` unexpanded when
+    either of two counts proves it unsolvable:
+
+    - the move count: fewer than |T| + u pebbles, u being its number of
+      uncovered targets.  Each move takes one pebble off the board, a
+      covering state holds at least |T| pebbles, and each uncovered
+      target needs a move of its own landing on it, so a solution of m
+      moves from a state of s pebbles has s - |T| >= m >= u;
+    - the near potential: some uncovered target t whose near potential
+      (below) is under t's demand.
 
     The search is fixed by its move order: from each state it tries the
     moves off the biggest piles first, then those stepping onto a vertex
@@ -120,8 +131,10 @@ class SolveMemo:
       is pruned when some uncovered target is below its demand:
       ((P + GUARD_T - DEM) | covered) & GUARD_T != GUARD_T, where
       covered = (S + LOW) & GUARD_T marks the covered targets;
-    - the size rule, fewer pebbles than targets, reads the size from the
-      frame depth, since each move takes one pebble off the board.
+    - the move count reads the size from the frame depth, since each
+      move takes one pebble off the board, and |T| - u as
+      covered.bit_count(), so it prunes when
+      size < 2 * |T| - covered.bit_count().
 
     The counts are decoded only when a state is expanded, to rank its
     moves.  The threshold check's stack potential
@@ -139,7 +152,7 @@ class SolveMemo:
     - ``near_rows``: per vertex v, 2**(diam - d(v, t)) packed at field
       t for every target t, so P = sum_v c(v) * near_rows[v].
     - ``slack``: GUARD_T - DEM, nonnegative in every field whenever the
-      size rule passes.
+      move count passes.
     - ``moves_off``: per vertex u, its moves u -> x as (u * n + x, x,
       state step, potential step, (u, x)).
 
@@ -235,7 +248,7 @@ class SolveMemo:
         the state's pebble count."""
         if self.pruning:
             guard = self.guard
-            if size < len(self.marked) or ((potential + self.slack) | covered) & guard != guard:
+            if size < 2 * len(self.marked) - covered.bit_count() or ((potential + self.slack) | covered) & guard != guard:
                 return None
         slots = self.ranked.get(covered)
         if slots is None:
@@ -340,12 +353,13 @@ def solve(
     """Decide whether a configuration can cover the targets.
 
     Without a weighting every vertex is a target.  Three tests run in
-    turn.  No move adds a pebble, so fewer pebbles than targets is
-    unsolvable.  Then the pass that keeps one pebble on each target
-    (see _pass): on a tree one pass from root 0 decides exactly,
-    and on a graph with cycles the BFS trees from each root in index
-    order are tried until one passes.  Only a configuration on a graph
-    with cycles that no tree passes reaches the search.
+    turn.  First the move count that SolveMemo proves: fewer pebbles
+    than the targets plus the targets without a pebble is unsolvable.
+    Then the pass that keeps one pebble on each target (see _pass): on
+    a tree one pass from root 0 decides exactly, and on a graph with
+    cycles the BFS trees from each root in index order are tried until
+    one passes.  Only a configuration on a graph with cycles that no
+    tree passes reaches the search.
 
     A solvable outcome carries a certificate, the passing tree's moves
     (_pass_moves) or the search's win chain.  A tree's moves come in
@@ -353,7 +367,7 @@ def solve(
     edge, and each run repeats one PebblingMove object.  A certificate
     always replays cleanly through validate_certificate, and a
     configuration that already covers its targets gets no moves.  An
-    answer from the size rule or a pass reports states_explored 0 and
+    answer from the move count or a pass reports states_explored 0 and
     writes nothing to the memo; budget and pruning apply to the search
     only.  A given memo is bound at entry on every call, so one bound to
     another graph, target set or pruning setting raises InvalidSpec even
@@ -364,14 +378,17 @@ def solve(
     check_length(c.counts, g.n, "configuration")
     if budget is not None and (type(budget) is not int or budget < 0):
         raise InvalidSpec(f"budget must be a nonnegative integer, got {budget!r}")
+    # need: the targets plus the targets without a pebble
     if b is None:
         keep = (1,) * g.n
+        need = g.n + c.counts.count(0)
     else:
         check_length(b.marks, g.n, "weighting")
         keep = b.marks
+        need = sum(keep) + sum(map(gt, keep, c.counts))
     memo = memo if memo is not None else SolveMemo()
     memo.bind(g, keep, pruning)
-    if c.size < sum(keep):
+    if c.size < need:
         return SolveOutcome(False, None, 0)
     tree = len(g.edges) < g.n
     for root in (0,) if tree else range(g.n):

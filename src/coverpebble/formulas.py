@@ -16,7 +16,7 @@ __all__ = [
 from dataclasses import dataclass
 
 from .errors import InvalidSpec
-from .graphs import Graph, check_class_sizes
+from .graphs import Graph, check_class_sizes, check_rim
 
 
 def gamma_multipartite(sizes) -> int:
@@ -29,8 +29,7 @@ def gamma_multipartite(sizes) -> int:
 
 def gamma_wheel(n: int) -> int:
     """Cover pebbling number of the wheel with n rim vertices: 4n - 5."""
-    if n < 3:
-        raise InvalidSpec(f"wheel needs at least 3 rim vertices, got {n}")
+    check_rim(n)
     return 4 * n - 5
 
 
@@ -49,9 +48,10 @@ def stack_cost(g: Graph, v: int) -> int:
 
 def diameter_bound(n: int, d: int) -> int:
     """Upper bound 2**d * (n - d + 1) - 1 for a connected graph of
-    order n and diameter d.  Sharp on fuses."""
-    if n < 1 or d < 0 or d > n - 1:
-        raise InvalidSpec(f"no connected graph has order {n} and diameter {d}")
+    order n and diameter d.  Sharp on fuses.  n and d must be ints, not
+    bools."""
+    if type(n) is not int or type(d) is not int or n < 1 or d < 0 or d > n - 1:
+        raise InvalidSpec(f"no connected graph has order {n!r} and diameter {d!r}")
     return (1 << d) * (n - d + 1) - 1
 
 
@@ -59,9 +59,10 @@ def weighted_cover_bound(marked_count: int, d: int) -> int:
     """Size (marked_count - 1) * 2**d + 1 above which every permissible
     configuration can cover the marked vertices, d being the graph
     diameter.  Nonpositive when nothing is marked; callers treat the
-    value as a threshold, so that case is trivially met."""
-    if marked_count < 0 or d < 0:
-        raise InvalidSpec(f"bad arguments marked_count={marked_count}, d={d}")
+    value as a threshold, so that case is trivially met.  Both arguments
+    must be ints, not bools."""
+    if type(marked_count) is not int or type(d) is not int or marked_count < 0 or d < 0:
+        raise InvalidSpec(f"bad arguments marked_count={marked_count!r}, d={d!r}")
     return (marked_count - 1) * (1 << d) + 1
 
 

@@ -152,15 +152,16 @@ def generate(spec: FamilySpec) -> Graph:
     A star is built as the multipartite graph K(leaves, 1) and a path of
     order at least 2 as the fuse with d = n - 1.  Raises InvalidSpec
     when the parameters violate the family's rules or the order is over
-    MAX_ORDER, before any edge list is built.
+    MAX_ORDER, before any edge list is built.  Every parameter must be
+    an int; a bool or any other type raises InvalidSpec too.
     """
     if isinstance(spec, Star):
-        if spec.leaves < 1:
-            raise InvalidSpec(f"star needs at least 1 leaf, got {spec.leaves}")
+        if type(spec.leaves) is not int or spec.leaves < 1:
+            raise InvalidSpec(f"star needs at least 1 leaf, got {spec.leaves!r}")
         spec = Multipartite((spec.leaves, 1))
     elif isinstance(spec, Path):
-        if spec.n < 1:
-            raise InvalidSpec(f"path needs at least 1 vertex, got {spec.n}")
+        if type(spec.n) is not int or spec.n < 1:
+            raise InvalidSpec(f"path needs at least 1 vertex, got {spec.n!r}")
         if spec.n == 1:
             return build_graph(1, [])
         spec = Fuse(spec.n, spec.n - 1)
@@ -170,12 +171,13 @@ def generate(spec: FamilySpec) -> Graph:
         _check_order(sum(sizes))
         return build_graph(sum(sizes), multipartite_edges(sizes))
     if isinstance(spec, Wheel):
+        check_rim(spec.n)
         _check_order(spec.n + 1)
         return build_graph(spec.n + 1, wheel_edges(spec.n))
     if isinstance(spec, Fuse):
         n, d = spec.n, spec.d
-        if not 1 <= d <= n - 1:
-            raise InvalidSpec(f"fuse needs 1 <= d <= n-1, got n={n}, d={d}")
+        if type(n) is not int or type(d) is not int or not 1 <= d <= n - 1:
+            raise InvalidSpec(f"fuse needs 1 <= d <= n-1, got n={n!r}, d={d!r}")
         _check_order(n)
         edges = [(i, i + 1) for i in range(d - 1)]
         edges += [(d - 1, v) for v in range(d, n)]
@@ -185,12 +187,13 @@ def generate(spec: FamilySpec) -> Graph:
 
 def check_class_sizes(sizes) -> tuple[int, ...]:
     """Multipartite class sizes as a tuple; raises InvalidSpec unless
-    they are a nonempty, nonincreasing list of positive integers."""
+    they are a nonempty, nonincreasing list of positive ints, no bool
+    among them."""
     sizes = tuple(sizes)
     if not sizes:
         raise InvalidSpec("multipartite size list is empty")
     for s in sizes:
-        if not isinstance(s, int) or s < 1:
+        if type(s) is not int or s < 1:
             raise InvalidSpec(f"class sizes must be positive integers, got {s!r}")
     if any(a < b for a, b in zip(sizes, sizes[1:])):
         raise InvalidSpec(f"class sizes must be nonincreasing, got {list(sizes)}")
@@ -211,11 +214,18 @@ def multipartite_edges(sizes) -> tuple[tuple[int, int], ...]:
     return tuple(edges)
 
 
+def check_rim(n: int) -> None:
+    """Raise InvalidSpec unless n, a wheel's number of rim vertices, is
+    an int, not a bool, of at least 3."""
+    if type(n) is not int or n < 3:
+        raise InvalidSpec(f"wheel needs at least 3 rim vertices, got {n!r}")
+
+
 def wheel_edges(n: int) -> tuple[tuple[int, int], ...]:
     """Sorted edge list of the wheel with n rim vertices: hub 0 joined to
-    every rim vertex, rim cycle 1..n."""
-    if n < 3:
-        raise InvalidSpec(f"wheel needs at least 3 rim vertices, got {n}")
+    every rim vertex, rim cycle 1..n; raises InvalidSpec as check_rim
+    does."""
+    check_rim(n)
     edges = [(0, i) for i in range(1, n + 1)]
     edges += [(1, 2), (1, n)]
     edges += [(i, i + 1) for i in range(2, n)]

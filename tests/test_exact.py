@@ -164,12 +164,30 @@ def test_a_zero_budget_does_not_stop_a_pass_answer():
 
 def test_fewer_pebbles_than_targets_skip_every_pass():
     # all 1,000 roots would fail before the search pruned at its first
-    # state; the size rule answers first
+    # state; the move count answers first
     g = generate(Wheel(999))
     out = solve(g, stacked(g, 0, 10))
     assert not out.solvable and out.states_explored == 0
     b = BinaryWeighting((1, 1, 1) + (0,) * 997)
     assert not solve(g, Configuration((2,) + (0,) * 999), b).solvable
+
+
+@pytest.mark.parametrize(
+    "g, counts, marks",
+    [
+        (generate(Multipartite((3, 2))), (0, 0, 0, 4, 3), None),
+        (generate(Wheel(4)), (0, 6, 0, 0, 0), None),
+        (generate(Multipartite((3, 2))), (0, 0, 0, 5, 0), (1, 1, 1, 0, 0)),
+    ],
+    ids=["K32", "W4", "K32-weighted"],
+)
+def test_too_few_pebbles_for_the_empty_targets_skip_the_search(g, counts, marks):
+    # as many pebbles as targets or more, but fewer than the targets plus
+    # the empty ones, each of which needs a move of its own
+    memo = SolveMemo()
+    out = solve(g, Configuration(counts), None if marks is None else BinaryWeighting(marks), memo=memo)
+    assert (out.solvable, out.states_explored) == (False, 0)
+    assert not memo.fail and not memo.win
 
 
 def _stack_bound(g, marked):

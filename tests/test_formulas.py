@@ -91,6 +91,27 @@ def test_weighted_cover_bound_values():
         weighted_cover_bound(-1, 2)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: gamma_wheel(4.0),
+        lambda: gamma_wheel(True),
+        lambda: gamma_multipartite((3, True)),
+        lambda: gamma_multipartite((3.0, 2)),
+        lambda: diameter_bound(5.0, 2),
+        lambda: diameter_bound(5, True),
+        lambda: weighted_cover_bound(True, 2),
+        lambda: weighted_cover_bound(3, 2.0),
+    ],
+    ids=["wheel-float", "wheel-bool", "multipartite-bool", "multipartite-float", "diameter-float",
+         "diameter-bool", "weighted-bool", "weighted-float"],
+)
+def test_closed_forms_refuse_arguments_that_are_not_ints(call):
+    # gamma_wheel(4.0) used to return 11.0 and gamma_multipartite((3, True)) 11
+    with pytest.raises(InvalidSpec):
+        call()
+
+
 def test_bound_report_fuse_sharpness():
     report = bound_report(generate(Fuse(7, 4)))
     assert report.upper_diameter == 63

@@ -151,6 +151,19 @@ def test_generate_rejects_bad_specs():
         generate(Star(0))
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [Path(True), Path("3"), Path(3.0), Star(True), Star(2.0), Wheel(3.0), Wheel("3"), Wheel(True),
+     Multipartite((True, True)), Multipartite((2, 1.0)), Fuse(5.0, 2), Fuse(5, True)],
+    ids=repr,
+)
+def test_generate_refuses_parameters_that_are_not_ints(spec):
+    # a bool is an int to isinstance and to comparisons, so Path(True)
+    # would build path 1
+    with pytest.raises(InvalidSpec):
+        generate(spec)
+
+
 def test_family_edge_lists_match_the_definition():
     # the recognisers in constructive compare these lists with g.edges,
     # so they must equal build_graph's normalised, sorted edge tuple

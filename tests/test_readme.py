@@ -15,7 +15,7 @@ from coverpebble.cli import run_cli
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
-# the wheel 5 stack one short that the search refutes in 341 states
+# the wheel 5 stack one short that the search refutes in 222 states
 UNSOLVABLE = "coverpebble solve --family wheel --n 5 --config \"0 14 0 0 0 0\" --budget 1000"
 
 
@@ -36,7 +36,7 @@ def test_every_readme_example_exits_as_its_text_says(tmp_path, monkeypatch, caps
         code = run_cli(shlex.split(line)[1:])
         out = capsys.readouterr().out
         if line == UNSOLVABLE:
-            assert code == 1 and "unsolvable" in out and "states=341" in out, (line, code, out)
+            assert code == 1 and "unsolvable" in out and "states=222" in out, (line, code, out)
         else:
             assert code == 0, (line, code, out)
 

@@ -169,9 +169,9 @@ class ReferenceSearch:
     Depth-first from the given counts.  A state that covers the targets
     (keep[t] = 1), or is in ``win``, wins, and the path to it is written
     to ``win``.  With pruning on, a state is dead when it has fewer
-    pebbles than targets, or when some uncovered target t has a near
-    potential sum_v c(v) * 2**(diam - d(v, t)) below its value with one
-    pebble on each target.  The moves of a live state are tried in the
+    pebbles than the targets plus its uncovered targets, or when some
+    uncovered target t has a near potential sum_v c(v) * 2**(diam -
+    d(v, t)) below its value with one pebble on each target.  The moves of a live state are tried in the
     order (-c(u), near(x), u, x), near(x) being the distance from x to
     the nearest uncovered target, skipping children in ``fail``; a state
     whose moves all fail goes to ``fail``.  ``win`` and ``fail`` persist
@@ -191,7 +191,7 @@ class ReferenceSearch:
             self.targets.append((t, row, sum(row[u] for u in self.marked)))
 
     def _prunable(self, state) -> bool:
-        if sum(state) < len(self.marked):
+        if sum(state) < len(self.marked) + sum(not state[t] for t in self.marked):
             return True
         return any(not state[t] and sum(map(operator.mul, state, row)) < demand for t, row, demand in self.targets)
 

@@ -282,7 +282,8 @@ def cmd_verify(args) -> int:
     _, formula_value = _FAMILIES[args.family]
     # a range with one graph too big to check is refused before any runs.
     # Each graph is dropped here and generated again below: keeping all of
-    # star 1..723 alive would hold about 1.3e8 distance entries, roughly 1 GB.
+    # star 1..723 alive would hold about 1.3e8 distance entries, about
+    # 130 MB even as byte rows.
     for _, spec in specs:
         g = generate(spec)
         check_threshold_size(g, bound_report(g).lower_stacked)

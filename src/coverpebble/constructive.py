@@ -22,7 +22,7 @@ from typing import Optional
 
 from .errors import InternalAssertion, PreconditionViolated
 from .formulas import diameter_bound, gamma_multipartite, gamma_wheel, weighted_cover_bound
-from .graphs import Graph, multipartite_edges, wheel_edges
+from .graphs import Graph, check_vertex, multipartite_edges, wheel_edges
 from .pebbles import (
     BinaryWeighting,
     Certificate,
@@ -36,7 +36,12 @@ from .pebbles import (
 
 
 def shortest_path(g: Graph, src: int, dst: int) -> list[int]:
-    """Lexicographically least among the shortest src-dst vertex paths."""
+    """Lexicographically least among the shortest src-dst vertex paths.
+
+    Raises InvalidSpec unless src and dst are vertices of g, as
+    check_vertex states."""
+    check_vertex(g, src)
+    check_vertex(g, dst)
     path = [src]
     cur = src
     while cur != dst:
@@ -50,15 +55,23 @@ def _send_along(path: list[int], exponent: int, counts: list[int], moves: list[P
 
     Returns the number of pebbles that land on path[-1].  The path must
     not be longer than the exponent or nothing would arrive.
+
+    Each hop is one run: a single PebblingMove repeated once per pebble
+    landing.  A first hop equal to the last move in moves, as when one
+    donor sends twice through the same neighbour, repeats that object,
+    so moves holds one object per run of equal consecutive moves.
     """
     if len(path) - 1 > exponent:
         raise InternalAssertion("path longer than the pebbles can travel")
     in_flight = 1 << exponent
+    move = moves[-1] if moves else None
     for a, b in zip(path, path[1:]):
         if counts[a] < in_flight:
             raise InternalAssertion("send exceeds the pebbles available en route")
         half = in_flight >> 1
-        moves.extend(PebblingMove(a, b) for _ in range(half))
+        if move is None or move.src != a or move.dst != b:
+            move = PebblingMove(a, b)
+        moves.extend([move] * half)
         counts[a] -= in_flight
         counts[b] += half
         in_flight = half
@@ -83,6 +96,13 @@ def solve_pigeonhole(g: Graph, b: BinaryWeighting, c: Configuration) -> Certific
     covered.  The freshly covered target is then frozen: its pebbles
     stop counting, so the same argument applies to the rest.
     """
+    return Certificate(c, tuple(_pigeonhole_sends(g, b, c, [])))
+
+
+def _pigeonhole_sends(g: Graph, b: BinaryWeighting, c: Configuration, moves: list[PebblingMove]) -> list[PebblingMove]:
+    """solve_pigeonhole's checks and sends, appending the moves to moves
+    and returning it.  solve_diameter passes the list of its own steps,
+    so a run may continue across the handoff to the endgame."""
     check_length(c.counts, g.n, "configuration")
     if not is_permissible(c, b):
         raise PreconditionViolated("configuration has pebbles on unmarked vertices")
@@ -93,7 +113,6 @@ def solve_pigeonhole(g: Graph, b: BinaryWeighting, c: Configuration) -> Certific
         )
     need = (1 << g.diam) + 1
     residual = list(c.counts)
-    moves: list[PebblingMove] = []
     pending = list(b.support)
     while True:
         target = next((v for v in pending if residual[v] == 0), None)
@@ -106,7 +125,7 @@ def solve_pigeonhole(g: Graph, b: BinaryWeighting, c: Configuration) -> Certific
         # freeze the covered target together with everything delivered to it
         residual[target] = 0
         pending.remove(target)
-    return Certificate(c, tuple(moves))
+    return moves
 
 
 @dataclass(frozen=True)
@@ -220,9 +239,9 @@ def solve_diameter(g: Graph, c: Configuration) -> tuple[Certificate, DiameterTra
     marks = tuple(0 if v in settled else 1 for v in range(n))
     weighting = BinaryWeighting(marks)
     residual = Configuration(tuple(0 if v in settled else counts[v] for v in range(n)))
-    endgame = solve_pigeonhole(g, weighting, residual)
+    _pigeonhole_sends(g, weighting, residual, moves)
     trace = DiameterTrace(tuple(steps), weighting, residual)
-    return Certificate(c, tuple(moves) + endgame.moves), trace
+    return Certificate(c, tuple(moves)), trace
 
 
 def solve_wheel(g: Graph, c: Configuration) -> Certificate:

@@ -406,8 +406,19 @@ def solve(
     return SolveOutcome(solvable, certificate, explored)
 
 
+def _check_order_and_size(n: int, k: int) -> None:
+    # a bool is an int, but True vertices or pebbles are no count at all
+    if type(n) is not int or n < 1:
+        raise InvalidSpec(f"need at least one vertex, got {n!r}")
+    if type(k) is not int or k < 0:
+        raise InvalidSpec(f"size must be a nonnegative integer, got {k!r}")
+
+
 def composition_count(n: int, k: int) -> int:
-    """Number of configurations of size k on n vertices."""
+    """Number of configurations of size k on n vertices.  Raises
+    InvalidSpec unless n is a positive int and k a nonnegative int,
+    bools refused."""
+    _check_order_and_size(n, k)
     return comb(k + n - 1, n - 1)
 
 
@@ -420,12 +431,10 @@ def iter_count_vectors(n: int, k: int) -> Iterator[tuple[int, ...]]:
     stepped in place: with i the first nonzero index, one pebble moves
     up to i + 1 and the other c[i] - 1 gather on vertex 0; the order
     ends when i is the last index.  The threshold check reports the
-    first unsolvable vector in this order, but does not scan.
+    first unsolvable vector in this order, but does not scan.  Raises
+    InvalidSpec, at the first next(), as composition_count does.
     """
-    if n < 1:
-        raise InvalidSpec(f"need at least one vertex, got {n}")
-    if k < 0:
-        raise InvalidSpec(f"size must be nonnegative, got {k}")
+    _check_order_and_size(n, k)
     c = [k] + [0] * (n - 1)
     last = n - 1
     while True:

@@ -16,7 +16,7 @@ __all__ = [
 from dataclasses import dataclass
 
 from .errors import InvalidSpec
-from .graphs import Graph, check_class_sizes, check_rim
+from .graphs import Graph, check_class_sizes, check_rim, check_vertex
 
 
 def gamma_multipartite(sizes) -> int:
@@ -41,15 +41,27 @@ def stack_cost(g: Graph, v: int) -> int:
     maximum over v is a lower bound on the cover pebbling number of any
     connected graph and is exactly the value on trees.
     """
-    if not 0 <= v < g.n:
-        raise InvalidSpec(f"vertex {v} out of range for order {g.n}")
+    check_vertex(g, v)
     return sum(1 << d for d in g.dist[v])
 
 
 def diameter_bound(n: int, d: int) -> int:
     """Upper bound 2**d * (n - d + 1) - 1 for a connected graph of
-    order n and diameter d.  Sharp on fuses.  n and d must be ints, not
-    bools."""
+    order n and diameter d.  n and d must be ints, not bools.
+
+    Where it is attained: from a vertex v of eccentricity e <= d, the
+    BFS layers have sizes s_0 = 1 and s_1, ..., s_e >= 1 summing to n,
+    and v's stack cost is the sum of s_i * 2**i.  Moving a vertex to a
+    deeper layer raises that sum, so it is largest, and equal to the
+    bound, only when e = d and the layers have sizes 1, ..., 1, n - d.
+    Every vertex of the last layer then has the one vertex of layer
+    d - 1 as its only neighbour nearer v, and edges join only equal or
+    adjacent layers.  So a stack cost meets the bound exactly on
+    fuse(n, d), v being its free end, with any graph on its n - d star
+    points; for d >= 2 each such graph has diameter d, and since the
+    stack cost is a lower bound, the cover pebbling number equals the
+    bound on it.  At d = 1 the only graph is K_n.
+    """
     if type(n) is not int or type(d) is not int or n < 1 or d < 0 or d > n - 1:
         raise InvalidSpec(f"no connected graph has order {n!r} and diameter {d!r}")
     return (1 << d) * (n - d + 1) - 1

@@ -34,12 +34,17 @@ def _check_order(n: int) -> None:
 
 @dataclass(frozen=True)
 class Graph:
-    """Simple connected undirected graph on vertices 0..n-1."""
+    """Simple connected undirected graph on vertices 0..n-1.
+
+    dist[u][v] is the hop distance from u to v.  Each row is bytes when
+    the diameter is below 256, an eighth of a tuple's memory, and a
+    tuple of ints otherwise; both index and iterate to ints, so readers
+    never tell them apart."""
 
     n: int
     edges: tuple[tuple[int, int], ...]
     adj: tuple[tuple[int, ...], ...]
-    dist: tuple[tuple[int, ...], ...]
+    dist: tuple[Union[bytes, tuple[int, ...]], ...]
     diam: int
 
     def __repr__(self) -> str:
@@ -55,7 +60,8 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     distinct edges raise DisconnectedGraph before anything of size n is
     built, so a huge order with few edges fails at once.  An order over
     MAX_ORDER raises InvalidSpec next, before the adjacency lists and
-    the n x n distance table are built.
+    the n x n distance table are built.  The distance rows are bytes
+    below diameter 256 and tuples from there on, as Graph states.
     """
     if n < 1:
         raise InvalidEdge(f"graph order must be at least 1, got {n}")
@@ -95,10 +101,17 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
         if left:
             missing = row.index(-1)
             raise DisconnectedGraph(f"vertex {missing} is unreachable from vertex {src}")
-        dist_rows.append(tuple(row))
+        dist_rows.append(row)
 
-    diam = max(max(row) for row in dist_rows)
-    return Graph(n, edge_list, adj, tuple(dist_rows), diam)
+    diam = max(map(max, dist_rows))
+    return Graph(n, edge_list, adj, tuple(map(bytes if diam < 256 else tuple, dist_rows)), diam)
+
+
+def check_vertex(g: Graph, v: int) -> None:
+    """Raise InvalidSpec unless v is a vertex of g: an int, not a bool,
+    in 0..n-1."""
+    if type(v) is not int or not 0 <= v < g.n:
+        raise InvalidSpec(f"vertex {v!r} out of range for order {g.n}")
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import IllegalMoveAt, InvalidSpec, LengthMismatch, NotCoveredAtEnd, ParseError
-from .graphs import Graph
+from .graphs import Graph, check_vertex
 
 
 @dataclass(frozen=True)
@@ -108,9 +108,10 @@ def is_permissible(c: Configuration, b: BinaryWeighting) -> bool:
 
 
 def stacked(g: Graph, v: int, k: int) -> Configuration:
-    """All k pebbles on vertex v, everywhere else empty."""
-    if not 0 <= v < g.n:
-        raise InvalidSpec(f"vertex {v} out of range for order {g.n}")
+    """All k pebbles on vertex v, everywhere else empty.  Raises
+    InvalidSpec unless v is a vertex of g, as check_vertex states, and
+    as Configuration does unless k is a nonnegative int."""
+    check_vertex(g, v)
     counts = [0] * g.n
     counts[v] = k
     return Configuration(tuple(counts))

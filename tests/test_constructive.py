@@ -1,7 +1,8 @@
+import itertools
 import random
 
 import pytest
-from util import move_pairs, random_config
+from util import move_pairs, random_config, random_graph
 
 from coverpebble import (
     BinaryWeighting,
@@ -153,6 +154,63 @@ def test_diameter_trace_budget_inequality():
                     move = next(replay)
                     counts[move.src] -= 2
                     counts[move.dst] += 1
+
+
+def _sends(rng, count):
+    # (graph, certificate, weighting) from both strategies on random graphs
+    # of order 2 to 12, each configuration 0 to 2 pebbles over the
+    # threshold, spread over at most three vertices, the weighting's marks
+    # for pigeonhole, so that most targets start empty
+    for _ in range(count):
+        g = random_graph(rng, rng.randint(2, 12))
+        for b in (None, BinaryWeighting(tuple(rng.randrange(2) for _ in range(g.n - 1)) + (1,))):
+            support = range(g.n) if b is None else b.support
+            piles = rng.sample(support, min(len(support), rng.randint(1, 3)))
+            size = diameter_bound(g.n, g.diam) if b is None else weighted_cover_bound(b.order, g.diam)
+            spread = [0] * g.n
+            for v, part in zip(piles, random_config(rng, len(piles), size + rng.randrange(3)).counts):
+                spread[v] = part
+            c = Configuration(tuple(spread))
+            yield g, solve_diameter(g, c)[0] if b is None else solve_pigeonhole(g, b, c), b
+
+
+def test_pigeonhole_and_diameter_certificates_hold_one_move_object_per_run():
+    # each hop of a send is one PebblingMove repeated, and a send whose
+    # first hop repeats the move before it, within one strategy or across
+    # the diameter strategy's handoff to its endgame, continues that run
+    runs = 0
+    for g, cert, b in _sends(random.Random(19), 300):
+        moves = cert.moves
+        assert len(set(map(id, moves))) == sum(1 for _ in itertools.groupby(moves)), g.edges
+        runs += len(set(map(id, moves)))
+        validate_certificate(g, cert, b)
+    assert runs > 1000
+
+
+def _runs(cert):
+    return [(m.src, m.dst, len(list(run))) for m, run in itertools.groupby(cert.moves)]
+
+
+def test_pigeonhole_and_diameter_certificates_keep_their_moves():
+    # (src, dst, repeats) per run, taken when the strategies still built
+    # one PebblingMove per pebble moved
+    assert _runs(solve_pigeonhole(P3, BinaryWeighting((1, 1, 1)), Configuration((9, 0, 0)))) == [
+        (0, 1, 4), (1, 2, 1),
+    ]
+    w5 = generate(Wheel(5))
+    assert _runs(solve_pigeonhole(w5, BinaryWeighting((0, 1, 1, 1, 1, 1)), Configuration((0, 0, 12, 0, 0, 5)))) == [
+        (2, 1, 2), (2, 3, 2), (5, 4, 2),
+    ]
+    fuse = generate(Fuse(6, 3))
+    assert _runs(solve_diameter(fuse, stacked(fuse, 5, 31))[0]) == [
+        (5, 2, 3), (2, 1, 1), (5, 2, 4), (2, 1, 2), (1, 0, 1), (5, 2, 4), (2, 3, 2), (5, 2, 4), (2, 4, 2),
+    ]
+    # a 5-cycle 2-3-4-6-5 with the path 0-1-2 hung on it, diameter 4
+    g7 = build_graph(7, [(0, 1), (1, 2), (2, 3), (3, 4), (2, 5), (5, 6), (4, 6)])
+    assert _runs(solve_diameter(g7, stacked(g7, 6, 64))[0]) == [
+        (6, 4, 1), (6, 5, 6), (5, 2, 2), (6, 5, 8), (5, 2, 4), (2, 1, 2), (1, 0, 1), (6, 5, 8), (5, 2, 4),
+        (2, 1, 2), (6, 4, 8), (4, 3, 4),
+    ]
 
 
 def test_diameter_precondition():

@@ -1,6 +1,8 @@
 import types
+from collections import Counter
 
 import pytest
+from util import connected_classes
 
 import coverpebble
 from coverpebble import (
@@ -134,6 +136,27 @@ def test_fuse_bounds_are_sharp_everywhere():
         for d in range(1, n):
             report = bound_report(generate(Fuse(n, d)))
             assert report.lower_stacked == report.upper_diameter, (n, d)
+
+
+def test_diameter_bound_is_attained_on_fuses_with_any_graph_on_the_star_points():
+    # the classes whose worst stack cost meets the bound number as many as
+    # the graphs on the n - d star points (OEIS A000088: 1, 2, 4, 11 on 1
+    # to 4 vertices), and at d = 1 only K_n attains it
+    graphs_on = {1: 1, 2: 2, 3: 4, 4: 11}
+    attaining = Counter()
+    for n in range(2, 7):
+        for g in connected_classes(n):
+            bound = diameter_bound(n, g.diam)
+            costs = bound_report(g).stack_costs
+            if max(costs) < bound:
+                continue
+            attaining[n, g.diam] += 1
+            worst = costs.index(bound)
+            layers = [g.dist[worst].count(i) for i in range(g.diam + 1)]
+            assert layers == [1] * g.diam + [n - g.diam], g.edges
+            assert gamma_exact(g).gamma == bound, g.edges
+    expected = {(n, d): graphs_on[n - d] if d >= 2 else 1 for n in range(2, 7) for d in range(1, n)}
+    assert attaining == expected
 
 
 def test_oracle_cross_checks():

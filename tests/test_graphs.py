@@ -1,7 +1,12 @@
+import contextlib
+import hashlib
+import io
+import random
+import sys
 import time
 
 import pytest
-from util import connected_classes
+from util import connected_classes, random_graph
 
 from coverpebble import (
     DisconnectedGraph,
@@ -14,10 +19,16 @@ from coverpebble import (
     Star,
     Wheel,
     build_graph,
+    composition_count,
     format_graph_text,
     generate,
+    iter_count_vectors,
     parse_graph_text,
+    shortest_path,
+    stack_cost,
+    stacked,
 )
+from coverpebble.cli import run_cli
 from coverpebble.graphs import multipartite_edges, wheel_edges
 
 
@@ -97,6 +108,92 @@ def test_dist_table_shape():
                 for w in range(g.n):
                     assert g.dist[u][w] <= g.dist[u][v] + g.dist[v][w]
         assert g.diam == max(max(row) for row in g.dist)
+
+
+def _floyd_warshall(n, edges):
+    # an independent reference for the distance table: relax every pair
+    # through every middle vertex
+    d = [[0 if u == v else n for v in range(n)] for u in range(n)]
+    for u, v in edges:
+        d[u][v] = d[v][u] = 1
+    for w in range(n):
+        for u in range(n):
+            for v in range(n):
+                if d[u][w] + d[w][v] < d[u][v]:
+                    d[u][v] = d[u][w] + d[w][v]
+    return tuple(map(tuple, d))
+
+
+def test_dist_rows_are_bytes_below_diameter_256_and_match_floyd_warshall():
+    rng = random.Random(25)
+    for _ in range(120):
+        n = rng.randint(1, 24)
+        g = random_graph(rng, n)
+        assert tuple(map(tuple, g.dist)) == _floyd_warshall(n, g.edges), g.edges
+        assert all(type(row) is bytes for row in g.dist), g.edges
+    # the largest diameter that still fits a byte
+    g = generate(Path(256))
+    assert g.diam == 255 and type(g.dist[0]) is bytes and g.dist[0][255] == 255
+
+
+def _cli_output(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert run_cli(argv) == 0
+    return out.getvalue()
+
+
+def test_path_300_keeps_tuple_rows_and_its_cli_output():
+    # diameter 299 does not fit a byte; gen and bound print what they
+    # printed when every row was a tuple (sha256 of the whole output)
+    g = generate(Path(300))
+    assert g.diam == 299
+    assert all(type(row) is tuple for row in g.dist)
+    assert tuple(map(tuple, g.dist)) == tuple(tuple(abs(u - v) for v in range(300)) for u in range(300))
+    digests = {
+        "gen": "865c317b97f6837f32782b9f63d291962d0c8e755db3eaf635d6634cb40496d4",
+        "bound": "b14de92d32ae5c158fc9289a2b3e6f504198cdda80cb8563ea0898b392fec048",
+    }
+    for command, digest in digests.items():
+        out = _cli_output([command, "--family", "path", "--n", "300"])
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, command
+
+
+def test_wheel_999_distance_rows_take_under_one_and_a_half_mib():
+    # a million entries: 7.68 MiB as tuples of ints, about 0.99 MiB as bytes
+    g = generate(Wheel(999))
+    assert sum(map(sys.getsizeof, g.dist)) < 1.5 * 2**20
+
+
+P3 = generate(Path(3))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: stacked(P3, 1.0, 2),
+        lambda: stacked(P3, True, 2),
+        lambda: stack_cost(P3, 1.0),
+        lambda: stack_cost(P3, True),
+        lambda: shortest_path(P3, 0, 5),
+        lambda: shortest_path(P3, -1, 2),
+        lambda: shortest_path(P3, True, 2),
+        lambda: shortest_path(P3, 0, True),
+        lambda: list(iter_count_vectors(2, True)),
+        lambda: list(iter_count_vectors(2.0, 3)),
+        lambda: composition_count(0, 5),
+        lambda: composition_count(True, 3),
+        lambda: composition_count(3, 2.0),
+    ],
+    ids=["stacked-float", "stacked-bool", "stack-cost-float", "stack-cost-bool", "path-out-of-range",
+         "path-negative", "path-bool-source", "path-bool-target", "vectors-bool-size",
+         "vectors-float-order", "count-no-vertex", "count-bool-order", "count-float-size"],
+)
+def test_vertex_and_size_helpers_refuse_bad_arguments(call):
+    # each used to raise TypeError, IndexError or ValueError, or to answer
+    # as if True were vertex 1 or one pebble
+    with pytest.raises(InvalidSpec):
+        call()
 
 
 def test_generate_multipartite_k22():

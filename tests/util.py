@@ -269,6 +269,13 @@ def random_tree(rng, n: int) -> Graph:
     return build_graph(n, [(rng.randrange(v), v) for v in range(1, n)])
 
 
+def random_graph(rng, n: int) -> Graph:
+    """Random connected graph: a random_tree plus up to n - 1 random
+    extra edges, loops dropped and repeats merged."""
+    extra = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randrange(n))]
+    return build_graph(n, list(random_tree(rng, n).edges) + [(u, v) for u, v in extra if u != v])
+
+
 def random_config(rng, n: int, size: int) -> Configuration:
     return Configuration(random_composition(rng, size, n))
 

@@ -6,7 +6,7 @@ failures carry enough structure (line numbers, move indices, vertex
 sets) to produce a one-line diagnostic without string surgery.
 InternalAssertion alone marks a bug rather than bad input: a failed
 internal check, or a constructive strategy in a state its case analysis
-does not handle.
+does not handle.  check_int owns the one rule for integer arguments.
 """
 
 from __future__ import annotations
@@ -77,6 +77,16 @@ class InternalAssertion(PebblingError):
     """An internal consistency check failed, or a constructive strategy
     reached a state its case analysis cannot handle; indicates a bug, not
     bad input.  Raised instead of emitting a wrong answer or certificate."""
+
+
+def check_int(value, what: str, lo: int = 0, hi: int | None = None) -> None:
+    """The package's one integer rule: raise InvalidSpec unless value is
+    an int in lo..hi, or of at least lo when hi is None.  A bool is
+    refused, as True would pass as vertex 1 or one pebble and print as
+    "True", which the parsers refuse; so is any other type."""
+    if type(value) is not int or value < lo or (hi is not None and value > hi):
+        rule = f"in {lo}..{hi}" if hi is not None else f"of at least {lo}" if lo else "and nonnegative"
+        raise InvalidSpec(f"{what} must be an integer {rule}, got {value!r}")
 
 
 class ParseError(PebblingError):

@@ -30,7 +30,7 @@ from math import comb
 from operator import add, gt, lshift, mul, sub
 from typing import Iterator, Optional
 
-from .errors import BudgetExceeded, InternalAssertion, InvalidSpec
+from .errors import BudgetExceeded, InternalAssertion, InvalidSpec, check_int
 from .formulas import bound_report
 from .graphs import Graph
 from .pebbles import BinaryWeighting, Certificate, Configuration, PebblingMove, check_length
@@ -372,12 +372,11 @@ def solve(
     only.  A given memo is bound at entry on every call, so one bound to
     another graph, target set or pruning setting raises InvalidSpec even
     when the search does not run.  Without a memo the search runs on a
-    fresh one.  A budget that is not a nonnegative int, a bool among
-    them, raises InvalidSpec.
+    fresh one.  check_int refuses a negative budget.
     """
     check_length(c.counts, g.n, "configuration")
-    if budget is not None and (type(budget) is not int or budget < 0):
-        raise InvalidSpec(f"budget must be a nonnegative integer, got {budget!r}")
+    if budget is not None:
+        check_int(budget, "budget")
     # need: the targets plus the targets without a pebble
     if b is None:
         keep = (1,) * g.n
@@ -406,19 +405,11 @@ def solve(
     return SolveOutcome(solvable, certificate, explored)
 
 
-def _check_order_and_size(n: int, k: int) -> None:
-    # a bool is an int, but True vertices or pebbles are no count at all
-    if type(n) is not int or n < 1:
-        raise InvalidSpec(f"need at least one vertex, got {n!r}")
-    if type(k) is not int or k < 0:
-        raise InvalidSpec(f"size must be a nonnegative integer, got {k!r}")
-
-
 def composition_count(n: int, k: int) -> int:
-    """Number of configurations of size k on n vertices.  Raises
-    InvalidSpec unless n is a positive int and k a nonnegative int,
-    bools refused."""
-    _check_order_and_size(n, k)
+    """Number of configurations of size k on n vertices.  check_int
+    refuses an n below 1 and a negative k."""
+    check_int(n, "order", 1)
+    check_int(k, "size")
     return comb(k + n - 1, n - 1)
 
 
@@ -434,7 +425,8 @@ def iter_count_vectors(n: int, k: int) -> Iterator[tuple[int, ...]]:
     first unsolvable vector in this order, but does not scan.  Raises
     InvalidSpec, at the first next(), as composition_count does.
     """
-    _check_order_and_size(n, k)
+    check_int(n, "order", 1)
+    check_int(k, "size")
     c = [k] + [0] * (n - 1)
     last = n - 1
     while True:
@@ -616,13 +608,12 @@ def check_threshold_size(g: Graph, top: int) -> None:
     """Raise InvalidSpec unless a threshold check on g can run at sizes
     up to top.
 
-    Refused: a top that is not a nonnegative int, a bool among them; on
+    Refused: a negative top, by check_int; on
     a graph with cycles, more than sys.maxsize configurations of size
     top, since the search may see any of them; on any graph, DP rows of more than MAX_ROW_ENTRIES entries
     in all, g.n * (top + 1), which bounds their memory.
     """
-    if type(top) is not int or top < 0:
-        raise InvalidSpec(f"size must be a nonnegative integer, got {top!r}")
+    check_int(top, "size")
     if len(g.edges) >= g.n:
         total = composition_count(g.n, top)
         if total > sys.maxsize:

@@ -15,7 +15,7 @@ __all__ = [
 
 from dataclasses import dataclass
 
-from .errors import InvalidSpec
+from .errors import check_int
 from .graphs import Graph, check_class_sizes, check_rim, check_vertex
 
 
@@ -47,7 +47,7 @@ def stack_cost(g: Graph, v: int) -> int:
 
 def diameter_bound(n: int, d: int) -> int:
     """Upper bound 2**d * (n - d + 1) - 1 for a connected graph of
-    order n and diameter d.  n and d must be ints, not bools.
+    order n and diameter d; check_int refuses n < 1 and d outside 0..n-1.
 
     Where it is attained: from a vertex v of eccentricity e <= d, the
     BFS layers have sizes s_0 = 1 and s_1, ..., s_e >= 1 summing to n,
@@ -62,8 +62,8 @@ def diameter_bound(n: int, d: int) -> int:
     stack cost is a lower bound, the cover pebbling number equals the
     bound on it.  At d = 1 the only graph is K_n.
     """
-    if type(n) is not int or type(d) is not int or n < 1 or d < 0 or d > n - 1:
-        raise InvalidSpec(f"no connected graph has order {n!r} and diameter {d!r}")
+    check_int(n, "order", 1)
+    check_int(d, "diameter", 0, n - 1)
     return (1 << d) * (n - d + 1) - 1
 
 
@@ -71,10 +71,10 @@ def weighted_cover_bound(marked_count: int, d: int) -> int:
     """Size (marked_count - 1) * 2**d + 1 above which every permissible
     configuration can cover the marked vertices, d being the graph
     diameter.  Nonpositive when nothing is marked; callers treat the
-    value as a threshold, so that case is trivially met.  Both arguments
-    must be ints, not bools."""
-    if type(marked_count) is not int or type(d) is not int or marked_count < 0 or d < 0:
-        raise InvalidSpec(f"bad arguments marked_count={marked_count!r}, d={d!r}")
+    value as a threshold, so that case is trivially met.  check_int
+    refuses a negative argument."""
+    check_int(marked_count, "marked_count")
+    check_int(d, "d")
     return (marked_count - 1) * (1 << d) + 1
 
 

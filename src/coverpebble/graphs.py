@@ -19,7 +19,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Union
 
-from .errors import DisconnectedGraph, InvalidEdge, InvalidSpec, ParseError
+from .errors import DisconnectedGraph, InvalidEdge, InvalidSpec, ParseError, check_int
 
 # Largest order build_graph accepts, so also a family or a graph file: a
 # Graph keeps an n x n distance table, and no exact check gets near this
@@ -55,23 +55,26 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Validate and index an edge list, computing all-pairs distances.
 
     Edges are normalized to (min, max) order and deduplicated.  Raises
-    InvalidEdge for self-loops or out-of-range endpoints and
-    DisconnectedGraph when some vertex is unreachable.  Fewer than n - 1
-    distinct edges raise DisconnectedGraph before anything of size n is
-    built, so a huge order with few edges fails at once.  An order over
-    MAX_ORDER raises InvalidSpec next, before the adjacency lists and
-    the n x n distance table are built.  The distance rows are bytes
-    below diameter 256 and tuples from there on, as Graph states.
+    InvalidEdge for self-loops and where check_int refuses n < 1 or an
+    endpoint outside 0..n-1, and DisconnectedGraph when some vertex is
+    unreachable.  Fewer than n - 1 distinct edges raise DisconnectedGraph
+    before anything of size n is built, so a huge order with few edges
+    fails at once.  An order over MAX_ORDER raises InvalidSpec next,
+    before the adjacency lists and the n x n distance table are built.
+    The distance rows are bytes below diameter 256 and tuples from there
+    on, as Graph states.
     """
-    if n < 1:
-        raise InvalidEdge(f"graph order must be at least 1, got {n}")
     normalized = set()
-    for u, v in edges:
-        if not (0 <= u < n and 0 <= v < n):
-            raise InvalidEdge(f"edge ({u}, {v}) out of range for order {n}")
-        if u == v:
-            raise InvalidEdge(f"self-loop at vertex {u}")
-        normalized.add((u, v) if u < v else (v, u))
+    try:
+        check_int(n, "graph order", 1)
+        for u, v in edges:
+            check_int(u, "edge endpoint", 0, n - 1)
+            check_int(v, "edge endpoint", 0, n - 1)
+            if u == v:
+                raise InvalidEdge(f"self-loop at vertex {u}")
+            normalized.add((u, v) if u < v else (v, u))
+    except InvalidSpec as exc:
+        raise InvalidEdge(str(exc)) from None
     if len(normalized) < n - 1:
         raise DisconnectedGraph(f"{len(normalized)} edges cannot connect {n} vertices")
     _check_order(n)
@@ -108,10 +111,8 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
 
 
 def check_vertex(g: Graph, v: int) -> None:
-    """Raise InvalidSpec unless v is a vertex of g: an int, not a bool,
-    in 0..n-1."""
-    if type(v) is not int or not 0 <= v < g.n:
-        raise InvalidSpec(f"vertex {v!r} out of range for order {g.n}")
+    """Raise InvalidSpec unless v is a vertex of g, by check_int in 0..n-1."""
+    check_int(v, "vertex", 0, g.n - 1)
 
 
 @dataclass(frozen=True)
@@ -165,16 +166,14 @@ def generate(spec: FamilySpec) -> Graph:
     A star is built as the multipartite graph K(leaves, 1) and a path of
     order at least 2 as the fuse with d = n - 1.  Raises InvalidSpec
     when the parameters violate the family's rules or the order is over
-    MAX_ORDER, before any edge list is built.  Every parameter must be
-    an int; a bool or any other type raises InvalidSpec too.
+    MAX_ORDER, before any edge list is built; each parameter is checked
+    by check_int.
     """
     if isinstance(spec, Star):
-        if type(spec.leaves) is not int or spec.leaves < 1:
-            raise InvalidSpec(f"star needs at least 1 leaf, got {spec.leaves!r}")
+        check_int(spec.leaves, "star leaves", 1)
         spec = Multipartite((spec.leaves, 1))
     elif isinstance(spec, Path):
-        if type(spec.n) is not int or spec.n < 1:
-            raise InvalidSpec(f"path needs at least 1 vertex, got {spec.n!r}")
+        check_int(spec.n, "path order", 1)
         if spec.n == 1:
             return build_graph(1, [])
         spec = Fuse(spec.n, spec.n - 1)
@@ -189,8 +188,8 @@ def generate(spec: FamilySpec) -> Graph:
         return build_graph(spec.n + 1, wheel_edges(spec.n))
     if isinstance(spec, Fuse):
         n, d = spec.n, spec.d
-        if type(n) is not int or type(d) is not int or not 1 <= d <= n - 1:
-            raise InvalidSpec(f"fuse needs 1 <= d <= n-1, got n={n!r}, d={d!r}")
+        check_int(n, "fuse order", 2)
+        check_int(d, "fuse diameter", 1, n - 1)
         _check_order(n)
         edges = [(i, i + 1) for i in range(d - 1)]
         edges += [(d - 1, v) for v in range(d, n)]
@@ -199,15 +198,13 @@ def generate(spec: FamilySpec) -> Graph:
 
 
 def check_class_sizes(sizes) -> tuple[int, ...]:
-    """Multipartite class sizes as a tuple; raises InvalidSpec unless
-    they are a nonempty, nonincreasing list of positive ints, no bool
-    among them."""
+    """Multipartite class sizes as a tuple; raises InvalidSpec unless they
+    are a nonempty, nonincreasing list, each of at least 1 by check_int."""
     sizes = tuple(sizes)
     if not sizes:
         raise InvalidSpec("multipartite size list is empty")
     for s in sizes:
-        if type(s) is not int or s < 1:
-            raise InvalidSpec(f"class sizes must be positive integers, got {s!r}")
+        check_int(s, "class size", 1)
     if any(a < b for a, b in zip(sizes, sizes[1:])):
         raise InvalidSpec(f"class sizes must be nonincreasing, got {list(sizes)}")
     return sizes
@@ -228,10 +225,8 @@ def multipartite_edges(sizes) -> tuple[tuple[int, int], ...]:
 
 
 def check_rim(n: int) -> None:
-    """Raise InvalidSpec unless n, a wheel's number of rim vertices, is
-    an int, not a bool, of at least 3."""
-    if type(n) is not int or n < 3:
-        raise InvalidSpec(f"wheel needs at least 3 rim vertices, got {n!r}")
+    """Raise InvalidSpec unless a wheel's rim count n is at least 3, by check_int."""
+    check_int(n, "wheel rim count", 3)
 
 
 def wheel_edges(n: int) -> tuple[tuple[int, int], ...]:

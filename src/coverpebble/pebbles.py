@@ -17,23 +17,20 @@ __all__ = [
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import IllegalMoveAt, InvalidSpec, LengthMismatch, NotCoveredAtEnd, ParseError
+from .errors import IllegalMoveAt, InvalidSpec, LengthMismatch, NotCoveredAtEnd, ParseError, check_int
 from .graphs import Graph, check_vertex
 
 
 @dataclass(frozen=True)
 class Configuration:
-    """Pebble counts per vertex; the distribution being played."""
+    """Pebble counts per vertex, each checked by check_int."""
 
     counts: tuple[int, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "counts", tuple(self.counts))
-        # a bool is an int, but True would print as "True", which
-        # parse_config refuses
         for c in self.counts:
-            if type(c) is not int or c < 0:
-                raise InvalidSpec(f"pebble counts must be nonnegative integers, got {c!r}")
+            check_int(c, "pebble count")
 
     @property
     def size(self) -> int:
@@ -42,17 +39,14 @@ class Configuration:
 
 @dataclass(frozen=True)
 class BinaryWeighting:
-    """0/1 marks selecting which vertices must end up covered."""
+    """0/1 marks, each checked by check_int, selecting the vertices to cover."""
 
     marks: tuple[int, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "marks", tuple(self.marks))
-        # bools too: True would print as "True", which parse_weighting
-        # refuses
         for m in self.marks:
-            if type(m) is not int or m not in (0, 1):
-                raise InvalidSpec(f"marks must be the integers 0 or 1, got {m!r}")
+            check_int(m, "marks", 0, 1)
 
     @property
     def order(self) -> int:
@@ -110,7 +104,7 @@ def is_permissible(c: Configuration, b: BinaryWeighting) -> bool:
 def stacked(g: Graph, v: int, k: int) -> Configuration:
     """All k pebbles on vertex v, everywhere else empty.  Raises
     InvalidSpec unless v is a vertex of g, as check_vertex states, and
-    as Configuration does unless k is a nonnegative int."""
+    as Configuration does for a bad k."""
     check_vertex(g, v)
     counts = [0] * g.n
     counts[v] = k
@@ -124,21 +118,30 @@ def validate_certificate(
 
     Raises LengthMismatch when the start configuration does not fit the
     graph, IllegalMoveAt(index) on the first move that cannot be played,
-    and NotCoveredAtEnd when the replay ends with empty targets.
+    a move whose vertex check_int refuses among them, and NotCoveredAtEnd
+    when the replay ends with empty targets.
     """
     check_length(cert.initial.counts, g.n, "certificate start")
     if b is not None:
         check_length(b.marks, g.n, "weighting")
     counts = list(cert.initial.counts)
+    checked = None
     for index, move in enumerate(cert.moves):
-        if not (0 <= move.src < g.n and 0 <= move.dst < g.n):
-            raise IllegalMoveAt(index, move, "vertex out of range")
-        if move.dst not in g.adj[move.src]:
-            raise IllegalMoveAt(index, move, "vertices share no edge")
-        if counts[move.src] < 2:
-            raise IllegalMoveAt(index, move, f"source holds {counts[move.src]} pebbles")
-        counts[move.src] -= 2
-        counts[move.dst] += 1
+        # a run repeats one move object: check its vertices and edge once
+        if move is not checked:
+            src, dst = move.src, move.dst
+            try:
+                check_int(src, "move source", 0, g.n - 1)
+                check_int(dst, "move target", 0, g.n - 1)
+            except InvalidSpec:
+                raise IllegalMoveAt(index, move, "vertex out of range") from None
+            if dst not in g.adj[src]:
+                raise IllegalMoveAt(index, move, "vertices share no edge")
+            checked = move
+        if counts[src] < 2:
+            raise IllegalMoveAt(index, move, f"source holds {counts[src]} pebbles")
+        counts[src] -= 2
+        counts[dst] += 1
     final = Configuration(tuple(counts))
     if not is_covered(final, b):
         targets = range(g.n) if b is None else b.support

@@ -98,15 +98,23 @@ def test_weighted_cover_bound_values():
     [
         lambda: gamma_wheel(4.0),
         lambda: gamma_wheel(True),
+        lambda: gamma_wheel("4"),
         lambda: gamma_multipartite((3, True)),
         lambda: gamma_multipartite((3.0, 2)),
+        lambda: gamma_multipartite(("3", 2)),
         lambda: diameter_bound(5.0, 2),
         lambda: diameter_bound(5, True),
+        lambda: diameter_bound(True, 0),
+        lambda: diameter_bound("5", 2),
         lambda: weighted_cover_bound(True, 2),
         lambda: weighted_cover_bound(3, 2.0),
+        lambda: weighted_cover_bound(3, True),
+        lambda: weighted_cover_bound("3", 2),
     ],
-    ids=["wheel-float", "wheel-bool", "multipartite-bool", "multipartite-float", "diameter-float",
-         "diameter-bool", "weighted-bool", "weighted-float"],
+    ids=["wheel-float", "wheel-bool", "wheel-string", "multipartite-bool", "multipartite-float",
+         "multipartite-string", "diameter-float", "diameter-bool", "diameter-bool-order",
+         "diameter-string", "weighted-bool", "weighted-float", "weighted-bool-diameter",
+         "weighted-string"],
 )
 def test_closed_forms_refuse_arguments_that_are_not_ints(call):
     # gamma_wheel(4.0) used to return 11.0 and gamma_multipartite((3, True)) 11

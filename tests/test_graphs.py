@@ -93,6 +93,19 @@ def test_build_rejects_bad_edges():
         build_graph(0, [])
 
 
+@pytest.mark.parametrize(
+    "n, edges",
+    [(2, [(0, True)]), (True, []), (2.0, [(0, 1)]), (2, [(0, 1.0)]), ("2", [(0, 1)])],
+    ids=["bool-endpoint", "bool-order", "float-order", "float-endpoint", "string-order"],
+)
+def test_build_refuses_orders_and_endpoints_that_are_not_ints(n, edges):
+    # a bool endpoint or order used to build a graph that format_graph_text
+    # wrote as "True", which parse_graph_text refuses; the others raised
+    # TypeError
+    with pytest.raises(InvalidEdge):
+        build_graph(n, edges)
+
+
 def test_build_deduplicates_and_normalizes():
     g = build_graph(2, [(0, 1), (1, 0), (0, 1)])
     assert g.edges == ((0, 1),)
@@ -173,21 +186,30 @@ P3 = generate(Path(3))
     [
         lambda: stacked(P3, 1.0, 2),
         lambda: stacked(P3, True, 2),
+        lambda: stacked(P3, "1", 2),
         lambda: stack_cost(P3, 1.0),
         lambda: stack_cost(P3, True),
+        lambda: stack_cost(P3, "1"),
         lambda: shortest_path(P3, 0, 5),
         lambda: shortest_path(P3, -1, 2),
         lambda: shortest_path(P3, True, 2),
         lambda: shortest_path(P3, 0, True),
+        lambda: shortest_path(P3, "0", 2),
         lambda: list(iter_count_vectors(2, True)),
         lambda: list(iter_count_vectors(2.0, 3)),
+        lambda: list(iter_count_vectors(True, 3)),
+        lambda: list(iter_count_vectors("2", 3)),
         lambda: composition_count(0, 5),
         lambda: composition_count(True, 3),
         lambda: composition_count(3, 2.0),
+        lambda: composition_count(3, True),
+        lambda: composition_count(3, "2"),
     ],
-    ids=["stacked-float", "stacked-bool", "stack-cost-float", "stack-cost-bool", "path-out-of-range",
-         "path-negative", "path-bool-source", "path-bool-target", "vectors-bool-size",
-         "vectors-float-order", "count-no-vertex", "count-bool-order", "count-float-size"],
+    ids=["stacked-float", "stacked-bool", "stacked-string", "stack-cost-float", "stack-cost-bool",
+         "stack-cost-string", "path-out-of-range", "path-negative", "path-bool-source",
+         "path-bool-target", "path-string-source", "vectors-bool-size", "vectors-float-order",
+         "vectors-bool-order", "vectors-string-order", "count-no-vertex", "count-bool-order",
+         "count-float-size", "count-bool-size", "count-string-size"],
 )
 def test_vertex_and_size_helpers_refuse_bad_arguments(call):
     # each used to raise TypeError, IndexError or ValueError, or to answer
@@ -250,8 +272,9 @@ def test_generate_rejects_bad_specs():
 
 @pytest.mark.parametrize(
     "spec",
-    [Path(True), Path("3"), Path(3.0), Star(True), Star(2.0), Wheel(3.0), Wheel("3"), Wheel(True),
-     Multipartite((True, True)), Multipartite((2, 1.0)), Fuse(5.0, 2), Fuse(5, True)],
+    [Path(True), Path("3"), Path(3.0), Star(True), Star(2.0), Star("2"), Wheel(3.0), Wheel("3"),
+     Wheel(True), Multipartite((True, True)), Multipartite((2, 1.0)), Multipartite((2, "1")),
+     Fuse(5.0, 2), Fuse(5, True), Fuse(True, 1), Fuse("5", 2), Fuse(5, "2")],
     ids=repr,
 )
 def test_generate_refuses_parameters_that_are_not_ints(spec):

@@ -165,6 +165,21 @@ def test_validate_certificate_illegal_moves():
         validate_certificate(K2, Certificate(Configuration((3, 0, 0)), ()))
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [PebblingMove(True, 0), PebblingMove(0, True), PebblingMove(1.0, 0), PebblingMove(0, 1.0),
+     PebblingMove("0", 1)],
+    ids=["bool-source", "bool-target", "float-source", "float-target", "string-source"],
+)
+def test_replay_refuses_a_move_vertex_that_is_not_an_int(bad):
+    # True used to replay as vertex 1, and the others raised TypeError;
+    # the bad move repeats, as a run does, and fails at its first index
+    cert = Certificate(Configuration((4, 4, 0)), (PebblingMove(1, 2), bad, bad))
+    with pytest.raises(IllegalMoveAt) as exc:
+        validate_certificate(P3, cert)
+    assert (exc.value.index, exc.value.reason) == (1, "vertex out of range")
+
+
 def test_empty_certificate_iff_covered():
     for counts in itertools.product(range(3), repeat=3):
         c = Configuration(counts)

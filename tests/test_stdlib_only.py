@@ -3,14 +3,16 @@ source names a standard-library module.  Every name a module imports is
 used in that module, and every parameter and local a function binds is
 read.  Each export is defined in the one module whose __all__ lists it,
 and every private definition is referenced somewhere else in the
-package."""
+package.  No code outside errors.check_int tests type(...) against int."""
 
 import ast
 import importlib
+import inspect
 import pathlib
 import sys
 
 import coverpebble
+from coverpebble.errors import check_int
 
 PACKAGE_DIR = pathlib.Path(coverpebble.__file__).parent
 
@@ -167,3 +169,29 @@ def test_every_private_definition_is_referenced():
             if not any(read == name and (where != path or line not in own) for where, line, read in reads):
                 dead.append(f"{path.relative_to(PACKAGE_DIR)}:{node.lineno}: {name}")
     assert not dead, dead
+
+
+def _type_is_int_tests(tree):
+    # each `type(x) is int` or `type(x) is not int`, either way round
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare) and any(isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops):
+            sides = [node.left, *node.comparators]
+            calls_type = any(isinstance(s, ast.Call) and getattr(s.func, "id", None) == "type" for s in sides)
+            if calls_type and any(getattr(s, "id", None) == "int" for s in sides):
+                yield node.lineno
+
+
+def test_only_check_int_tests_for_an_int():
+    # errors.check_int owns the integer rule; an inline copy elsewhere
+    # would drift from its message and its refusal of bools
+    found = []
+    for path in sorted(PACKAGE_DIR.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = range(0)
+        if path.name == "errors.py":
+            [fn] = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "check_int"]
+            owner = range(fn.lineno, fn.end_lineno + 1)
+        found += [(path.name, line) for line in _type_is_int_tests(tree) if line not in owner]
+    assert not found, found
+    # the owner itself holds the test, so the guard looks for the right shape
+    assert list(_type_is_int_tests(ast.parse(inspect.getsource(check_int))))

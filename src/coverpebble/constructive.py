@@ -56,26 +56,31 @@ def _send_along(path: list[int], exponent: int, counts: list[int], moves: list[P
     Returns the number of pebbles that land on path[-1].  The path must
     not be longer than the exponent or nothing would arrive.
 
-    Each hop is one run: a single PebblingMove repeated once per pebble
-    landing.  A first hop equal to the last move in moves, as when one
-    donor sends twice through the same neighbour, repeats that object,
-    so moves holds one object per run of equal consecutive moves.
+    Each hop is one run: a single PebblingMove, from _run_move, repeated
+    once per pebble landing.
     """
     if len(path) - 1 > exponent:
         raise InternalAssertion("path longer than the pebbles can travel")
     in_flight = 1 << exponent
-    move = moves[-1] if moves else None
     for a, b in zip(path, path[1:]):
         if counts[a] < in_flight:
             raise InternalAssertion("send exceeds the pebbles available en route")
         half = in_flight >> 1
-        if move is None or move.src != a or move.dst != b:
-            move = PebblingMove(a, b)
-        moves.extend([move] * half)
+        moves.extend([_run_move(moves, a, b)] * half)
         counts[a] -= in_flight
         counts[b] += half
         in_flight = half
     return in_flight
+
+
+def _run_move(moves: list[PebblingMove], src: int, dst: int) -> PebblingMove:
+    """The move src -> dst to append to moves: the last one in moves when
+    it is that move, as when one donor sends twice through the same
+    neighbour or a strategy repeats a single move, else a new one.  So
+    moves holds one object per run of equal consecutive moves."""
+    if moves and moves[-1].src == src and moves[-1].dst == dst:
+        return moves[-1]
+    return PebblingMove(src, dst)
 
 
 def _unit_move(src: int, dst: int, counts: list[int], moves: list[PebblingMove]) -> None:
@@ -83,7 +88,7 @@ def _unit_move(src: int, dst: int, counts: list[int], moves: list[PebblingMove])
         raise InternalAssertion(f"strategy tried to move from vertex {src} holding {counts[src]}")
     counts[src] -= 2
     counts[dst] += 1
-    moves.append(PebblingMove(src, dst))
+    moves.append(_run_move(moves, src, dst))
 
 
 def solve_pigeonhole(g: Graph, b: BinaryWeighting, c: Configuration) -> Certificate:

@@ -13,7 +13,8 @@ reason to search further.
 Both solve and the threshold check first try the bottom-up pass over a
 BFS tree that _pass describes: exact on a tree, and a sound certificate
 on a graph with cycles.  verify_threshold describes the threshold check
-in full; solve says what it tries before its search.
+in full; solve says what it tries before its search.  Both keep every
+table they build for a graph, the BFS trees too, in one SolveMemo.
 """
 
 from __future__ import annotations
@@ -90,8 +91,8 @@ class SolveMemo:
 
     A memo is bound to the (graph, keep vector, pruning) combination of
     its first use and refuses reuse under a different one.  Binding
-    stores only that combination and the graph; the tables below are
-    derived at the first search.
+    stores that combination and the graph and sets up ``_trees`` (last
+    below); the other tables are derived at the first search.
 
     With pruning on, an expanded state goes to ``fail`` unexpanded when
     either of two counts proves it unsolvable:
@@ -137,8 +138,8 @@ class SolveMemo:
       size < 2 * |T| - covered.bit_count().
 
     The counts are decoded only when a state is expanded, to rank its
-    moves.  The threshold check's stack potential
-    (_ThresholdCheck.refutes) is another quantity.
+    moves.  The threshold check's stack potential (_refutes) is another
+    quantity.
 
     Tables, built by ``_build``, which ``_fit`` calls after re-packing
     the keys when a larger size needs a wider W; every later search at
@@ -162,6 +163,10 @@ class SolveMemo:
     as (key, state step, potential step, (u, x)) sorted by the key
     (near(x) * n + u) * n + x.  Sources with equal piles merge their
     moves by that key, which orders them by (near(x), u, x).
+
+    ``_trees``: per root, the _bfs_steps from it, built on first use by
+    ``_tree``, for solve's passes and verify_threshold's DPs and passes.
+    It depends on the graph alone, so a re-pack keeps it.
     """
 
     def __init__(self):
@@ -176,9 +181,15 @@ class SolveMemo:
         another graph, keep vector or pruning setting."""
         key = (g.n, g.edges, keep, pruning)
         if self._bound_key is None:
-            self._bound_key, self._graph = key, g
+            self._bound_key, self._graph, self._trees = key, g, [None] * g.n
         elif self._bound_key != key:
             raise InvalidSpec("memo reused with a different graph, targets, or pruning")
+
+    def _tree(self, root: int) -> tuple[tuple[int, int], ...]:
+        """The _bfs_steps of the bound graph from root, built once."""
+        if self._trees[root] is None:
+            self._trees[root] = _bfs_steps(self._graph, root)
+        return self._trees[root]
 
     def _fit(self, size: int) -> None:
         """Make the tables and the keys hold states of ``size`` pebbles."""
@@ -391,7 +402,7 @@ def solve(
         return SolveOutcome(False, None, 0)
     tree = len(g.edges) < g.n
     for root in (0,) if tree else range(g.n):
-        steps = _bfs_steps(g, root)
+        steps = memo._tree(root)
         bal = _pass(steps, root, c.counts, keep)
         if bal is not None:
             return SolveOutcome(True, Certificate(c, _pass_moves(steps, c.counts, keep, bal)), 0)
@@ -608,10 +619,10 @@ def check_threshold_size(g: Graph, top: int) -> None:
     """Raise InvalidSpec unless a threshold check on g can run at sizes
     up to top.
 
-    Refused: a negative top, by check_int; on
-    a graph with cycles, more than sys.maxsize configurations of size
-    top, since the search may see any of them; on any graph, DP rows of more than MAX_ROW_ENTRIES entries
-    in all, g.n * (top + 1), which bounds their memory.
+    Refused: a negative top, by check_int; on a graph with cycles, more
+    than sys.maxsize configurations of size top, since the search may see
+    any of them; on any graph, DP rows of more than MAX_ROW_ENTRIES
+    entries in all, g.n * (top + 1), which bounds their memory.
     """
     check_int(top, "size")
     if len(g.edges) >= g.n:
@@ -634,81 +645,25 @@ def _colex_rank(vec: tuple[int, ...]) -> int:
     return rank
 
 
-class _ThresholdCheck:
-    """Threshold checks on one graph at sizes up to top: the tables every
-    size reads, built once, and the colex prefix search over them, which
-    verify_threshold describes.
+def _stack_potentials(g: Graph) -> Optional[list[tuple[tuple[int, ...], int]]]:
+    """Per vertex t, the row of 2**d(w, t) over w and its sum, t's stack
+    cost, which _refutes reads; None on a tree, where the pass decides
+    and no refutation runs."""
+    if len(g.edges) < g.n:
+        return None
+    rows = [tuple(1 << d for d in dist) for dist in g.dist]
+    return [(row, sum(row)) for row in rows]
 
-    - ``keep``: one pebble on every vertex, the target of the passes
-      and of the memo's search.
-    - ``memo``: the given memo or a fresh one, whose search both sizes
-      share.
-    - ``potentials``: per vertex t, the row of 2**d(w, t) over w and its
-      sum, t's stack cost, which ``refutes`` reads.
-    - ``steps``: the _bfs_steps from every root, which the prefix DPs and
-      the full-vector passes read.
 
-    On a tree ``potentials`` is None and the search never runs.  The
-    memo is bound here, right after check_threshold_size, on trees and
-    graphs with cycles alike; a top that check refuses builds no table
-    and binds no memo.
-    """
-
-    def __init__(self, g: Graph, memo: Optional[SolveMemo], top: int):
-        check_threshold_size(g, top)
-        self.keep = keep = (1,) * g.n
-        self.memo = memo = memo if memo is not None else SolveMemo()
-        memo.bind(g, keep, True)
-        self.n = g.n
-        self.potentials = None
-        if len(g.edges) >= g.n:
-            rows = [tuple(1 << d for d in dist) for dist in g.dist]
-            self.potentials = [(row, sum(row)) for row in rows]
-        self.steps = [_bfs_steps(g, root) for root in range(g.n)]
-
-    def refutes(self, vec: tuple[int, ...]) -> bool:
-        """Whether vec's stack potential toward some vertex t, sum_w
-        vec[w] * 2**d(w, t), in which farther pebbles count more, is below
-        t's stack cost, which proves vec unsolvable.  A move takes 2
-        pebbles off u and puts 1 on a neighbour at most one step farther
-        from t, so no move raises it, and a covered vector has at least
-        t's stack cost (Sjostrand, 2005).  The search's near potential
-        (SolveMemo) is another quantity."""
-        return any(sum(map(mul, vec, row)) < cost for row, cost in self.potentials)
-
-    def run(self, k: int) -> ThresholdResult:
-        """The first unsolvable vector of size k, at most top, in colex
-        order, if any; see verify_threshold."""
-        n = self.n
-        steps, memo, keep = self.steps, self.memo, self.keep
-        held: dict[int, int] = {}
-
-        def uncertified(v: int, spare: int) -> list[int]:
-            # counts of v, largest first, with a completion the pass from v fails
-            if not v:
-                return [spare]
-            below = _passed_up(steps[v], v, held, spare)
-            return [x for x in range(spare, -1, -1) if x + below[spare - x] < 1]
-
-        # frames (v, pebbles left for v and below, counts of v to try); an
-        # explicit stack, since recursion would overflow on large graphs
-        stack = [(n - 1, k, uncertified(n - 1, k))]
-        while stack:
-            v, spare, counts = stack[-1]
-            if not counts:
-                stack.pop()
-                held.pop(v, None)
-                continue
-            held[v] = x = counts.pop()
-            if v:
-                stack.append((v - 1, spare - x, uncertified(v - 1, spare - x)))
-                continue
-            vec = tuple(held[u] for u in range(n))
-            if any(_pass(tree, root, vec, keep) is not None for root, tree in enumerate(steps)):
-                continue
-            if self.potentials is None or self.refutes(vec) or not memo._decide(vec)[0]:
-                return ThresholdResult(Configuration(vec), _colex_rank(vec) + 1)
-        return ThresholdResult(None, composition_count(n, k))
+def _refutes(potentials: list[tuple[tuple[int, ...], int]], vec: tuple[int, ...]) -> bool:
+    """Whether vec's stack potential toward some vertex t, sum_w vec[w] *
+    2**d(w, t), in which farther pebbles count more, is below t's stack
+    cost in potentials, which proves vec unsolvable.  A move takes 2
+    pebbles off u and puts 1 on a neighbour at most one step farther from
+    t, so no move raises it, and a covered vector has at least t's stack
+    cost (Sjostrand, 2005).  The search's near potential (SolveMemo) is
+    another quantity."""
+    return any(sum(map(mul, vec, row)) < cost for row, cost in potentials)
 
 
 def verify_threshold(
@@ -728,26 +683,62 @@ def verify_threshold(
     held, shows for every count x of v at once whether the pass covers
     all completions: x + below[spare - x] >= 1.  Only the counts it
     cannot certify are tried.  A full vector then meets three tests in
-    turn: the passes from every vertex, each keeping one pebble on every
+    turn: the passes that solve tries, each keeping one pebble on every
     vertex (_pass), certify it; failing those, on a graph with cycles,
-    its stack potentials refute it (_ThresholdCheck.refutes); only a
-    vector neither certified nor refuted goes to the memo's search.  On
-    a tree the pass is exact from every root, so no count is retried and
-    neither the refutation nor the search runs.  A given memo is bound
-    to g at entry, on a tree too, so one bound to another graph raises
-    InvalidSpec.  The BFS steps, the potential rows and the search's
-    tables are built once per call; gamma_exact builds them once for
-    both of its sizes.
+    its stack potentials refute it (_refutes); only a vector neither
+    certified nor refuted goes to the memo's search.  On a tree the pass
+    is exact from any root, so the one from root 0 decides a full vector,
+    and neither the refutation nor the search runs.
+
+    A k that check_threshold_size refuses raises InvalidSpec before any
+    table is built or the memo is bound.  Otherwise the given memo, or a
+    fresh one, is bound to g, one pebble kept per vertex and pruning on,
+    on a tree too, so one bound to another graph raises InvalidSpec.  It
+    holds the BFS trees and the search's tables, so calls sharing it, as
+    gamma_exact's two sizes do, build them once.
 
     configs_checked is the witness's rank plus one, or the full count
-    when the size is good, as a scan in that order would report.  A k
-    that check_threshold_size refuses raises InvalidSpec before any
-    table is built.
+    when the size is good, as a scan in that order would report.
 
     worker_count is ignored.  It remains only because the benchmark's
     two-thread scan probe passes it, and goes with that probe.
     """
-    return _ThresholdCheck(g, memo, k).run(k)
+    check_threshold_size(g, k)
+    n = g.n
+    keep = (1,) * n
+    memo = memo if memo is not None else SolveMemo()
+    memo.bind(g, keep, True)
+    potentials = _stack_potentials(g)
+    # (root, tree) for the full-vector passes, from the roots solve tries
+    passes = [(root, memo._tree(root)) for root in ((0,) if potentials is None else range(n))]
+    held: dict[int, int] = {}
+
+    def uncertified(v: int, spare: int) -> list[int]:
+        # counts of v, largest first, with a completion the pass from v fails
+        if not v:
+            return [spare]
+        below = _passed_up(memo._tree(v), v, held, spare)
+        return [x for x in range(spare, -1, -1) if x + below[spare - x] < 1]
+
+    # frames (v, pebbles left for v and below, counts of v to try); an
+    # explicit stack, since recursion would overflow on large graphs
+    stack = [(n - 1, k, uncertified(n - 1, k))]
+    while stack:
+        v, spare, counts = stack[-1]
+        if not counts:
+            stack.pop()
+            held.pop(v, None)
+            continue
+        held[v] = x = counts.pop()
+        if v:
+            stack.append((v - 1, spare - x, uncertified(v - 1, spare - x)))
+            continue
+        vec = tuple(held[u] for u in range(n))
+        if any(_pass(steps, root, vec, keep) is not None for root, steps in passes):
+            continue
+        if potentials is None or _refutes(potentials, vec) or not memo._decide(vec)[0]:
+            return ThresholdResult(Configuration(vec), _colex_rank(vec) + 1)
+    return ThresholdResult(None, composition_count(n, k))
 
 
 def gamma_exact(g: Graph) -> GammaResult:
@@ -758,18 +749,19 @@ def gamma_exact(g: Graph) -> GammaResult:
     configuration of size L must be solvable and some configuration of
     size L - 1 must not; either surprise raises InternalAssertion.  The
     witness is the colexicographically first unsolvable configuration of
-    size L - 1, and configs_checked sums the counts of both checks.  Both
-    sizes share one set of tables and one memo; on a tree neither size
-    reaches the memo's search.
+    size L - 1, and configs_checked sums the counts of both checks.  The
+    two checks are verify_threshold calls sharing one memo, which holds
+    the BFS trees and the search's tables; on a tree neither size reaches
+    the memo's search.
     """
     k = bound_report(g).lower_stacked
-    check = _ThresholdCheck(g, None, k)
-    at = check.run(k)
+    memo = SolveMemo()
+    at = verify_threshold(g, k, memo=memo)
     if not at.ok:
         raise InternalAssertion(
             f"configuration {at.witness.counts} of size {k} is unsolvable, at the worst stack cost"
         )
-    below = check.run(k - 1)
+    below = verify_threshold(g, k - 1, memo=memo)
     if below.ok:
         raise InternalAssertion(
             f"every configuration of size {k - 1} is solvable, below the worst stack cost {k}"

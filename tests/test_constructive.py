@@ -174,12 +174,28 @@ def _sends(rng, count):
             yield g, solve_diameter(g, c)[0] if b is None else solve_pigeonhole(g, b, c), b
 
 
-def test_pigeonhole_and_diameter_certificates_hold_one_move_object_per_run():
+def _unit_moves(rng, count):
+    # (graph, certificate, None) from the wheel and multipartite
+    # strategies, which move one pebble at a time, on random wheels and
+    # shapes, each configuration 0 to 2 pebbles over the threshold
+    for _ in range(count):
+        rim = rng.randint(3, 10)
+        g = generate(Wheel(rim))
+        yield g, solve_wheel(g, random_config(rng, g.n, gamma_wheel(rim) + rng.randrange(3))), None
+        sizes = tuple(sorted((rng.randint(1, 4) for _ in range(rng.randint(2, 4))), reverse=True))
+        g = generate(Multipartite(sizes))
+        c = random_config(rng, g.n, gamma_multipartite(sizes) + rng.randrange(3))
+        yield g, solve_multipartite(g, sizes, c), None
+
+
+def test_constructive_certificates_hold_one_move_object_per_run():
     # each hop of a send is one PebblingMove repeated, and a send whose
     # first hop repeats the move before it, within one strategy or across
-    # the diameter strategy's handoff to its endgame, continues that run
+    # the diameter strategy's handoff to its endgame, continues that run;
+    # so does a single move of the wheel or multipartite strategy that
+    # repeats the one before it
     runs = 0
-    for g, cert, b in _sends(random.Random(19), 300):
+    for g, cert, b in itertools.chain(_sends(random.Random(19), 300), _unit_moves(random.Random(23), 100)):
         moves = cert.moves
         assert len(set(map(id, moves))) == sum(1 for _ in itertools.groupby(moves)), g.edges
         runs += len(set(map(id, moves)))

@@ -842,25 +842,59 @@ def test_passed_up_matches_every_completion_with_vertices_held():
     assert checked == 41_538
 
 
-def test_stack_potentials_refute_only_unsolvable_vectors():
+def test_stack_potentials_refute_only_unsolvable_vectors(monkeypatch):
+    refutes = exact._refutes
+    calls = []
+
+    def counted(potentials, vec):
+        calls.append(vec)
+        return refutes(potentials, vec)
+
+    monkeypatch.setattr(exact, "_refutes", counted)
     refuted = 0
     for g in small_catalog(4):
         costs = [stack_cost(g, v) for v in range(g.n)]
-        check = exact._ThresholdCheck(g, None, max(costs) + 1)
+        calls.clear()
+        assert not verify_threshold(g, max(costs) - 1).ok, g.edges
         if len(g.edges) < g.n:
             # the pass is exact on a tree, so no refutation runs there
-            assert check.potentials is None, g.edges
+            assert calls == [], g.edges
             continue
+        assert calls, g.edges
+        potentials = exact._stack_potentials(g)
         search = bound_memo(g)
         for k in range(max(costs) + 2):
             for vec in iter_count_vectors(g.n, k):
-                if check.refutes(vec):
+                if refutes(potentials, vec):
                     assert not search._decide(vec)[0], (g.edges, vec)
                     refuted += 1
         for v, cost in enumerate(costs):
-            assert check.refutes(stacked(g, v, cost - 1).counts), (g.edges, v)
-            assert not check.refutes(stacked(g, v, cost).counts), (g.edges, v)
+            assert refutes(potentials, stacked(g, v, cost - 1).counts), (g.edges, v)
+            assert not refutes(potentials, stacked(g, v, cost).counts), (g.edges, v)
     assert refuted == 2_994
+
+
+def test_a_memo_builds_each_bfs_tree_once(monkeypatch):
+    # the memo owns the trees: solves sharing one memo, and gamma_exact's
+    # two sizes, build the tree from each root once
+    bfs_steps = exact._bfs_steps
+    built = []
+
+    def counted(g, root):
+        built.append(root)
+        return bfs_steps(g, root)
+
+    monkeypatch.setattr(exact, "_bfs_steps", counted)
+    w6 = generate(Wheel(6))
+    memo = SolveMemo()
+    for v in (0, 1):
+        for size in range(12, 20):
+            solve(w6, stacked(w6, v, size), memo=memo)
+    assert sorted(built) == list(range(w6.n))
+    for g in (generate(Wheel(5)), generate(Path(5))):
+        built.clear()
+        gamma_exact(g)
+        assert sorted(built) == list(range(g.n)), g.edges
 
 
 def test_failing_checks_below_the_stack_bound_skip_the_search(monkeypatch):

@@ -3,16 +3,19 @@ source names a standard-library module.  Every name a module imports is
 used in that module, and every parameter and local a function binds is
 read.  Each export is defined in the one module whose __all__ lists it,
 and every private definition is referenced somewhere else in the
-package.  No code outside errors.check_int tests type(...) against int."""
+package.  No code outside errors.check_int tests type(...) against int,
+and no code outside SolveMemo._tree builds a BFS tree."""
 
 import ast
 import importlib
 import inspect
 import pathlib
 import sys
+import textwrap
 
 import coverpebble
 from coverpebble.errors import check_int
+from coverpebble.exact import SolveMemo
 
 PACKAGE_DIR = pathlib.Path(coverpebble.__file__).parent
 
@@ -195,3 +198,27 @@ def test_only_check_int_tests_for_an_int():
     assert not found, found
     # the owner itself holds the test, so the guard looks for the right shape
     assert list(_type_is_int_tests(ast.parse(inspect.getsource(check_int))))
+
+
+def _bfs_steps_calls(tree):
+    # each call of _bfs_steps, by name or as an attribute
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and "_bfs_steps" in (getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+            yield node.lineno
+
+
+def test_only_the_memo_tree_table_builds_bfs_trees():
+    # SolveMemo._tree owns the BFS trees, one per root and memo; a second
+    # call site would build them again on every call
+    found = []
+    for path in sorted(PACKAGE_DIR.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = range(0)
+        if path.name == "exact.py":
+            [memo] = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "SolveMemo"]
+            [fn] = [n for n in memo.body if isinstance(n, ast.FunctionDef) and n.name == "_tree"]
+            owner = range(fn.lineno, fn.end_lineno + 1)
+        found += [(path.name, line) for line in _bfs_steps_calls(tree) if line not in owner]
+    assert not found, found
+    # the owner itself holds the one call, so the guard looks for the right shape
+    assert len(list(_bfs_steps_calls(ast.parse(textwrap.dedent(inspect.getsource(SolveMemo._tree)))))) == 1

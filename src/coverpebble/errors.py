@@ -41,10 +41,12 @@ class LengthMismatch(PebblingError):
 
 
 class IllegalMoveAt(PebblingError):
-    """Certificate replay hit an illegal move at a specific index."""
+    """Certificate replay hit an illegal move at a specific index.  The
+    message shows the move by str, src->dst for a PebblingMove, so a
+    move of another type needs no src or dst."""
 
     def __init__(self, index: int, move, reason: str):
-        super().__init__(f"move #{index} ({move.src}->{move.dst}) is illegal: {reason}")
+        super().__init__(f"move #{index} ({move}) is illegal: {reason}")
         self.index = index
         self.move = move
         self.reason = reason

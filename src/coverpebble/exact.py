@@ -10,11 +10,12 @@ and L - 1, which must fail.  By the cover pebbling theorem (Sjostrand,
 2005) L is the answer, so any other outcome is an internal error, not a
 reason to search further.
 
-Both solve and the threshold check first try the bottom-up pass over a
-BFS tree that _pass describes: exact on a tree, and a sound certificate
+Both solve and the threshold check first try the bottom-up passes over
+BFS trees that _pass describes: exact on a tree, and a sound certificate
 on a graph with cycles.  verify_threshold describes the threshold check
-in full; solve says what it tries before its search.  Both keep every
-table they build for a graph, the BFS trees too, in one SolveMemo.
+in full; solve says what it tries before its search.  Both take the
+passes and the stack-potential refutation from one SolveMemo, which
+keeps every table they build for a graph.
 """
 
 from __future__ import annotations
@@ -91,8 +92,10 @@ class SolveMemo:
 
     A memo is bound to the (graph, keep vector, pruning) combination of
     its first use and refuses reuse under a different one.  Binding
-    stores that combination and the graph and sets up ``_trees`` (last
-    below); the other tables are derived at the first search.
+    stores that combination, the graph and the tree flag ``_is_tree``,
+    whether the graph has fewer edges than vertices, and sets up
+    ``_trees`` and ``_potentials`` (last below); the other tables are
+    derived at the first search.
 
     With pruning on, an expanded state goes to ``fail`` unexpanded when
     either of two counts proves it unsolvable:
@@ -165,8 +168,12 @@ class SolveMemo:
     moves by that key, which orders them by (near(x), u, x).
 
     ``_trees``: per root, the _bfs_steps from it, built on first use by
-    ``_tree``, for solve's passes and verify_threshold's DPs and passes.
-    It depends on the graph alone, so a re-pack keeps it.
+    ``_tree``, for the passes of ``_passing``, which solve and
+    verify_threshold share, and for verify_threshold's DPs.
+    ``_potentials``: per vertex t, the row of 2**d(w, t) over w and t's
+    cost under the keep vector, built by ``_refutes`` at its first call.
+    Both depend on the graph and keep vector alone, so a re-pack keeps
+    them.
     """
 
     def __init__(self):
@@ -181,7 +188,8 @@ class SolveMemo:
         another graph, keep vector or pruning setting."""
         key = (g.n, g.edges, keep, pruning)
         if self._bound_key is None:
-            self._bound_key, self._graph, self._trees = key, g, [None] * g.n
+            self._bound_key, self._graph, self._keep, self._is_tree = key, g, keep, len(g.edges) < g.n
+            self._trees, self._potentials = [None] * g.n, None
         elif self._bound_key != key:
             raise InvalidSpec("memo reused with a different graph, targets, or pruning")
 
@@ -190,6 +198,34 @@ class SolveMemo:
         if self._trees[root] is None:
             self._trees[root] = _bfs_steps(self._graph, root)
         return self._trees[root]
+
+    def _passing(self, vec: tuple[int, ...]) -> Optional[tuple[tuple[tuple[int, int], ...], list[int]]]:
+        """The steps and balances of the first pass (_pass) that keeps the
+        bound keep vector on vec and succeeds, or None.  On a tree the one
+        from root 0 decides exactly; on a graph with cycles the BFS trees
+        from each root are tried in index order."""
+        keep = self._keep
+        for root in (0,) if self._is_tree else range(self._graph.n):
+            steps = self._tree(root)
+            bal = _pass(steps, root, vec, keep)
+            if bal is not None:
+                return steps, bal
+        return None
+
+    def _refutes(self, vec: tuple[int, ...]) -> bool:
+        """Whether vec's stack potential toward some vertex t, sum_w vec[w] *
+        2**d(w, t), in which farther pebbles count more, is below t's cost,
+        sum_u keep[u] * 2**d(u, t), which proves vec unsolvable.  A move
+        takes 2 pebbles off u and puts 1 on a neighbour at most one step
+        farther from t, so no move raises it, and a covering vector has at
+        least t's cost (Sjostrand, 2005).  Under the all-ones keep the cost
+        is t's stack cost.  The rows of 2**d(w, t) and the costs are built
+        on first use and kept.  The search's near potential is another
+        quantity."""
+        if self._potentials is None:
+            rows = [tuple(1 << d for d in dist) for dist in self._graph.dist]
+            self._potentials = [(row, sum(map(mul, self._keep, row))) for row in rows]
+        return any(sum(map(mul, vec, row)) < cost for row, cost in self._potentials)
 
     def _fit(self, size: int) -> None:
         """Make the tables and the keys hold states of ``size`` pebbles."""
@@ -267,8 +303,6 @@ class SolveMemo:
         field = self.field
         counts = [state >> s & field for s in self.shifts]
         sources = [u for u, c in enumerate(counts) if c > 1]
-        if not sources:
-            return iter(())
         if len(sources) == 1:
             u = sources[0]
             return iter(slots[u] or self._rank(covered, u))
@@ -366,11 +400,11 @@ def solve(
     Without a weighting every vertex is a target.  Three tests run in
     turn.  First the move count that SolveMemo proves: fewer pebbles
     than the targets plus the targets without a pebble is unsolvable.
-    Then the pass that keeps one pebble on each target (see _pass): on
-    a tree one pass from root 0 decides exactly, and on a graph with
-    cycles the BFS trees from each root in index order are tried until
-    one passes.  Only a configuration on a graph with cycles that no
-    tree passes reaches the search.
+    Then the memo's passes (SolveMemo._passing), each keeping one pebble
+    on each target (see _pass): on a tree the one from root 0 decides
+    exactly, and on a graph with cycles the BFS trees from each root in
+    index order are tried until one passes.  Only a configuration on a
+    graph with cycles that no tree passes reaches the search.
 
     A solvable outcome carries a certificate, the passing tree's moves
     (_pass_moves) or the search's win chain.  A tree's moves come in
@@ -388,25 +422,19 @@ def solve(
     check_length(c.counts, g.n, "configuration")
     if budget is not None:
         check_int(budget, "budget")
-    # need: the targets plus the targets without a pebble
-    if b is None:
-        keep = (1,) * g.n
-        need = g.n + c.counts.count(0)
-    else:
+    if b is not None:
         check_length(b.marks, g.n, "weighting")
-        keep = b.marks
-        need = sum(keep) + sum(map(gt, keep, c.counts))
+    keep = (1,) * g.n if b is None else b.marks
     memo = memo if memo is not None else SolveMemo()
     memo.bind(g, keep, pruning)
-    if c.size < need:
+    # the targets plus the targets without a pebble
+    if c.size < sum(keep) + sum(map(gt, keep, c.counts)):
         return SolveOutcome(False, None, 0)
-    tree = len(g.edges) < g.n
-    for root in (0,) if tree else range(g.n):
-        steps = memo._tree(root)
-        bal = _pass(steps, root, c.counts, keep)
-        if bal is not None:
-            return SolveOutcome(True, Certificate(c, _pass_moves(steps, c.counts, keep, bal)), 0)
-    if tree:
+    passed = memo._passing(c.counts)
+    if passed is not None:
+        steps, bal = passed
+        return SolveOutcome(True, Certificate(c, _pass_moves(steps, c.counts, keep, bal)), 0)
+    if memo._is_tree:
         return SolveOutcome(False, None, 0)
     solvable, explored = memo._decide(c.counts, budget)
     certificate = None
@@ -645,27 +673,6 @@ def _colex_rank(vec: tuple[int, ...]) -> int:
     return rank
 
 
-def _stack_potentials(g: Graph) -> Optional[list[tuple[tuple[int, ...], int]]]:
-    """Per vertex t, the row of 2**d(w, t) over w and its sum, t's stack
-    cost, which _refutes reads; None on a tree, where the pass decides
-    and no refutation runs."""
-    if len(g.edges) < g.n:
-        return None
-    rows = [tuple(1 << d for d in dist) for dist in g.dist]
-    return [(row, sum(row)) for row in rows]
-
-
-def _refutes(potentials: list[tuple[tuple[int, ...], int]], vec: tuple[int, ...]) -> bool:
-    """Whether vec's stack potential toward some vertex t, sum_w vec[w] *
-    2**d(w, t), in which farther pebbles count more, is below t's stack
-    cost in potentials, which proves vec unsolvable.  A move takes 2
-    pebbles off u and puts 1 on a neighbour at most one step farther from
-    t, so no move raises it, and a covered vector has at least t's stack
-    cost (Sjostrand, 2005).  The search's near potential (SolveMemo) is
-    another quantity."""
-    return any(sum(map(mul, vec, row)) < cost for row, cost in potentials)
-
-
 def verify_threshold(
     g: Graph,
     k: int,
@@ -683,19 +690,20 @@ def verify_threshold(
     held, shows for every count x of v at once whether the pass covers
     all completions: x + below[spare - x] >= 1.  Only the counts it
     cannot certify are tried.  A full vector then meets three tests in
-    turn: the passes that solve tries, each keeping one pebble on every
-    vertex (_pass), certify it; failing those, on a graph with cycles,
-    its stack potentials refute it (_refutes); only a vector neither
-    certified nor refuted goes to the memo's search.  On a tree the pass
-    is exact from any root, so the one from root 0 decides a full vector,
-    and neither the refutation nor the search runs.
+    turn, each a memo step: the passes that solve tries, each keeping one
+    pebble on every vertex, certify it (SolveMemo._passing); failing
+    those, on a graph with cycles, its stack potentials refute it
+    (SolveMemo._refutes); only a vector neither certified nor refuted
+    goes to the memo's search.  On a tree the pass is exact from any
+    root, so the one from root 0 decides a full vector, and neither the
+    refutation nor the search runs.
 
     A k that check_threshold_size refuses raises InvalidSpec before any
     table is built or the memo is bound.  Otherwise the given memo, or a
     fresh one, is bound to g, one pebble kept per vertex and pruning on,
     on a tree too, so one bound to another graph raises InvalidSpec.  It
-    holds the BFS trees and the search's tables, so calls sharing it, as
-    gamma_exact's two sizes do, build them once.
+    holds the BFS trees, the potential rows and the search's tables, so
+    calls sharing it, as gamma_exact's two sizes do, build them once.
 
     configs_checked is the witness's rank plus one, or the full count
     when the size is good, as a scan in that order would report.
@@ -705,12 +713,8 @@ def verify_threshold(
     """
     check_threshold_size(g, k)
     n = g.n
-    keep = (1,) * n
     memo = memo if memo is not None else SolveMemo()
-    memo.bind(g, keep, True)
-    potentials = _stack_potentials(g)
-    # (root, tree) for the full-vector passes, from the roots solve tries
-    passes = [(root, memo._tree(root)) for root in ((0,) if potentials is None else range(n))]
+    memo.bind(g, (1,) * n, True)
     held: dict[int, int] = {}
 
     def uncertified(v: int, spare: int) -> list[int]:
@@ -734,9 +738,9 @@ def verify_threshold(
             stack.append((v - 1, spare - x, uncertified(v - 1, spare - x)))
             continue
         vec = tuple(held[u] for u in range(n))
-        if any(_pass(steps, root, vec, keep) is not None for root, steps in passes):
+        if memo._passing(vec) is not None:
             continue
-        if potentials is None or _refutes(potentials, vec) or not memo._decide(vec)[0]:
+        if memo._is_tree or memo._refutes(vec) or not memo._decide(vec)[0]:
             return ThresholdResult(Configuration(vec), _colex_rank(vec) + 1)
     return ThresholdResult(None, composition_count(n, k))
 
@@ -751,8 +755,8 @@ def gamma_exact(g: Graph) -> GammaResult:
     witness is the colexicographically first unsolvable configuration of
     size L - 1, and configs_checked sums the counts of both checks.  The
     two checks are verify_threshold calls sharing one memo, which holds
-    the BFS trees and the search's tables; on a tree neither size reaches
-    the memo's search.
+    the BFS trees, the potential rows and the search's tables; on a tree
+    neither size reaches the memo's search.
     """
     k = bound_report(g).lower_stacked
     memo = SolveMemo()

@@ -65,6 +65,9 @@ class PebblingMove:
     src: int
     dst: int
 
+    def __str__(self) -> str:
+        return f"{self.src}->{self.dst}"
+
 
 @dataclass(frozen=True)
 class Certificate:
@@ -118,17 +121,20 @@ def validate_certificate(
 
     Raises LengthMismatch when the start configuration does not fit the
     graph, IllegalMoveAt(index) on the first move that cannot be played,
-    a move whose vertex check_int refuses among them, and NotCoveredAtEnd
-    when the replay ends with empty targets.
+    a move that is not a PebblingMove or whose vertex check_int refuses
+    among them, and NotCoveredAtEnd when the replay ends with empty
+    targets.
     """
     check_length(cert.initial.counts, g.n, "certificate start")
     if b is not None:
         check_length(b.marks, g.n, "weighting")
     counts = list(cert.initial.counts)
-    checked = None
+    checked = object()  # no move is this object, so the first is checked
     for index, move in enumerate(cert.moves):
-        # a run repeats one move object: check its vertices and edge once
+        # a run repeats one move object: check its type, vertices and edge once
         if move is not checked:
+            if not isinstance(move, PebblingMove):
+                raise IllegalMoveAt(index, move, "not a PebblingMove")
             src, dst = move.src, move.dst
             try:
                 check_int(src, "move source", 0, g.n - 1)

@@ -843,14 +843,14 @@ def test_passed_up_matches_every_completion_with_vertices_held():
 
 
 def test_stack_potentials_refute_only_unsolvable_vectors(monkeypatch):
-    refutes = exact._refutes
+    refutes = SolveMemo._refutes
     calls = []
 
-    def counted(potentials, vec):
+    def counted(self, vec):
         calls.append(vec)
-        return refutes(potentials, vec)
+        return refutes(self, vec)
 
-    monkeypatch.setattr(exact, "_refutes", counted)
+    monkeypatch.setattr(SolveMemo, "_refutes", counted)
     refuted = 0
     for g in small_catalog(4):
         costs = [stack_cost(g, v) for v in range(g.n)]
@@ -861,17 +861,29 @@ def test_stack_potentials_refute_only_unsolvable_vectors(monkeypatch):
             assert calls == [], g.edges
             continue
         assert calls, g.edges
-        potentials = exact._stack_potentials(g)
         search = bound_memo(g)
         for k in range(max(costs) + 2):
             for vec in iter_count_vectors(g.n, k):
-                if refutes(potentials, vec):
+                if refutes(search, vec):
                     assert not search._decide(vec)[0], (g.edges, vec)
                     refuted += 1
         for v, cost in enumerate(costs):
-            assert refutes(potentials, stacked(g, v, cost - 1).counts), (g.edges, v)
-            assert not refutes(potentials, stacked(g, v, cost).counts), (g.edges, v)
+            assert refutes(search, stacked(g, v, cost - 1).counts), (g.edges, v)
+            assert not refutes(search, stacked(g, v, cost).counts), (g.edges, v)
     assert refuted == 2_994
+
+
+def test_a_memo_builds_the_potential_rows_once():
+    # two threshold checks sharing a memo, as gamma_exact's sizes do, read
+    # one set of rows; each check at L - 1 refutes its witness by them
+    for g in (generate(Wheel(5)), generate(Multipartite((3, 2, 2)))):
+        memo = SolveMemo()
+        below = bound_report(g).lower_stacked - 1
+        assert not verify_threshold(g, below, memo=memo).ok, g.edges
+        rows = memo._potentials
+        assert rows is not None, g.edges
+        assert not verify_threshold(g, below, memo=memo).ok, g.edges
+        assert memo._potentials is rows, g.edges
 
 
 def test_a_memo_builds_each_bfs_tree_once(monkeypatch):

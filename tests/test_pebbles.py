@@ -155,6 +155,7 @@ def test_validate_certificate_illegal_moves():
     with pytest.raises(IllegalMoveAt) as exc:
         validate_certificate(P3, cert)
     assert exc.value.index == 1
+    assert str(exc.value) == "move #1 (1->2) is illegal: source holds 1 pebbles"
 
     cert = Certificate(Configuration((4, 0, 0)), (PebblingMove(0, 3),))
     with pytest.raises(IllegalMoveAt) as exc:
@@ -178,6 +179,18 @@ def test_replay_refuses_a_move_vertex_that_is_not_an_int(bad):
     with pytest.raises(IllegalMoveAt) as exc:
         validate_certificate(P3, cert)
     assert (exc.value.index, exc.value.reason) == (1, "vertex out of range")
+
+
+@pytest.mark.parametrize("bad", [None, (0, 1)], ids=["none", "tuple"])
+def test_replay_refuses_a_move_that_is_not_a_pebbling_move(bad):
+    # a None first move must not pass for the run check's sentinel, and a
+    # move without src and dst fails at its index, not by AttributeError
+    for moves, index in (((bad,), 0), ((PebblingMove(0, 1), bad, bad), 1)):
+        cert = Certificate(Configuration((4, 4, 0)), moves)
+        with pytest.raises(IllegalMoveAt) as exc:
+            validate_certificate(P3, cert)
+        assert (exc.value.index, exc.value.move, exc.value.reason) == (index, bad, "not a PebblingMove")
+        assert str(exc.value) == f"move #{index} ({bad}) is illegal: not a PebblingMove"
 
 
 def test_empty_certificate_iff_covered():

@@ -4,7 +4,8 @@ used in that module, and every parameter and local a function binds is
 read.  Each export is defined in the one module whose __all__ lists it,
 and every private definition is referenced somewhere else in the
 package.  No code outside errors.check_int tests type(...) against int,
-and no code outside SolveMemo._tree builds a BFS tree."""
+no code outside SolveMemo._tree builds a BFS tree, and no code outside
+SolveMemo._passing runs a tree pass."""
 
 import ast
 import importlib
@@ -200,25 +201,42 @@ def test_only_check_int_tests_for_an_int():
     assert list(_type_is_int_tests(ast.parse(inspect.getsource(check_int))))
 
 
-def _bfs_steps_calls(tree):
-    # each call of _bfs_steps, by name or as an attribute
+def _calls(tree, name):
+    # each call of name, by name or as an attribute
     for node in ast.walk(tree):
-        if isinstance(node, ast.Call) and "_bfs_steps" in (getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+        if isinstance(node, ast.Call) and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None)):
             yield node.lineno
+
+
+def _calls_outside_memo_method(name, owner):
+    # the package's calls of name, but for those inside SolveMemo.<owner>,
+    # and the calls the owner itself holds
+    found = []
+    for path in sorted(PACKAGE_DIR.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        inside = range(0)
+        if path.name == "exact.py":
+            [memo] = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "SolveMemo"]
+            [fn] = [n for n in memo.body if isinstance(n, ast.FunctionDef) and n.name == owner]
+            inside = range(fn.lineno, fn.end_lineno + 1)
+        found += [(path.name, line) for line in _calls(tree, name) if line not in inside]
+    source = textwrap.dedent(inspect.getsource(getattr(SolveMemo, owner)))
+    return found, len(list(_calls(ast.parse(source), name)))
 
 
 def test_only_the_memo_tree_table_builds_bfs_trees():
     # SolveMemo._tree owns the BFS trees, one per root and memo; a second
     # call site would build them again on every call
-    found = []
-    for path in sorted(PACKAGE_DIR.rglob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        owner = range(0)
-        if path.name == "exact.py":
-            [memo] = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "SolveMemo"]
-            [fn] = [n for n in memo.body if isinstance(n, ast.FunctionDef) and n.name == "_tree"]
-            owner = range(fn.lineno, fn.end_lineno + 1)
-        found += [(path.name, line) for line in _bfs_steps_calls(tree) if line not in owner]
+    found, owned = _calls_outside_memo_method("_bfs_steps", "_tree")
     assert not found, found
     # the owner itself holds the one call, so the guard looks for the right shape
-    assert len(list(_bfs_steps_calls(ast.parse(textwrap.dedent(inspect.getsource(SolveMemo._tree)))))) == 1
+    assert owned == 1
+
+
+def test_only_the_memo_runs_the_tree_passes():
+    # SolveMemo._passing owns the passes that solve and verify_threshold
+    # share, with their roots and the bound keep vector; a second call
+    # site would be a second copy of that rule
+    found, owned = _calls_outside_memo_method("_pass", "_passing")
+    assert not found, found
+    assert owned == 1

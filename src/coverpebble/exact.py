@@ -86,16 +86,19 @@ class SolveMemo:
     ``fail`` holds the states known unsolvable.  ``win`` maps a state to
     one move (u, x) of a known cover solution, or None when the state
     already covers its targets; following those moves reconstructs a
-    certificate.  Entries are only added, never changed, except that a
-    search needing a wider W re-packs every key to it once, so one memo
-    serves searches of any size.  W never narrows.
+    certificate.  Both hold keys packed at one W (below), and entries
+    are only added, never changed, while that W lasts.  A search that
+    needs a wider W empties both first, so it keeps no entry from
+    before.  W never narrows.  gamma_exact checks L before L - 1, so
+    both its checks run at one W.
 
-    A memo is bound to the (graph, keep vector, pruning) combination of
-    its first use and refuses reuse under a different one.  Binding
-    stores that combination, the graph and the tree flag ``_is_tree``,
-    whether the graph has fewer edges than vertices, and sets up
-    ``_trees`` and ``_potentials`` (last below); the other tables are
-    derived at the first search.
+    A memo is bound to the graph, keep vector and pruning setting of its
+    first use, and refuses reuse under others; a graph is the same when
+    its order and edges are.  Binding records, once, the graph, the keep
+    vector, ``pruning`` and the tree flag ``_is_tree``, whether the graph
+    has fewer edges than vertices, and sets up ``_trees`` and
+    ``_potentials`` (last below); the other tables are derived at the
+    first search.
 
     With pruning on, an expanded state goes to ``fail`` unexpanded when
     either of two counts proves it unsolvable:
@@ -144,12 +147,11 @@ class SolveMemo:
     moves.  The threshold check's stack potential (_refutes) is another
     quantity.
 
-    Tables, built by ``_build``, which ``_fit`` calls after re-packing
-    the keys when a larger size needs a wider W; every later search at
-    that W reuses them, across solves:
+    Tables, built by ``_build``, which ``_fit`` calls when a search
+    needs a wider W than the memo holds; every later search at that W
+    reuses them, across solves:
 
-    - ``marked``: the targets, in index order; ``pruning`` and ``n``,
-      the bound setting and order.
+    - ``marked``: the targets, in index order; ``n``, the order.
     - ``shifts``: W * v per vertex v; ``field``: (1 << W) - 1.
     - ``low``, ``guard``: LOW and GUARD_T above; ``guard_bits``: per
       target t, the pair (t, t's guard bit).
@@ -172,7 +174,7 @@ class SolveMemo:
     verify_threshold share, and for verify_threshold's DPs.
     ``_potentials``: per vertex t, the row of 2**d(w, t) over w and t's
     cost under the keep vector, built by ``_refutes`` at its first call.
-    Both depend on the graph and keep vector alone, so a re-pack keeps
+    Both depend on the graph and keep vector alone, so a wider W keeps
     them.
     """
 
@@ -180,17 +182,16 @@ class SolveMemo:
         self.fail: set[int] = set()
         self.win: dict[int, Optional[tuple[int, int]]] = {}
         self._width = 0
-        self._bound_key = None
         self._graph: Optional[Graph] = None
 
     def bind(self, g: Graph, keep: tuple[int, ...], pruning: bool) -> None:
         """Bind on first use; raise InvalidSpec on a later use under
-        another graph, keep vector or pruning setting."""
-        key = (g.n, g.edges, keep, pruning)
-        if self._bound_key is None:
-            self._bound_key, self._graph, self._keep, self._is_tree = key, g, keep, len(g.edges) < g.n
+        another graph, keep vector or pruning setting, the graph compared
+        by its order and edges."""
+        if self._graph is None:
+            self._graph, self._keep, self.pruning, self._is_tree = g, keep, pruning, len(g.edges) < g.n
             self._trees, self._potentials = [None] * g.n, None
-        elif self._bound_key != key:
+        elif (g.n, g.edges, keep, pruning) != (self._graph.n, self._graph.edges, self._keep, self.pruning):
             raise InvalidSpec("memo reused with a different graph, targets, or pruning")
 
     def _tree(self, root: int) -> tuple[tuple[int, int], ...]:
@@ -228,25 +229,18 @@ class SolveMemo:
         return any(sum(map(mul, vec, row)) < cost for row, cost in self._potentials)
 
     def _fit(self, size: int) -> None:
-        """Make the tables and the keys hold states of ``size`` pebbles."""
-        old = self._width
+        """Make the tables hold states of ``size`` pebbles.  A size that
+        needs a wider W empties ``fail`` and ``win``, whose keys are
+        packed at the old W, and rebuilds the tables at the new one."""
         width = (size << self._graph.diam).bit_length() + 1
-        if width <= old:
-            return
-        if old:
-            n, mask = self._graph.n, (1 << old) - 1
-
-            def repack(state):
-                return sum((state >> (old * v) & mask) << (width * v) for v in range(n))
-
-            self.fail = set(map(repack, self.fail))
-            self.win = {repack(s): move for s, move in self.win.items()}
-        self._build(width)
+        if width > self._width:
+            self.fail.clear()
+            self.win.clear()
+            self._build(width)
 
     def _build(self, w: int) -> None:
         g = self._graph
-        _, _, keep, self.pruning = self._bound_key
-        self.marked = marked = tuple(v for v, k in enumerate(keep) if k)
+        self.marked = marked = tuple(v for v, k in enumerate(self._keep) if k)
         self.n = n = g.n
         diam = g.diam
         self._width = w
@@ -303,9 +297,6 @@ class SolveMemo:
         field = self.field
         counts = [state >> s & field for s in self.shifts]
         sources = [u for u, c in enumerate(counts) if c > 1]
-        if len(sources) == 1:
-            u = sources[0]
-            return iter(slots[u] or self._rank(covered, u))
         # big piles first, the stable sort keeping index order among
         # equal piles, whose moves then merge by their keys (near(x), u, x)
         sources.sort(key=counts.__getitem__, reverse=True)
@@ -321,12 +312,16 @@ class SolveMemo:
         return chain.from_iterable(runs)
 
     def _decide(self, counts: tuple[int, ...], budget: Optional[int] = None) -> tuple[bool, int]:
-        """Return (solvable, states explored).  Raises BudgetExceeded when
-        more than ``budget`` fresh states get expanded.
+        """Return (solvable, states explored), counting the states
+        visited: the root, whatever the memo holds for it, and each state
+        a move reaches that ``fail`` does not hold, whether it then wins,
+        is pruned or is expanded.  The budget is checked at each visit,
+        before the win test, so the visit past ``budget`` raises
+        BudgetExceeded, and a budget of 0 stops even at a root the memo
+        has already decided.
 
-        A state is visited as soon as the move reaching it is taken, and
-        gets a frame only when it is expanded, so the states that are
-        pruned or known to fail cost no frame."""
+        A visited state gets a frame only when it is expanded, so the
+        states that are pruned or known to fail cost no frame."""
         size = sum(counts)
         self._fit(size)
         win = self.win
@@ -372,8 +367,8 @@ class SolveMemo:
                 return False, explored
 
     def _winning_moves(self, counts: tuple[int, ...]) -> list[tuple[int, int]]:
-        """Follow the cached win chain from a configuration decided solvable."""
-        self._fit(sum(counts))
+        """Follow the cached win chain from a configuration just decided
+        solvable, at the width its search ran."""
         win, shifts = self.win, self.shifts
         moves = []
         state = self._pack(counts)

@@ -114,6 +114,20 @@ def test_solve_budget():
     assert out.solvable
 
 
+def test_a_budget_counts_a_root_the_memo_already_holds():
+    # the worst rim stack of wheel 6 two pebbles short (L = 19) is
+    # unsolvable; a second solve on the same memo visits only its root,
+    # which the budget counts before it reads the memo
+    w6 = generate(Wheel(6))
+    c = Configuration((0, 17, 0, 0, 0, 0, 0))
+    memo = SolveMemo()
+    assert solve(w6, c, memo=memo).states_explored == 584
+    assert solve(w6, c, memo=memo).states_explored == 1
+    with pytest.raises(BudgetExceeded) as info:
+        solve(w6, c, memo=memo, budget=0)
+    assert info.value.states == 1
+
+
 def test_solve_rejects_a_negative_budget():
     w4 = generate(Wheel(4))
     c = Configuration((0, 9, 0, 0, 0))
@@ -133,6 +147,12 @@ def test_solve_memo_reuse_guard():
     solve(P3, Configuration((1, 1, 1)), memo=memo)
     solve(P3, Configuration((2, 1, 1)), memo=memo)
     solve(P3, Configuration((2, 1, 1)), BinaryWeighting((1, 1, 1)), memo=memo)
+    # the graph is compared by value: P3 built again, its edges listed in
+    # another order, is the same graph, and the path 0-2-1, with the same
+    # order and edge count, is not
+    solve(build_graph(3, [(2, 1), (1, 0)]), Configuration((2, 1, 1)), memo=memo)
+    with pytest.raises(InvalidSpec):
+        solve(build_graph(3, [(0, 2), (2, 1)]), Configuration((2, 1, 1)), memo=memo)
     assert not memo.win and not memo.fail
     for g, c, b, pruning in (
         (K2, Configuration((1, 1)), None, True),

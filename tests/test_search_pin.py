@@ -173,21 +173,25 @@ def test_decide_matches_the_reference_search(g):
 def test_a_memo_shared_across_widths_matches_the_reference(sizes):
     # at each size, the stack on rim vertex 1 and a scattered vector, all
     # on one memo, each also answered as with a fresh memo; W = (size << diam).bit_length() + 1 is 6 at size 6, 8
-    # at 17 and 9 at 40, and a memo re-packs to a wider W, never narrower
+    # at 17 and 9 at 40, and a memo that needs a wider W empties its
+    # entries first, so the reference starts afresh whenever W grows; W
+    # never narrows
     rng = random.Random(3)
     ones = (1,) * W6.n
-    memo, ref = bound_memo(W6, ones), ReferenceSearch(W6, ones)
-    widths = []
+    memo = bound_memo(W6, ones)
+    widths = [0]
     for k in sizes:
         for counts in ((0, k, 0, 0, 0, 0, 0), random_config(rng, W6.n, k).counts):
             got = trace(memo, counts)
+            if memo._width != widths[-1]:
+                ref = ReferenceSearch(W6, ones)
             assert got == trace(ref, counts), counts
             assert got[0] == bound_memo(W6, ones)._decide(counts)[0], counts
             widths.append(memo._width)
-    assert widths == ([6, 6, 8, 8, 9, 9] if sizes[0] == 6 else [9] * 6)
+    assert widths[1:] == ([6, 6, 8, 8, 9, 9] if sizes[0] == 6 else [9] * 6)
 
 
-def test_a_threshold_memo_repacks_for_the_next_size():
+def test_a_threshold_memo_starts_afresh_at_a_wider_width():
     # two adjacent hubs joined to four more vertices, two of them
     # adjacent: diameter 2, so W is 7 at size 15 and 8 at 16, and both
     # checks end at an unsolvable vector the search refutes
@@ -198,8 +202,11 @@ def test_a_threshold_memo_repacks_for_the_next_size():
     second = verify_threshold(g, 16, memo=memo)
     assert (width, memo._width) == (7, 8)
     assert first == verify_threshold(g, 15, memo=SolveMemo())
-    assert second == verify_threshold(g, 16, memo=SolveMemo())
-    # every entry, re-packed, is still the right answer for its vector
+    fresh = SolveMemo()
+    assert second == verify_threshold(g, 16, memo=fresh)
+    # the wider W emptied the memo, so it holds what the fresh one does
+    assert (memo.fail, memo.win, len(memo.fail), len(memo.win)) == (fresh.fail, fresh.win, 74, 22)
+    # every entry is the right answer for its vector
     assert memo.fail and memo.win
     ref = ReferenceSearch(g, (1,) * g.n)
     mask = (1 << memo._width) - 1

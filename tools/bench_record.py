@@ -1,7 +1,7 @@
 """Append one benchmark record to a BENCH_<pr>.json file.
 
-bench/run.py writes each run's record to
-``<checkout>/.bench_out/<workload>-seed<s>-trace<t>.json`` and the next
+bench/run.py writes each untraced run's record to
+``<checkout>/.bench_out/<workload>-seed<s>-trace0.json`` and the next
 run of that workload overwrites it, so run this after every benchmark
 run, in the order the runs were made:
 
@@ -23,7 +23,7 @@ from pathlib import Path
 def command_of(record: dict) -> str:
     return (
         f"python3 bench/run.py --workload <workload> --seed {record['seed']}"
-        f" --seconds {record['seconds']:g} --trace {record['trace']}"
+        f" --seconds {record['seconds']:g} --trace 0"
     )
 
 
@@ -34,10 +34,9 @@ def main(argv=None) -> int:
     parser.add_argument("checkout", type=Path, help="the checkout the run was made in")
     parser.add_argument("workload")
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
 
-    source = args.checkout / ".bench_out" / f"{args.workload}-seed{args.seed}-trace{args.trace}.json"
+    source = args.checkout / ".bench_out" / f"{args.workload}-seed{args.seed}-trace0.json"
     record = json.loads(source.read_text())
     bench = json.loads(args.out.read_text()) if args.out.exists() else {"command": command_of(record), "workloads": {}}
     if bench["command"] != command_of(record):

@@ -59,7 +59,13 @@ class SolveOutcome:
 
 @dataclass(frozen=True)
 class ThresholdResult:
-    """Outcome of checking every configuration of one size."""
+    """Outcome of checking every configuration of one size.
+
+    configs_checked is a colex rank, the witness's plus one, or the
+    count of every configuration of the size when none fails; it is
+    not the number of configurations the check visited.  On K(6,3)
+    gamma_exact reports 23,535,821, every configuration of size 27 and
+    the witness at rank 0 of size 26, and visits a small share of them."""
 
     witness: Optional[Configuration]
     configs_checked: int
@@ -96,9 +102,9 @@ class SolveMemo:
     first use, and refuses reuse under others; a graph is the same when
     its order and edges are.  Binding records, once, the graph, the keep
     vector, ``pruning`` and the tree flag ``_is_tree``, whether the graph
-    has fewer edges than vertices, and sets up ``_trees`` and
-    ``_potentials`` (last below); the other tables are derived at the
-    first search.
+    has fewer edges than vertices, and sets up ``_trees``,
+    ``_potentials`` and ``_twins`` (last below); the other tables are
+    derived at the first search.
 
     With pruning on, an expanded state goes to ``fail`` unexpanded when
     either of two counts proves it unsolvable:
@@ -174,8 +180,10 @@ class SolveMemo:
     verify_threshold share, and for verify_threshold's DPs.
     ``_potentials``: per vertex t, the row of 2**d(w, t) over w and t's
     cost under the keep vector, built by ``_refutes`` at its first call.
-    Both depend on the graph and keep vector alone, so a wider W keeps
-    them.
+    ``_twins``: per vertex, the next higher vertex of its twin class, or
+    None, built by ``_twin_above`` at the first threshold check on a
+    graph with cycles, not at bind, which every solve runs.  All three
+    depend on the graph and keep vector alone, so a wider W keeps them.
     """
 
     def __init__(self):
@@ -190,7 +198,7 @@ class SolveMemo:
         by its order and edges."""
         if self._graph is None:
             self._graph, self._keep, self.pruning, self._is_tree = g, keep, pruning, len(g.edges) < g.n
-            self._trees, self._potentials = [None] * g.n, None
+            self._trees, self._potentials, self._twins = [None] * g.n, None, None
         elif (g.n, g.edges, keep, pruning) != (self._graph.n, self._graph.edges, self._keep, self.pruning):
             raise InvalidSpec("memo reused with a different graph, targets, or pruning")
 
@@ -199,6 +207,27 @@ class SolveMemo:
         if self._trees[root] is None:
             self._trees[root] = _bfs_steps(self._graph, root)
         return self._trees[root]
+
+    def _twin_above(self) -> list[Optional[int]]:
+        """Per vertex, the next higher vertex of its twin class, or None;
+        built on first use.  u and v are twins when N(u) - {v} = N(v) -
+        {u}: false twins share their neighbours, true twins their closed
+        neighbourhoods, so the classes are keyed by the sorted adj tuple
+        and by that tuple with the vertex put in.  No key of one kind
+        equals a key of the other, and no vertex has twins of both kinds:
+        were u, v false twins and u, w true twins, then w in N(u) = N(v),
+        so v in N[w] = N[u], though false twins are not adjacent."""
+        if self._twins is None:
+            adj = self._graph.adj
+            self._twins = twins = [None] * len(adj)
+            # from the top down, the last vertex seen with a key is the
+            # next higher one of its class
+            last: dict[tuple[int, ...], int] = {}
+            for v in range(len(adj) - 1, -1, -1):
+                closed = tuple(sorted((*adj[v], v)))
+                twins[v] = last.get(adj[v], last.get(closed))
+                last[adj[v]] = last[closed] = v
+        return self._twins
 
     def _passing(self, vec: tuple[int, ...]) -> Optional[tuple[tuple[tuple[int, int], ...], list[int]]]:
         """The steps and balances of the first pass (_pass) that keeps the
@@ -693,15 +722,38 @@ def verify_threshold(
     root, so the one from root 0 decides a full vector, and neither the
     refutation nor the search runs.
 
+    On a graph with cycles only twin-sorted vectors are tried: within
+    each twin class (SolveMemo._twin_above) the counts do not increase
+    with the index, so v tries counts from held[the next twin above v]
+    up, and vertex 0 takes what is left only if that meets its floor.
+    A tree needs no floors: there every count left uncertified has a
+    completion that fails, so the scan never backtracks and meets no
+    vector before the witness.
+
+    Swapping two twins is an automorphism, so it keeps a vector's
+    solvability.  Let w be the colex-first unsolvable vector and u < v
+    twins; w with their counts swapped is unsolvable and agrees with w
+    above v, so were w(u) < w(v) it would come first.  Hence w(u) >=
+    w(v), the scan tries w, and it meets w first among the vectors it
+    tries: the witness is the same as a scan of every vector finds.  At
+    a size with no unsolvable vector nothing is missed either: sorting
+    each class's counts is a chain of twin swaps, so every vector is the
+    image of a twin-sorted one, which a DP certifies or the scan tries,
+    and is as solvable as it.  This is the lex-leader rule of symmetry
+    breaking (Crawford, Ginsberg, Luks and Roy, 1996).
+
     A k that check_threshold_size refuses raises InvalidSpec before any
     table is built or the memo is bound.  Otherwise the given memo, or a
     fresh one, is bound to g, one pebble kept per vertex and pruning on,
     on a tree too, so one bound to another graph raises InvalidSpec.  It
-    holds the BFS trees, the potential rows and the search's tables, so
-    calls sharing it, as gamma_exact's two sizes do, build them once.
+    holds the BFS trees, the twin table, the potential rows and the
+    search's tables, so calls sharing it, as gamma_exact's two sizes do,
+    build them once.
 
-    configs_checked is the witness's rank plus one, or the full count
-    when the size is good, as a scan in that order would report.
+    configs_checked is the witness's colex rank plus one, or the full
+    count when the size is good, as a scan of every vector in that order
+    would report.  It is not the number of vectors visited, which the
+    DPs and the twin floors keep to a small share of it.
 
     worker_count is ignored.  It remains only because the benchmark's
     two-thread scan probe passes it, and goes with that probe.
@@ -710,14 +762,22 @@ def verify_threshold(
     n = g.n
     memo = memo if memo is not None else SolveMemo()
     memo.bind(g, (1,) * n, True)
+    above = [None] * n if memo._is_tree else memo._twin_above()
     held: dict[int, int] = {}
 
     def uncertified(v: int, spare: int) -> list[int]:
-        # counts of v, largest first, with a completion the pass from v fails
+        # counts of v, largest first, down to its floor, the count of its
+        # next twin above (0 without one), with a completion the pass
+        # from v fails
+        floor = held.get(above[v], 0)
+        if floor > spare:
+            return []
         if not v:
             return [spare]
-        below = _passed_up(memo._tree(v), v, held, spare)
-        return [x for x in range(spare, -1, -1) if x + below[spare - x] < 1]
+        # v takes at least its floor, so the vertices below take at most
+        # spare - floor, and the DP rows stop there
+        below = _passed_up(memo._tree(v), v, held, spare - floor)
+        return [x for x in range(spare, floor - 1, -1) if x + below[spare - x] < 1]
 
     # frames (v, pebbles left for v and below, counts of v to try); an
     # explicit stack, since recursion would overflow on large graphs

@@ -584,6 +584,106 @@ def test_the_solvable_set_table_gives_gamma_exact_up_to_order5():
     assert len(graphs) == 65
 
 
+def _first_missing(n, k, level):
+    # the colex-first vector of size k not in level, with its rank, or None
+    return next(((vec, rank) for rank, vec in enumerate(iter_count_vectors(n, k)) if vec not in level), None)
+
+
+def test_the_witness_is_the_colex_first_vector_missing_from_the_table():
+    # twin floors skip vectors, but never the colex-first unsolvable one:
+    # at every size up to L the table, built from the definition alone,
+    # misses it first, on the 44 labelled graphs of order <= 4 and the 21
+    # order-5 classes; configs_checked counts every vector of a size with
+    # none, and the witness's rank plus one
+    for g in small_catalog(4) + list(connected_classes(5)):
+        result = gamma_exact(g)
+        levels = list(solvable_levels(g, (1,) * g.n, result.gamma))
+        assert _first_missing(g.n, result.gamma, levels[-1]) is None, g.edges
+        witness, rank = _first_missing(g.n, result.gamma - 1, levels[-2])
+        checked = composition_count(g.n, result.gamma) + rank + 1
+        assert result == exact.GammaResult(result.gamma, Configuration(witness), checked), g.edges
+        for k, level in enumerate(levels[:-2]):
+            witness, rank = _first_missing(g.n, k, level)
+            assert verify_threshold(g, k) == exact.ThresholdResult(Configuration(witness), rank + 1), (g.edges, k)
+
+
+def _twins_by_definition(g):
+    # per vertex v, the least u > v with N(u) - {v} = N(v) - {u}, or None
+    nbrs = [set(xs) for xs in g.adj]
+    return [next((u for u in range(v + 1, g.n) if nbrs[u] - {v} == nbrs[v] - {u}), None) for v in range(g.n)]
+
+
+def test_the_twin_table_links_each_vertex_to_its_next_twin():
+    cases = [
+        # false twins: the parts of K(3,2), the leaves of star 4
+        (generate(Multipartite((3, 2))), [1, 2, None, 4, None]),
+        (generate(Star(4)), [1, 2, 3, None, None]),
+        # true twins: K4; two adjacent hubs joined to four more vertices,
+        # two of them adjacent, which are true twins too, and the other
+        # two false twins
+        (generate(Multipartite((1, 1, 1, 1))), [1, 2, 3, None]),
+        (
+            build_graph(6, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 2), (1, 3), (1, 4), (1, 5), (2, 3)]),
+            [1, None, 3, None, 5, None],
+        ),
+        # wheel 4's opposite rim vertices
+        (generate(Wheel(4)), [None, 3, 4, None, None]),
+        # no twins
+        (generate(Path(4)), [None] * 4),
+        (generate(Wheel(5)), [None] * 6),
+    ]
+    for g, above in cases:
+        assert bound_memo(g)._twin_above() == above, g.edges
+    for g in small_catalog(4) + list(connected_classes(5)) + list(connected_classes(6)):
+        assert bound_memo(g)._twin_above() == _twins_by_definition(g), g.edges
+
+
+def test_the_twin_table_is_built_once_at_the_first_threshold_check(monkeypatch):
+    # solve never reads it, nor does a check on a tree, whose scan never
+    # backtracks; both of gamma_exact's checks share one
+    built = []
+    real = SolveMemo._twin_above
+
+    def counted(self):
+        built.append(self._twins is None)
+        return real(self)
+
+    monkeypatch.setattr(SolveMemo, "_twin_above", counted)
+    g = generate(Multipartite((3, 2)))
+    memo = SolveMemo()
+    solve(g, stacked(g, 0, 8), memo=memo)
+    assert (built, memo._twins) == ([], None)
+    verify_threshold(g, 9, memo=memo)
+    verify_threshold(g, 8, memo=memo)
+    assert built == [True, False]
+    star = generate(Star(4))
+    gamma_exact(star)
+    memo = SolveMemo()
+    verify_threshold(star, 18, memo=memo)
+    assert (built, memo._twins) == ([True, False], None)
+
+
+def test_k55_answers_in_under_a_second():
+    # each part of K(5,5) is a class of twins; a scan of every
+    # arrangement within each took 18 s
+    g = generate(Multipartite((5, 5)))
+    started = time.perf_counter()
+    result = gamma_exact(g)
+    assert time.perf_counter() - started < 1.0
+    assert result.gamma == gamma_multipartite((5, 5)) == 27
+
+
+@pytest.mark.slow
+def test_gamma_matches_the_multipartite_closed_form_on_two_parts_to_order14():
+    # the 49 K(a, b) with a >= b and a + b <= 14, and K(4,4,4)
+    cases = [(a, s - a) for s in range(2, 15) for a in range(s - 1, (s - 1) // 2, -1)] + [(4, 4, 4)]
+    assert len(cases) == 50
+    for sizes in cases:
+        result = gamma_exact(generate(Multipartite(sizes)))
+        assert result.gamma == gamma_multipartite(sizes), sizes
+        assert result.witness.size == result.gamma - 1, sizes
+
+
 def test_gamma_single_vertex():
     single = generate(Path(1))
     result = gamma_exact(single)

@@ -27,6 +27,7 @@ from coverpebble import (
     Fuse,
     Multipartite,
     SolveMemo,
+    ThresholdResult,
     Wheel,
     build_graph,
     generate,
@@ -192,20 +193,24 @@ def test_a_memo_shared_across_widths_matches_the_reference(sizes):
 
 
 def test_a_threshold_memo_starts_afresh_at_a_wider_width():
-    # two adjacent hubs joined to four more vertices, two of them
-    # adjacent: diameter 2, so W is 7 at size 15 and 8 at 16, and both
-    # checks end at an unsolvable vector the search refutes
-    g = build_graph(6, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 2), (1, 3), (1, 4), (1, 5), (2, 3)])
+    # a hub joined to five vertices, with four more edges among them and
+    # no twins, so twin floors skip no vector: diameter 2, so W is 7 at
+    # size 15 and 8 at 16, and both checks end at an unsolvable vector
+    # the potentials refute, after searches that leave fail entries
+    g = build_graph(6, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 2), (1, 3), (1, 4), (2, 3), (2, 5)])
+    assert bound_memo(g)._twin_above() == [None] * 6
+    first_answer = ThresholdResult(Configuration((1, 0, 0, 0, 14, 0)), 3872)
+    second_answer = ThresholdResult(Configuration((0, 0, 0, 0, 16, 0)), 4845)
     memo = SolveMemo()
     first = verify_threshold(g, 15, memo=memo)
-    width = memo._width
+    width, first_fails = memo._width, len(memo.fail)
     second = verify_threshold(g, 16, memo=memo)
-    assert (width, memo._width) == (7, 8)
-    assert first == verify_threshold(g, 15, memo=SolveMemo())
+    assert (width, memo._width, first_fails) == (7, 8, 82)
+    assert first == verify_threshold(g, 15, memo=SolveMemo()) == first_answer
     fresh = SolveMemo()
-    assert second == verify_threshold(g, 16, memo=fresh)
+    assert second == verify_threshold(g, 16, memo=fresh) == second_answer
     # the wider W emptied the memo, so it holds what the fresh one does
-    assert (memo.fail, memo.win, len(memo.fail), len(memo.win)) == (fresh.fail, fresh.win, 74, 22)
+    assert (memo.fail, memo.win, len(memo.fail), len(memo.win)) == (fresh.fail, fresh.win, 71, 43)
     # every entry is the right answer for its vector
     assert memo.fail and memo.win
     ref = ReferenceSearch(g, (1,) * g.n)
@@ -213,6 +218,11 @@ def test_a_threshold_memo_starts_afresh_at_a_wider_width():
     for key in [*memo.fail, *memo.win]:
         counts = tuple(key >> (memo._width * v) & mask for v in range(g.n))
         assert ref.decide(counts)[0] == (key in memo.win), counts
+    # two adjacent hubs joined to four more vertices, two of them
+    # adjacent: twins 0 and 1, 2 and 3, and 4 and 5, so its checks leave
+    # the search little to do, but their answers stand
+    twins = build_graph(6, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 2), (1, 3), (1, 4), (1, 5), (2, 3)])
+    assert (verify_threshold(twins, 15), verify_threshold(twins, 16)) == (first_answer, second_answer)
 
 
 def test_solves_sharing_a_memo_at_one_width_build_the_tables_once(monkeypatch):

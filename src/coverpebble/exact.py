@@ -37,10 +37,10 @@ from .formulas import bound_report
 from .graphs import Graph
 from .pebbles import BinaryWeighting, Certificate, Configuration, PebblingMove, check_length
 
-# Most entries the DP rows of one threshold check may hold: n rows of
-# top + 1 entries each, for sizes up to top on n vertices.  Path 16
-# (L = 65,535) holds 2**20 and answers in seconds; each vertex more on a
-# path doubles L, and path 20 would need gigabytes.
+# Most entries in n rows of top + 1, for sizes up to top on n vertices:
+# the rows a memo's DP plans keep, and those one DP builds besides.  Path
+# 16 (L = 65,535) keeps 2**20 and answers in seconds; each vertex more on
+# a path doubles L, and path 20 would need gigabytes.
 MAX_ROW_ENTRIES = 1 << 21
 
 
@@ -103,8 +103,8 @@ class SolveMemo:
     its order and edges are.  Binding records, once, the graph, the keep
     vector, ``pruning`` and the tree flag ``_is_tree``, whether the graph
     has fewer edges than vertices, and sets up ``_trees``,
-    ``_potentials`` and ``_twins`` (last below); the other tables are
-    derived at the first search.
+    ``_potentials``, ``_twins`` and ``_top`` (last below); the other
+    tables are derived at the first search.
 
     With pruning on, an expanded state goes to ``fail`` unexpanded when
     either of two counts proves it unsolvable:
@@ -184,6 +184,11 @@ class SolveMemo:
     None, built by ``_twin_above`` at the first threshold check on a
     graph with cycles, not at bind, which every solve runs.  All three
     depend on the graph and keep vector alone, so a wider W keeps them.
+    ``_plans``: per root, the fixed part of the threshold check's DPs
+    from it (_dp_plan), built by ``_below`` at the root's first DP, with
+    rows of ``_top`` + 1 entries, the largest size ``_size_plans`` has
+    set; ``_shared``, rows any plan may hold; ``_kept``, the entries of
+    the rows they keep, the shared ones among them.
     """
 
     def __init__(self):
@@ -198,7 +203,7 @@ class SolveMemo:
         by its order and edges."""
         if self._graph is None:
             self._graph, self._keep, self.pruning, self._is_tree = g, keep, pruning, len(g.edges) < g.n
-            self._trees, self._potentials, self._twins = [None] * g.n, None, None
+            self._trees, self._potentials, self._twins, self._top = [None] * g.n, None, None, -1
         elif (g.n, g.edges, keep, pruning) != (self._graph.n, self._graph.edges, self._keep, self.pruning):
             raise InvalidSpec("memo reused with a different graph, targets, or pruning")
 
@@ -207,6 +212,66 @@ class SolveMemo:
         if self._trees[root] is None:
             self._trees[root] = _bfs_steps(self._graph, root)
         return self._trees[root]
+
+    def _size_plans(self, top: int) -> None:
+        """Make the plans hold rows for spares up to top.  A top above
+        the plans' drops them; the next DP from each root plans again."""
+        if top > self._top:
+            self._top, self._plans, self._shared, self._kept = top, [None] * self._graph.n, None, 0
+
+    def _below(self, v: int, vec: list[int], spare: int) -> list[int]:
+        """What the subtrees below v pass up to it, at least, by the spare
+        pebbles they take, in the pass over the BFS tree from v; spare is
+        at most ``_top``.  vec holds the counts of the vertices above v,
+        which are held, and 0 at v and below, where the spare pebbles go.
+        Entry j is the least sum that v's children pass up when the
+        vertices below v take j of them, so v's balance is spare - j plus
+        it.  The row may be one the plan keeps, which runs past entry
+        spare and must not be changed.
+
+        v's plan (_dp_plan) is built at its first DP and kept.  Each DP
+        adds up the held-only subtrees' ints, leaves first, then passes
+        each mixed vertex's up row (_up), from its fixed row and its
+        mixed children's rows, to its parent (_join)."""
+        plan = self._plans[v]
+        if plan is None:
+            plan = self._plan(v)
+        ints, mixed, fixed, offsets = plan
+        bal = vec[:]
+        for u, c in offsets:
+            bal[u] += c
+        for u, p in ints:
+            b = bal[u]
+            bal[p] += (b - 1) >> 1 if b > 0 else 2 * b - 2
+        row = fixed.copy()
+        free = self._shared[0]
+        m = spare + 1
+        for u, p in mixed:
+            row[p] = _join(row.get(p), _up(row[u], bal[u], m), free)
+        top, off = row.get(v), bal[v]
+        if top is None:
+            return [off]
+        return list(map(off.__add__, top[:m])) if off else top
+
+    def _plan(self, v: int) -> tuple:
+        """Build and keep v's plan, and the shared rows at the first.
+        The plans keep at most n rows, n * (_top + 1) entries: a plan
+        that would keep more drops the others first.  One plan keeps at
+        most (n - 1) // 2 rows, each with two free vertices below it that
+        no other row of it has, so it fits beside the two shared rows on
+        two or more vertices; the check plans nothing on one."""
+        n, top = self._graph.n, self._top
+        if self._shared is None:
+            free = range(top + 1)
+            free_up = _up(free, 0, top + 1)
+            self._shared = (free, free_up, _join(free, free_up, free))
+            self._kept = 2 * (top + 1)
+        plan, kept = _dp_plan(self._tree(v), v, self._shared)
+        if self._kept + kept > n * (top + 1):
+            self._plans, self._kept = [None] * n, 2 * (top + 1)
+        self._plans[v] = plan
+        self._kept += kept
+        return plan
 
     def _twin_above(self) -> list[Optional[int]]:
         """Per vertex, the next higher vertex of its twin class, or None;
@@ -603,68 +668,101 @@ def _pass_moves(
     return moves
 
 
-def _passed_up(steps: tuple[tuple[int, int], ...], root: int, held: dict[int, int], spare: int) -> list[int]:
-    """What the subtrees below root pass up to it, at least, by the
-    pebbles they take, in the pass over steps, the _bfs_steps from root.
+def _up(row, bal: int, m: int) -> list[int]:
+    """What a vertex passes its parent, phi(b - 1) as in _pass, for each
+    of the first m entries b of its row plus bal."""
+    c = bal - 1
+    return [t >> 1 if t >= 0 else 2 * t for t in map(c.__add__, row[:m])]
 
-    The vertices in held keep their counts; spare pebbles go on root and
-    the other vertices.  Entry j is the least sum that root's children
-    pass up when the vertices below root take j of the spare pebbles, so
-    root's balance is spare - j plus it.  A min-plus DP over the
-    subtrees, leaves first: row[v][j] is the least balance that any
-    placement of j spare pebbles in v's subtree leaves at v.  Each
-    child's row joins its parent's by min-plus convolution after
-    phi(b - 1), with phi and the keep of one pebble per vertex as in
-    _pass.  phi is nondecreasing and the subtrees are disjoint, so the
-    least sum is the sum of the least terms.  O(n spare^2).
 
-    A subtree with no free vertex takes no spare pebble and has one
-    balance, kept as a plain int, so a join with it is an add or a
-    shift.  Every other row has spare + 1 entries.  A free vertex with no
-    child joined yet has the row j -> j, so a child joins it by a running
-    minimum.  Two other rows join entry by entry: entry j pairs the
-    parent row, reversed, with the child's up row, one C-level min over
-    a slice each.
+def _join(acc, up: list[int], free: range):
+    """The min-plus convolution acc (+) up on len(up) entries: entry j is
+    the least acc[j - i] + up[i] over i <= j.  acc is None, the identity;
+    free, the row j -> j, joined by a running minimum: entry j is j + min
+    over i <= j of up[i] - i; or a row at least as long as up, joined
+    entry by entry, one C-level min over a slice each."""
+    if acc is None:
+        return up
+    if acc is free:
+        return list(map(add, accumulate(map(sub, up, free), min), free))
+    last = len(up) - 1
+    rev = acc[last::-1]
+    return [min(map(add, rev[s:], up)) for s in range(last, -1, -1)]
 
-    A free leaf is a vertex whose row is still free when its step comes:
-    every child step replaces its parent's row.  Once its parent has
+
+def _dp_plan(steps: tuple[tuple[int, int], ...], root: int, shared: tuple) -> tuple[tuple, int]:
+    """The plan of every DP from root (SolveMemo._below) over steps, the
+    _bfs_steps from root, and the entries of the rows it keeps.
+
+    In the DP from root the vertices above root are held and those below
+    it free.  Row entry j of a vertex is the least balance that any
+    placement of j spare pebbles in its subtree leaves at it, as in
+    _pass: a min-plus DP, leaves first, each child joining its parent's
+    row by min-plus convolution (_join) after phi(b - 1) (_up).  phi is
+    nondecreasing and the subtrees are disjoint, so the least sum is the
+    sum of the least terms.  Entry j does not depend on the spare past
+    j, so rows built at the top serve every smaller spare.
+
+    - ``ints``: the steps of the held-only subtrees, which take no spare
+      pebble and have one balance each.
+    - ``fixed``: per mixed vertex and the root, its own row (free, j ->
+      j, for a free vertex) joined here with the up rows of its
+      free-only children, which depend on the spare alone.  The plan
+      keeps those that a child of two or more vertices joins.
+    - ``mixed``: the steps of the vertices with held and free vertices
+      in their subtrees, which each DP runs.
+    - ``offsets``: 2 - 2k per mixed vertex or root with k > 1 free
+      leaves as children, from the rule below.
+
+    A free leaf is a free vertex with no child.  Once its parent has
     joined one free leaf, a free leaf joins as a held leaf with 0
-    pebbles, passing up -2, in O(spare).  This changes no entry.  Write
-    free_up[i] = phi(i - 1): -2 at i = 0, then (i - 1) // 2.  For
-    1 <= i < j, (i - 1) // 2 + (j - i - 1) // 2 >= j/2 - 2 >
-    (j - 1) // 2 - 2, so the least sum piles every pebble on one leaf,
-    and free_up (+) free_up = free_up - 2 on 0..spare, with (+) the
-    min-plus convolution.  That is associative and commutative, so
-    acc (+) free_up (+) free_up = (acc (+) free_up) - 2 for any row acc.
+    pebbles, passing up -2.  This changes no entry.  Write free_up[i] =
+    phi(i - 1): -2 at i = 0, then (i - 1) // 2.  For 1 <= i < j, (i - 1)
+    // 2 + (j - i - 1) // 2 >= j/2 - 2 > (j - 1) // 2 - 2, so the least
+    sum piles every pebble on one leaf, and free_up (+) free_up = free_up
+    - 2, with (+) the min-plus convolution.  That is associative and
+    commutative, so acc (+) free_up (+) free_up = (acc (+) free_up) - 2
+    for any row acc.  ``shared`` holds free, free_up and free (+)
+    free_up at the top, so a fixed row of leaves alone keeps nothing.
     """
-    free = list(range(spare + 1))
-    free_up = [(m - 1) >> 1 if m > 0 else 2 * m - 2 for m in free]
-    row: list = [held.get(v, free) for v in range(len(steps) + 1)]
-    row[root] = 0
-    took_free_leaf = set()
-    for v, p in steps:
-        bal, acc = row[v], row[p]
-        if bal is free:
-            if p in took_free_leaf:
-                bal = 0
-            took_free_leaf.add(p)
-        if bal.__class__ is int:
-            up = (bal - 1) >> 1 if bal > 0 else 2 * bal - 2
-            row[p] = acc + up if acc.__class__ is int else list(map(up.__add__, acc))
-            continue
-        up = free_up if bal is free else [(m - 1) >> 1 if m > 0 else 2 * m - 2 for m in bal]
-        if acc.__class__ is int:
-            row[p] = list(map(acc.__add__, up))
-        elif acc is free:
-            # entry j is j + min over i <= j of up[i] - i
-            row[p] = list(map(add, accumulate(map(sub, up, free), min), free))
+    free, free_up, free_pair = shared
+    n = len(steps) + 1
+    has_free = [True] * root + [False] * (n - root)
+    has_held = [False] * (root + 1) + [True] * (n - root - 1)
+    for u, p in steps:
+        has_free[p] |= has_free[u]
+        has_held[p] |= has_held[u]
+    leaves = [0] * n
+    # per vertex, the up rows of its free-only children that are not leaves
+    ups: dict[int, list] = {}
+    fixed = {}
+    ints, mixed = [], []
+
+    def fold(u: int):
+        acc = free if u < root else None
+        if leaves[u]:
+            acc = free_pair if acc is free else free_up
+        for up in ups.get(u, ()):
+            acc = _join(acc, up, free)
+        return acc
+
+    for step in steps:
+        u, p = step
+        if has_held[u]:
+            (mixed if has_free[u] else ints).append(step)
+        elif leaves[u] or u in ups:
+            ups.setdefault(p, []).append(_up(fold(u), min(0, 2 - 2 * leaves[u]), len(free)))
         else:
-            # entry j is the min over i <= j of acc[j - i] + up[i]; map
-            # stops at the shorter slice
-            rev = acc[::-1]
-            row[p] = [min(map(add, rev[s:], up)) for s in range(spare, -1, -1)]
-    top = row[root]
-    return top if top.__class__ is list else [top]
+            leaves[p] += 1
+    offsets, kept = [], 0
+    for u in chain((u for u, _ in mixed), [root]):
+        acc = fold(u)
+        if acc is not None:
+            fixed[u] = acc
+        if leaves[u] > 1:
+            offsets.append((u, 2 - 2 * leaves[u]))
+        kept += len(free) if u in ups else 0
+    return (tuple(ints), tuple(mixed), fixed, tuple(offsets)), kept
 
 
 def check_threshold_size(g: Graph, top: int) -> None:
@@ -673,8 +771,9 @@ def check_threshold_size(g: Graph, top: int) -> None:
 
     Refused: a negative top, by check_int; on a graph with cycles, more
     than sys.maxsize configurations of size top, since the search may see
-    any of them; on any graph, DP rows of more than MAX_ROW_ENTRIES
-    entries in all, g.n * (top + 1), which bounds their memory.
+    any of them; on any graph, n rows of top + 1 entries, g.n * (top +
+    1), past MAX_ROW_ENTRIES.  That bounds the rows a memo's DP plans
+    keep (SolveMemo._below), and those one DP builds besides.
     """
     check_int(top, "size")
     if len(g.edges) >= g.n:
@@ -709,11 +808,13 @@ def verify_threshold(
 
     That order compares the last vertex first, so the vertices are fixed
     from the last down, each through its counts in ascending order, and
-    vertex 0 takes what is left.  At each prefix one _passed_up DP over
-    the BFS tree from the vertex v being fixed, with the vertices above v
-    held, shows for every count x of v at once whether the pass covers
-    all completions: x + below[spare - x] >= 1.  Only the counts it
-    cannot certify are tried.  A full vector then meets three tests in
+    vertex 0 takes what is left.  At each prefix one DP over the BFS tree
+    from the vertex v being fixed, with the vertices above v held and
+    those below free (SolveMemo._below), shows for every count x of v at
+    once whether the pass covers all completions: x + below[spare - x]
+    >= 1.  Only the counts it cannot certify are tried.  Since the held
+    set depends on v alone, the memo plans each root's DPs once, at the
+    size of the check, and runs only the parts the held counts change.  A full vector then meets three tests in
     turn, each a memo step: the passes that solve tries, each keeping one
     pebble on every vertex, certify it (SolveMemo._passing); failing
     those, on a graph with cycles, its stack potentials refute it
@@ -746,9 +847,9 @@ def verify_threshold(
     table is built or the memo is bound.  Otherwise the given memo, or a
     fresh one, is bound to g, one pebble kept per vertex and pruning on,
     on a tree too, so one bound to another graph raises InvalidSpec.  It
-    holds the BFS trees, the twin table, the potential rows and the
-    search's tables, so calls sharing it, as gamma_exact's two sizes do,
-    build them once.
+    holds the BFS trees, the DP plans, the twin table, the potential
+    rows and the search's tables, so calls sharing it, as gamma_exact's
+    two sizes do, build them once; a larger k plans the DPs again.
 
     configs_checked is the witness's colex rank plus one, or the full
     count when the size is good, as a scan of every vector in that order
@@ -762,21 +863,24 @@ def verify_threshold(
     n = g.n
     memo = memo if memo is not None else SolveMemo()
     memo.bind(g, (1,) * n, True)
-    above = [None] * n if memo._is_tree else memo._twin_above()
-    held: dict[int, int] = {}
+    memo._size_plans(k)
+    # the counts held so far, 0 at and below the vertex being fixed, and
+    # at n a 0 that stands for the floor of a vertex with no twin above
+    held = [0] * (n + 1)
+    above = [n if t is None else t for t in ([None] * n if memo._is_tree else memo._twin_above())]
 
     def uncertified(v: int, spare: int) -> list[int]:
         # counts of v, largest first, down to its floor, the count of its
         # next twin above (0 without one), with a completion the pass
         # from v fails
-        floor = held.get(above[v], 0)
+        floor = held[above[v]]
         if floor > spare:
             return []
         if not v:
             return [spare]
         # v takes at least its floor, so the vertices below take at most
         # spare - floor, and the DP rows stop there
-        below = _passed_up(memo._tree(v), v, held, spare - floor)
+        below = memo._below(v, held, spare - floor)
         return [x for x in range(spare, floor - 1, -1) if x + below[spare - x] < 1]
 
     # frames (v, pebbles left for v and below, counts of v to try); an
@@ -786,13 +890,13 @@ def verify_threshold(
         v, spare, counts = stack[-1]
         if not counts:
             stack.pop()
-            held.pop(v, None)
+            held[v] = 0
             continue
         held[v] = x = counts.pop()
         if v:
             stack.append((v - 1, spare - x, uncertified(v - 1, spare - x)))
             continue
-        vec = tuple(held[u] for u in range(n))
+        vec = tuple(held[:n])
         if memo._passing(vec) is not None:
             continue
         if memo._is_tree or memo._refutes(vec) or not memo._decide(vec)[0]:
@@ -810,8 +914,9 @@ def gamma_exact(g: Graph) -> GammaResult:
     witness is the colexicographically first unsolvable configuration of
     size L - 1, and configs_checked sums the counts of both checks.  The
     two checks are verify_threshold calls sharing one memo, which holds
-    the BFS trees, the potential rows and the search's tables; on a tree
-    neither size reaches the memo's search.
+    the BFS trees, the DP plans, the potential rows and the search's
+    tables; the size L - 1 check runs on the plans the size L check
+    built.  On a tree neither size reaches the memo's search.
     """
     k = bound_report(g).lower_stacked
     memo = SolveMemo()

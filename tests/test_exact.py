@@ -14,6 +14,7 @@ from util import (
     labeled_trees,
     move_pairs,
     order6_tree_representatives,
+    passed_up,
     random_composition,
     random_tree,
     small_catalog,
@@ -50,6 +51,11 @@ from coverpebble import (
     validate_certificate,
     verify_threshold,
 )
+
+# the prefix DPs that gamma_exact runs on the labelled graphs of order <= 5
+# with a cycle, and on the order-6 classes with a cycle
+PREFIX_DPS_TO_ORDER5 = 18_860
+PREFIX_DPS_OF_ORDER6 = 27_438
 
 K2 = generate(Multipartite((1, 1)))
 P3 = generate(Path(3))
@@ -892,9 +898,26 @@ def _brute_min_balance(g, k):
     return best
 
 
-def _tree_min_balance(g, k):
-    # the least root balance of the pass from root 0, nothing held
-    return min(k - j + up for j, up in enumerate(exact._passed_up(exact._bfs_steps(g, 0), 0, {}, k)))
+def _sized_memo(g, top):
+    # a memo bound as verify_threshold binds it, its plans sized at top
+    memo = bound_memo(g)
+    memo._size_plans(top)
+    return memo
+
+
+def _top_vertex_memo(g, top):
+    # a memo on g relabelled u -> n - 1 - u, its plans sized at top: the
+    # DP from its top vertex n - 1, below which every vertex is free, is
+    # the DP from g's root 0 with nothing held
+    n = g.n
+    return _sized_memo(build_graph(n, [(n - 1 - u, n - 1 - v) for u, v in g.edges]), top)
+
+
+def _tree_min_balance(memo, k):
+    # the least root balance of the pass from root 0, nothing held, for k
+    # pebbles, from the first k + 1 entries of the top vertex's row
+    n = memo._graph.n
+    return min(k - j + up for j, up in enumerate(memo._below(n - 1, [0] * n, k)[: k + 1]))
 
 
 def _check_min_balance(trees, sizes):
@@ -904,10 +927,11 @@ def _check_min_balance(trees, sizes):
     for g in trees:
         shape = _rooted_shape(g)
         gamma = bound_report(g).lower_stacked
+        memo = _top_vertex_memo(g, max(sizes(gamma)))
         for k in sizes(gamma):
             if (shape, k) not in brute:
                 brute[shape, k] = _brute_min_balance(g, k)
-            least = _tree_min_balance(g, k)
+            least = _tree_min_balance(memo, k)
             assert least == brute[shape, k], (g.edges, k)
             assert (least >= 1) == (k >= gamma), (g.edges, k)
             checked += 1
@@ -915,7 +939,7 @@ def _check_min_balance(trees, sizes):
 
 
 def test_tree_min_balance_matches_a_brute_force_minimum():
-    single = generate(Path(1))
+    single = _top_vertex_memo(generate(Path(1)), 2)
     assert [_tree_min_balance(single, k) for k in range(3)] == [0, 1, 2]
     trees = [g for n in range(1, 6) for g in labeled_trees(n)]
     assert _check_min_balance(trees, lambda gamma: range(gamma + 2)) == 3856
@@ -941,25 +965,139 @@ def _completions(v, j):
 
 
 def test_passed_up_matches_every_completion_with_vertices_held():
-    # as at a prefix of a threshold check: the pass from v, the vertices
-    # above v held, those below v free, against every completion
+    # as at a prefix of a threshold check: the plan DP from v, the vertices
+    # above v held, those below v free, against every completion; the
+    # plans are sized at the spare, and those of a second memo at 9, past
+    # every spare, give the same entries
     rng = random.Random(12)
     graphs = _cyclic_graphs() + [g for n in range(1, 6) for g in labeled_trees(n)]
     checked = 0
     for g in graphs:
+        memos = [_sized_memo(g, spare) for spare in range(7)]
+        wider = _sized_memo(g, 9)
         for v in range(g.n):
             steps = exact._bfs_steps(g, v)
             for _ in range(2):
                 held = {u: rng.randint(0, 4) for u in range(v + 1, g.n)}
                 above = tuple(held[u] for u in range(v + 1, g.n))
+                vec = [0] * (v + 1) + list(above)
                 for spare in range(7):
-                    below = exact._passed_up(steps, v, held, spare)
+                    below = memos[spare]._below(v, vec, spare)
+                    assert wider._below(v, vec, spare)[: spare + 1] == below[: spare + 1], (g.edges, v, held, spare)
                     for x in range(spare + 1):
                         balances = [_pass_balance(steps, v, rest + (x,) + above) for rest in _completions(v, spare - x)]
                         if balances:
                             assert x + below[spare - x] == min(balances), (g.edges, v, held, spare, x)
                             checked += 1
     assert checked == 41_538
+
+
+def _checked_prefix_dps(monkeypatch):
+    # wrap SolveMemo._below: every row it returns must equal the reference
+    # DP's, and so must the row of a second memo on the graph whose plans
+    # are sized 3 past the first's; returns the list of calls checked
+    below = SolveMemo._below
+    calls, wider = [], {}
+
+    def checked(self, v, vec, spare):
+        row = below(self, v, vec, spare)
+        held = {u: vec[u] for u in range(v + 1, self._graph.n)}
+        want = passed_up(self._tree(v), v, held, spare)
+        assert row[: spare + 1] == want, (self._graph.edges, v, held, spare)
+        if self not in wider:
+            wider[self] = _sized_memo(self._graph, self._top + 3)
+        assert below(wider[self], v, vec, spare)[: spare + 1] == want, (self._graph.edges, v, held, spare)
+        calls.append((v, spare))
+        return row
+
+    monkeypatch.setattr(SolveMemo, "_below", checked)
+    return calls
+
+
+def test_plan_rows_match_the_reference_on_every_prefix_dp_to_order5(monkeypatch):
+    calls = _checked_prefix_dps(monkeypatch)
+    for g in small_catalog(5):
+        if len(g.edges) >= g.n:
+            gamma_exact(g)
+    assert len(calls) == PREFIX_DPS_TO_ORDER5
+
+
+@pytest.mark.slow
+def test_plan_rows_match_the_reference_on_every_prefix_dp_of_the_order6_classes(monkeypatch):
+    calls = _checked_prefix_dps(monkeypatch)
+    for g in connected_classes(6):
+        if len(g.edges) >= g.n:
+            gamma_exact(g)
+    assert len(calls) == PREFIX_DPS_OF_ORDER6
+
+
+def test_a_memo_plans_each_root_at_most_once(monkeypatch):
+    # the memo keeps each root's plan: gamma_exact's size L - 1 check
+    # reuses those its size L check built
+    dp_plan = exact._dp_plan
+    built = []
+
+    def counted(steps, root, shared):
+        built.append(root)
+        return dp_plan(steps, root, shared)
+
+    monkeypatch.setattr(exact, "_dp_plan", counted)
+    for g in (generate(Wheel(5)), generate(Multipartite((3, 3, 2))), generate(Path(5)), generate(Fuse(6, 3))):
+        built.clear()
+        gamma_exact(g)
+        assert built and sorted(built) == sorted(set(built)), (g.edges, built)
+
+
+def _plan_entries(memo):
+    # the entries of the distinct rows the memo's plans and shared rows hold
+    rows = {id(row): row for row in memo._shared[1:]}
+    for plan in memo._plans:
+        if plan is not None:
+            rows.update((id(row), row) for row in plan[2].values() if isinstance(row, list))
+    return sum(map(len, rows.values()))
+
+
+def test_the_plans_keep_at_most_n_rows_of_l_plus_1_entries(monkeypatch):
+    memos = []
+
+    class Recorded(SolveMemo):
+        def __init__(self):
+            super().__init__()
+            memos.append(self)
+
+    monkeypatch.setattr(exact, "SolveMemo", Recorded)
+    # path 12 keeps a row per root above 1 and the two shared rows; star
+    # 150's fixed rows are all shared
+    for g, rows in ((generate(Path(12)), 12), (generate(Star(150)), 2)):
+        memos.clear()
+        top = gamma_exact(g).gamma
+        [memo] = memos
+        assert _plan_entries(memo) == memo._kept == rows * (top + 1) <= g.n * (top + 1), g.edges
+
+
+def test_plans_past_the_row_bound_drop_the_others(monkeypatch):
+    # on this relabelled path the plans from roots 1 to 5 would keep five
+    # rows and the shared two, past n = 6; the memo drops the plans it
+    # holds, keeps within the bound, and plans a dropped root again
+    dp_plan = exact._dp_plan
+    built = []
+
+    def counted(steps, root, shared):
+        built.append(root)
+        return dp_plan(steps, root, shared)
+
+    monkeypatch.setattr(exact, "_dp_plan", counted)
+    g = build_graph(6, [(0, 1), (0, 5), (2, 3), (2, 4), (4, 5)])
+    top = bound_report(g).lower_stacked
+    memo = _sized_memo(g, top)
+    vec = [0] * 6
+    for v in (5, 4, 3, 2, 1, 5, 4, 3, 2, 1):
+        held = {u: vec[u] for u in range(v + 1, 6)}
+        assert memo._below(v, vec, top)[: top + 1] == passed_up(memo._tree(v), v, held, top), v
+        assert _plan_entries(memo) == memo._kept <= 6 * (top + 1), v
+    assert len(built) > 5 and sorted(set(built)) == [1, 2, 3, 4, 5], built
+    assert verify_threshold(g, top, memo=memo).ok
+    assert not verify_threshold(g, top - 1, memo=memo).ok
 
 
 def test_stack_potentials_refute_only_unsolvable_vectors(monkeypatch):

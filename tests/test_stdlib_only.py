@@ -240,3 +240,12 @@ def test_only_the_memo_runs_the_tree_passes():
     found, owned = _calls_outside_memo_method("_pass", "_passing")
     assert not found, found
     assert owned == 1
+
+
+def test_only_the_memo_plan_table_plans_the_prefix_dps():
+    # SolveMemo._plan owns the plan of each root's prefix DPs, built once
+    # and kept in the memo's table; a second call site would run a prefix
+    # DP from a plan the table does not hold, or build one per call
+    found, owned = _calls_outside_memo_method("_dp_plan", "_plan")
+    assert not found, found
+    assert owned == 1

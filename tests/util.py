@@ -1,14 +1,16 @@
 """Shared helpers for the test suite: small-graph catalogs, weighting
-enumeration, uniform configuration sampling, and two independent
-references for the exact layer: a table of solvable vectors and a plain
-tuple cover search; and bound memos, whose search the tests call
-directly."""
+enumeration, uniform configuration sampling, and three independent
+references for the exact layer: a table of solvable vectors, a plain
+tuple cover search and the prefix DP run afresh per call; and bound
+memos, whose search the tests call directly."""
 
 from __future__ import annotations
 
 import itertools
 import operator
 from functools import lru_cache
+from itertools import accumulate
+from operator import add, sub
 from typing import Optional
 
 from coverpebble import (
@@ -253,6 +255,50 @@ class ReferenceSearch:
             moves.append(self.win[state])
             state = self._apply(state, moves[-1])
         return moves
+
+
+def passed_up(steps, root: int, held: dict[int, int], spare: int) -> list[int]:
+    """The prefix DP as the threshold check ran it before SolveMemo kept a
+    plan per root: every row built afresh at spare + 1 entries, the
+    reference that SolveMemo._below must match entry for entry.
+
+    What the subtrees below root pass up to it, at least, by the pebbles
+    they take, in the pass over steps, the _bfs_steps from root.  The
+    vertices in held keep their counts; spare pebbles go on root and the
+    other vertices.  Entry j is the least sum that root's children pass
+    up when the vertices below root take j of the spare pebbles.  A
+    min-plus DP over the subtrees, leaves first: each child's row joins
+    its parent's by min-plus convolution after phi(b - 1), phi(b) being
+    b // 2 for b >= 0 and 2b below.  A subtree with no free vertex keeps
+    one balance as a plain int; a free vertex with no child joined yet
+    has the row j -> j, joined by a running minimum; once a parent has
+    joined one free leaf, another passes up -2.
+    """
+    free = list(range(spare + 1))
+    free_up = [(m - 1) >> 1 if m > 0 else 2 * m - 2 for m in free]
+    row: list = [held.get(v, free) for v in range(len(steps) + 1)]
+    row[root] = 0
+    took_free_leaf = set()
+    for v, p in steps:
+        bal, acc = row[v], row[p]
+        if bal is free:
+            if p in took_free_leaf:
+                bal = 0
+            took_free_leaf.add(p)
+        if bal.__class__ is int:
+            up = (bal - 1) >> 1 if bal > 0 else 2 * bal - 2
+            row[p] = acc + up if acc.__class__ is int else list(map(up.__add__, acc))
+            continue
+        up = free_up if bal is free else [(m - 1) >> 1 if m > 0 else 2 * m - 2 for m in bal]
+        if acc.__class__ is int:
+            row[p] = list(map(acc.__add__, up))
+        elif acc is free:
+            row[p] = list(map(add, accumulate(map(sub, up, free), min), free))
+        else:
+            rev = acc[::-1]
+            row[p] = [min(map(add, rev[s:], up)) for s in range(spare, -1, -1)]
+    top = row[root]
+    return top if top.__class__ is list else [top]
 
 
 def bound_memo(g: Graph, keep: Optional[tuple[int, ...]] = None, pruning: bool = True) -> SolveMemo:

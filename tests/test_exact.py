@@ -1031,9 +1031,8 @@ def test_plan_rows_match_the_reference_on_every_prefix_dp_of_the_order6_classes(
     assert len(calls) == PREFIX_DPS_OF_ORDER6
 
 
-def test_a_memo_plans_each_root_at_most_once(monkeypatch):
-    # the memo keeps each root's plan: gamma_exact's size L - 1 check
-    # reuses those its size L check built
+def _counted_plans(monkeypatch):
+    # the roots of the plans exact._dp_plan builds, in order
     dp_plan = exact._dp_plan
     built = []
 
@@ -1042,10 +1041,17 @@ def test_a_memo_plans_each_root_at_most_once(monkeypatch):
         return dp_plan(steps, root, shared)
 
     monkeypatch.setattr(exact, "_dp_plan", counted)
+    return built
+
+
+def test_a_memo_plans_each_root_at_most_once(monkeypatch):
+    # the memo keeps each root's plan: gamma_exact's size L - 1 check
+    # reuses those its size L check built
+    built = _counted_plans(monkeypatch)
     for g in (generate(Wheel(5)), generate(Multipartite((3, 3, 2))), generate(Path(5)), generate(Fuse(6, 3))):
         built.clear()
         gamma_exact(g)
-        assert built and sorted(built) == sorted(set(built)), (g.edges, built)
+        assert built and len(built) == len(set(built)), (g.edges, built)
 
 
 def _plan_entries(memo):
@@ -1079,21 +1085,13 @@ def test_plans_past_the_row_bound_drop_the_others(monkeypatch):
     # on this relabelled path the plans from roots 1 to 5 would keep five
     # rows and the shared two, past n = 6; the memo drops the plans it
     # holds, keeps within the bound, and plans a dropped root again
-    dp_plan = exact._dp_plan
-    built = []
-
-    def counted(steps, root, shared):
-        built.append(root)
-        return dp_plan(steps, root, shared)
-
-    monkeypatch.setattr(exact, "_dp_plan", counted)
+    built = _counted_plans(monkeypatch)
     g = build_graph(6, [(0, 1), (0, 5), (2, 3), (2, 4), (4, 5)])
     top = bound_report(g).lower_stacked
     memo = _sized_memo(g, top)
-    vec = [0] * 6
-    for v in (5, 4, 3, 2, 1, 5, 4, 3, 2, 1):
-        held = {u: vec[u] for u in range(v + 1, 6)}
-        assert memo._below(v, vec, top)[: top + 1] == passed_up(memo._tree(v), v, held, top), v
+    for v in (5, 4, 3, 2, 1) * 2:
+        want = passed_up(memo._tree(v), v, dict.fromkeys(range(v + 1, 6), 0), top)
+        assert memo._below(v, [0] * 6, top)[: top + 1] == want, v
         assert _plan_entries(memo) == memo._kept <= 6 * (top + 1), v
     assert len(built) > 5 and sorted(set(built)) == [1, 2, 3, 4, 5], built
     assert verify_threshold(g, top, memo=memo).ok

@@ -9,8 +9,6 @@ from __future__ import annotations
 import itertools
 import operator
 from functools import lru_cache
-from itertools import accumulate
-from operator import add, sub
 from typing import Optional
 
 from coverpebble import (
@@ -258,9 +256,9 @@ class ReferenceSearch:
 
 
 def passed_up(steps, root: int, held: dict[int, int], spare: int) -> list[int]:
-    """The prefix DP as the threshold check ran it before SolveMemo kept a
-    plan per root: every row built afresh at spare + 1 entries, the
-    reference that SolveMemo._below must match entry for entry.
+    """The prefix DP with every row built afresh at spare + 1 entries, no
+    plan kept: the reference that SolveMemo._below must match entry for
+    entry.
 
     What the subtrees below root pass up to it, at least, by the pebbles
     they take, in the pass over steps, the _bfs_steps from root.  The
@@ -293,10 +291,10 @@ def passed_up(steps, root: int, held: dict[int, int], spare: int) -> list[int]:
         if acc.__class__ is int:
             row[p] = list(map(acc.__add__, up))
         elif acc is free:
-            row[p] = list(map(add, accumulate(map(sub, up, free), min), free))
+            row[p] = list(map(operator.add, itertools.accumulate(map(operator.sub, up, free), min), free))
         else:
             rev = acc[::-1]
-            row[p] = [min(map(add, rev[s:], up)) for s in range(spare, -1, -1)]
+            row[p] = [min(map(operator.add, rev[s:], up)) for s in range(spare, -1, -1)]
     top = row[root]
     return top if top.__class__ is list else [top]
 

@@ -10,8 +10,9 @@ run, in the order the runs were made:
 
 The file holds the command line of the runs and, per workload, the
 records with their side (parent or change) in the order they ran.  All
-records in one file must come from the same command line.  Run each
-side from a git clone at its commit, so the record names the commit.
+records in one file must come from the same command line but for the
+workload and the seed, which each record names.  Run each side from a
+git clone at its commit, so the record names the commit.
 """
 
 import argparse
@@ -21,10 +22,7 @@ from pathlib import Path
 
 
 def command_of(record: dict) -> str:
-    return (
-        f"python3 bench/run.py --workload <workload> --seed {record['seed']}"
-        f" --seconds {record['seconds']:g} --trace 0"
-    )
+    return f"python3 bench/run.py --workload <workload> --seed <seed> --seconds {record['seconds']:g} --trace 0"
 
 
 def main(argv=None) -> int:

@@ -175,9 +175,12 @@ class SolveMemo:
     (near(x) * n + u) * n + x.  Sources with equal piles merge their
     moves by that key, which orders them by (near(x), u, x).
 
-    ``_trees``: per root, the _bfs_steps from it, built on first use by
-    ``_tree``, for the passes of ``_passing``, which solve and
-    verify_threshold share, and for verify_threshold's DPs.
+    ``_trees``: per root that ``_passing`` reads, the _bfs_steps from it,
+    built on first use by ``_tree``, for the passes that solve and
+    verify_threshold share, and for verify_threshold's DP plans.  On a
+    tree ``_passing`` reads only root 0's, so the plans of the other
+    roots build theirs without keeping them and keep only the steps
+    they run, not those of the free-only subtrees.
     ``_potentials``: per vertex t, the row of 2**d(w, t) over w and t's
     cost under the keep vector, built by ``_refutes`` at its first call.
     ``_twins``: per vertex, the next higher vertex of its twin class, or
@@ -208,10 +211,15 @@ class SolveMemo:
             raise InvalidSpec("memo reused with a different graph, targets, or pruning")
 
     def _tree(self, root: int) -> tuple[tuple[int, int], ...]:
-        """The _bfs_steps of the bound graph from root, built once."""
-        if self._trees[root] is None:
-            self._trees[root] = _bfs_steps(self._graph, root)
-        return self._trees[root]
+        """The _bfs_steps of the bound graph from root, built once for the
+        roots _passing reads: every root on a graph with cycles, root 0 on
+        a tree.  A tree's other roots are built afresh at each call."""
+        steps = self._trees[root]
+        if steps is None:
+            steps = _bfs_steps(self._graph, root)
+            if not (root and self._is_tree):
+                self._trees[root] = steps
+        return steps
 
     def _size_plans(self, top: int) -> None:
         """Make the plans hold rows for spares up to top.  A top above
@@ -575,16 +583,24 @@ def iter_count_vectors(n: int, k: int) -> Iterator[tuple[int, ...]]:
 def _bfs_steps(g: Graph, root: int) -> tuple[tuple[int, int], ...]:
     """The (vertex, parent) pairs of the BFS tree of g from root, leaves
     first: deepest vertices first, in index order within one depth.  Each
-    vertex's parent is its first neighbour one step nearer the root.
+    vertex's parent is its least-index neighbour one step nearer the root.
 
-    Both come from C-level calls: a stable sort by depth, which ends
-    with the root, the one vertex at depth 0; and per vertex, the index
-    of depth - 1 among its neighbours' depths."""
+    One C-level stable sort by depth orders the vertices, ending with
+    the root, the one vertex at depth 0.  Then each vertex's sorted
+    adjacency is scanned up to its first neighbour at depth - 1, so a
+    root costs O(n + m) past the sort."""
     depth = g.dist[root]
     adj = g.adj
     below = sorted(range(g.n), key=depth.__getitem__, reverse=True)
     below.pop()
-    return tuple((v, adj[v][list(map(depth.__getitem__, adj[v])).index(depth[v] - 1)]) for v in below)
+    steps = []
+    for v in below:
+        d = depth[v] - 1
+        for p in adj[v]:
+            if depth[p] == d:
+                break
+        steps.append((v, p))
+    return tuple(steps)
 
 
 def _pass(
@@ -814,9 +830,10 @@ def verify_threshold(
     once whether the pass covers all completions: x + below[spare - x]
     >= 1.  Only the counts it cannot certify are tried.  Since the held
     set depends on v alone, the memo plans each root's DPs once, at the
-    size of the check, and runs only the parts the held counts change.  A full vector then meets three tests in
-    turn, each a memo step: the passes that solve tries, each keeping one
-    pebble on every vertex, certify it (SolveMemo._passing); failing
+    size of the check, and runs only the parts the held counts change.
+    A full vector then meets three tests in turn, each a memo step: the
+    passes that solve tries, each keeping one pebble on every vertex,
+    certify it (SolveMemo._passing); failing
     those, on a graph with cycles, its stack potentials refute it
     (SolveMemo._refutes); only a vector neither certified nor refuted
     goes to the memo's search.  On a tree the pass is exact from any
@@ -847,9 +864,10 @@ def verify_threshold(
     table is built or the memo is bound.  Otherwise the given memo, or a
     fresh one, is bound to g, one pebble kept per vertex and pruning on,
     on a tree too, so one bound to another graph raises InvalidSpec.  It
-    holds the BFS trees, the DP plans, the twin table, the potential
-    rows and the search's tables, so calls sharing it, as gamma_exact's
-    two sizes do, build them once; a larger k plans the DPs again.
+    holds the BFS trees its passes read, the DP plans, the twin table,
+    the potential rows and the search's tables, so calls sharing it, as
+    gamma_exact's two sizes do, build them once; a larger k plans the
+    DPs again.
 
     configs_checked is the witness's colex rank plus one, or the full
     count when the size is good, as a scan of every vector in that order
@@ -914,9 +932,9 @@ def gamma_exact(g: Graph) -> GammaResult:
     witness is the colexicographically first unsolvable configuration of
     size L - 1, and configs_checked sums the counts of both checks.  The
     two checks are verify_threshold calls sharing one memo, which holds
-    the BFS trees, the DP plans, the potential rows and the search's
-    tables; the size L - 1 check runs on the plans the size L check
-    built.  On a tree neither size reaches the memo's search.
+    the BFS trees its passes read, the DP plans, the potential rows and
+    the search's tables; the size L - 1 check runs on the plans the size
+    L check built.  On a tree neither size reaches the memo's search.
     """
     k = bound_report(g).lower_stacked
     memo = SolveMemo()

@@ -1,7 +1,9 @@
 """Every committed BENCH_*.json holds complete, failure-free records:
 each names its commit, machine and Python version, and carries every
-end-to-end metric that BENCHMARK.json declares."""
+end-to-end metric that BENCHMARK.json declares.  The summary of
+tools/bench_record.py reads each of them."""
 
+import importlib.util
 import json
 import pathlib
 import re
@@ -29,3 +31,30 @@ def test_every_bench_record_is_complete():
                 assert re.fullmatch(r"\d+\.\d+\.\d+", record["python"]), where
                 assert all(isinstance(record["metrics"][m]["value"], (int, float)) for m in metrics), where
                 assert record["failures"] == [], where
+
+
+def _bench_record():
+    spec = importlib.util.spec_from_file_location("bench_record", ROOT / "tools" / "bench_record.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_the_summary_covers_every_pair_of_every_committed_file(capsys):
+    bench_record = _bench_record()
+    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    for path in sorted(ROOT.glob("BENCH_*.json")):
+        bench = json.loads(path.read_text())
+        lines = bench_record.summary(bench, metrics)
+        seeds = {(w, run["record"]["seed"]) for w, runs in bench["workloads"].items() for run in runs}
+        assert len(lines) == len(seeds) * len(metrics), path.name
+        for line in lines:
+            wins, pairs = map(int, re.fullmatch(r".*, better in (\d+) of (\d+) pairs", line).groups())
+            assert 0 <= wins <= pairs > 0, (path.name, line)
+        assert bench_record.main(["--summary", str(path)]) == 0
+        assert capsys.readouterr().out.splitlines() == lines, path.name
+    lines = bench_record.summary(json.loads((ROOT / "BENCH_31.json").read_text()), metrics)
+    assert (
+        "gamma seed 1 op_p99_ms ms: parent 1.181 [1.180, 1.193] -> change 0.660 [0.651, 0.667], "
+        "-44.1%, better in 10 of 10 pairs"
+    ) in lines

@@ -370,8 +370,24 @@ def _generator_bfs_steps(g, root):
     return tuple((v, next(p for p in g.adj[v] if depth[p] == depth[v] - 1)) for v in below)
 
 
+def _relabelled_random_graph(rng, n):
+    # a random recursive tree plus 0 .. 2n random extra edges, randomly
+    # labelled, so that no layer from a root comes in index order by itself
+    label = rng.sample(range(n), n)
+    edges = [(label[rng.randrange(v)], label[v]) for v in range(1, n)]
+    edges += [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, 2 * n))]
+    return build_graph(n, edges)
+
+
 def test_bfs_steps_match_the_generator_formula():
-    for g in small_catalog(5) + [generate(Wheel(40)), generate(Multipartite((6, 6, 6, 6, 6)))]:
+    # deep layers from the random graphs, long adjacency lists from the
+    # hubs of wheel 200 and star 100 and from the multipartite graph
+    rng = random.Random(32)
+    graphs = small_catalog(5) + list(connected_classes(6))
+    graphs += [_relabelled_random_graph(rng, n) for n in range(2, 41) for _ in range(3)]
+    graphs += [generate(spec) for spec in (Wheel(40), Wheel(200), Star(100), Multipartite((6, 6, 6, 6, 6)))]
+    assert max(g.diam for g in graphs) >= 10
+    for g in graphs:
         for root in range(g.n):
             assert exact._bfs_steps(g, root) == _generator_bfs_steps(g, root), (g.edges, root)
 
@@ -1163,6 +1179,21 @@ def test_a_memo_builds_each_bfs_tree_once(monkeypatch):
         built.clear()
         gamma_exact(g)
         assert sorted(built) == list(range(g.n)), g.edges
+
+
+def test_a_tree_memo_keeps_only_root_0s_bfs_tree():
+    # on a tree _passing reads root 0's tree alone, so the plans of the
+    # other roots build theirs without keeping them; a graph with cycles
+    # keeps every root's
+    for g in (generate(Star(8)), generate(Path(7)), generate(Wheel(5))):
+        memo = SolveMemo()
+        top = bound_report(g).lower_stacked
+        assert verify_threshold(g, top, memo=memo).ok, g.edges
+        assert not verify_threshold(g, top - 1, memo=memo).ok, g.edges
+        assert sum(plan is not None for plan in memo._plans) >= g.n - 1, g.edges
+        kept = [root for root, steps in enumerate(memo._trees) if steps is not None]
+        assert kept == ([0] if len(g.edges) < g.n else list(range(g.n))), g.edges
+        assert memo._trees[0] == exact._bfs_steps(g, 0), g.edges
 
 
 def test_failing_checks_below_the_stack_bound_skip_the_search(monkeypatch):

@@ -833,12 +833,12 @@ def verify_threshold(
     size of the check, and runs only the parts the held counts change.
     A full vector then meets three tests in turn, each a memo step: the
     passes that solve tries, each keeping one pebble on every vertex,
-    certify it (SolveMemo._passing); failing
-    those, on a graph with cycles, its stack potentials refute it
-    (SolveMemo._refutes); only a vector neither certified nor refuted
-    goes to the memo's search.  On a tree the pass is exact from any
-    root, so the one from root 0 decides a full vector, and neither the
-    refutation nor the search runs.
+    certify it (SolveMemo._passing); failing those, on a graph with
+    cycles, its stack potentials refute it (SolveMemo._refutes); only a
+    vector neither certified nor refuted goes to the memo's search.  On
+    a tree the pass is exact from any root, so the one from root 0
+    decides a full vector, and neither the refutation nor the search
+    runs.
 
     On a graph with cycles only twin-sorted vectors are tried: within
     each twin class (SolveMemo._twin_above) the counts do not increase

@@ -53,13 +53,15 @@ def summary(bench: dict, metrics: list[dict]) -> list[str]:
     lines = []
     for workload, runs in bench["workloads"].items():
         for seed in sorted({run["record"]["seed"] for run in runs}):
-            sides = [[run["record"]["metrics"] for run in runs if (run["side"], run["record"]["seed"]) == (side, seed)]
-                     for side in ("parent", "change")]
+            sides = [
+                [run["record"]["metrics"] for run in runs if (run["side"], run["record"]["seed"]) == (side, seed)]
+                for side in ("parent", "change")
+            ]
+            if not all(sides):
+                continue
             for metric in metrics:
                 name, sign = metric["name"], 1 if metric["better"] == "lower" else -1
                 parent, change = ([m[name]["value"] for m in side] for side in sides)
-                if not parent or not change:
-                    continue
                 base, now = statistics.median(parent), statistics.median(change)
                 places = max(0, 3 - math.floor(math.log10(base)))
                 q_parent, q_change = (", ".join(f"{q:.{places}f}" for q in _quartiles(v)) for v in (parent, change))

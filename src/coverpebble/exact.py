@@ -106,7 +106,7 @@ class SolveMemo:
     ``_potentials``, ``_twins`` and ``_top`` (last below); the other
     tables are derived at the first search.
 
-    With pruning on, an expanded state goes to ``fail`` unexpanded when
+    With pruning on, a visited state goes to ``fail`` unexpanded when
     either of two counts proves it unsolvable:
 
     - the move count: fewer than |T| + u pebbles, u being its number of
@@ -149,16 +149,17 @@ class SolveMemo:
       covered.bit_count(), so it prunes when
       size < 2 * |T| - covered.bit_count().
 
-    The counts are decoded only when a state is expanded, to rank its
-    moves.  The threshold check's stack potential (_refutes) is another
-    quantity.
+    The counts ride on the frame: an expanded state's counts are its
+    parent's with the move applied, used to rank its moves, and never
+    decoded from the packed state.  The threshold check's stack
+    potential (_refutes) is another quantity.
 
     Tables, built by ``_build``, which ``_fit`` calls when a search
     needs a wider W than the memo holds; every later search at that W
     reuses them, across solves:
 
     - ``marked``: the targets, in index order; ``n``, the order.
-    - ``shifts``: W * v per vertex v; ``field``: (1 << W) - 1.
+    - ``shifts``: W * v per vertex v.
     - ``low``, ``guard``: LOW and GUARD_T above; ``guard_bits``: per
       target t, the pair (t, t's guard bit).
     - ``near_rows``: per vertex v, 2**(diam - d(v, t)) packed at field
@@ -347,14 +348,23 @@ class SolveMemo:
         diam = g.diam
         self._width = w
         self.shifts = shifts = range(0, n * w, w)
-        self.field = (1 << w) - 1
         at_targets = [shifts[t] for t in marked]
         ones = sum(map(lshift, repeat(1), at_targets))
         self.guard = ones << (w - 1)
         self.guard_bits = [(t, 1 << (shift + w - 1)) for t, shift in zip(marked, at_targets)]
         self.low = self.guard - ones
-        weight = [1 << (diam - d) for d in range(diam + 1)]
-        rows = [sum(map(lshift, map(weight.__getitem__, map(row.__getitem__, marked)), at_targets)) for row in g.dist]
+        # v's row is 1 at every target, the weight at distance diam, plus
+        # 2**(diam - k) - 1 at the targets k < diam steps away, found by
+        # BFS rings, so a vertex costs its ball of radius diam - 1
+        at, adj, rows = dict(zip(marked, at_targets)), g.adj, []
+        for v in range(n):
+            row, ring, seen = ones, {v}, {v}
+            for d in range(diam, 0, -1):
+                row += sum(((1 << d) - 1) << at[t] for t in ring if t in at)
+                if d > 1:
+                    ring = {y for x in ring for y in adj[x]} - seen
+                    seen |= ring
+            rows.append(row)
         self.near_rows = rows
         self.slack = self.guard - sum(map(rows.__getitem__, marked))
         self.moves_off = [
@@ -384,20 +394,13 @@ class SolveMemo:
         self.ranked[covered][u] = moves
         return moves
 
-    def _expand(self, state: int, potential: int, size: int, covered: int):
+    def _expand(self, counts: list[int], covered: int):
         """The moves of an expanded state in search order, each as (rank
-        key, state step, potential step, (u, x)), or None when the state
-        is pruned.  ``covered`` is (state + LOW) & GUARD_T and ``size``
-        the state's pebble count."""
-        if self.pruning:
-            guard = self.guard
-            if size < 2 * len(self.marked) - covered.bit_count() or ((potential + self.slack) | covered) & guard != guard:
-                return None
+        key, state step, potential step, (u, x)).  ``counts`` are the
+        state's counts and ``covered`` is (state + LOW) & GUARD_T."""
         slots = self.ranked.get(covered)
         if slots is None:
             slots = self.ranked[covered] = [None] * self.n
-        field = self.field
-        counts = [state >> s & field for s in self.shifts]
         sources = [u for u, c in enumerate(counts) if c > 1]
         # big piles first, the stable sort keeping index order among
         # equal piles, whose moves then merge by their keys (near(x), u, x)
@@ -422,18 +425,28 @@ class SolveMemo:
         BudgetExceeded, and a budget of 0 stops even at a root the memo
         has already decided.
 
-        A visited state gets a frame only when it is expanded, so the
-        states that are pruned or known to fail cost no frame."""
+        A visited state gets a frame only when it is expanded, so pruned
+        states cost none.  A frame is a tuple (state, near potential,
+        counts, moves, move that reached it), the last one's fields also
+        in locals; a child's counts are its parent's with c(u) - 2 and
+        c(x) + 1.  Only the root is tested against ``fail``, since the
+        move loop skips the children ``fail`` holds."""
         size = sum(counts)
         self._fit(size)
         win = self.win
         fail = self.fail
-        low, guard, expand = self.low, self.guard, self._expand
+        low, guard, slack, expand = self.low, self.guard, self.slack, self._expand
+        pruning, twice = self.pruning, 2 * len(self.marked)
         limit = sys.maxsize if budget is None else budget
+        state = self._pack(counts)
+        if state in fail:
+            if not limit:
+                raise BudgetExceeded(1)
+            return False, 1
         explored = 0
-        # frames of the expanded states on the path: [state, potential, move iterator, move that produced it]
-        frames: list[list] = []
-        state, potential, move = self._pack(counts), self._potential(counts), None
+        frames: list[tuple] = []
+        # a root that is pruned falls through to an empty move list
+        potential, counts, move, parent, moves = self._potential(counts), list(counts), None, state, ()
         while True:
             explored += 1
             if explored > limit:
@@ -442,31 +455,38 @@ class SolveMemo:
             if state in win or covered == guard:
                 win.setdefault(state, None)
                 # record the discovered winning path
-                for parent, child in zip(frames, frames[1:]):
-                    win[parent[0]] = child[3]
+                for above, below in zip(frames, frames[1:]):
+                    win[above[0]] = below[4]
                 if frames:
-                    win[frames[-1][0]] = move
+                    win[parent] = move
                 return True, explored
-            moves = None if state in fail else expand(state, potential, size - len(frames), covered)
-            if moves is None:
+            if pruning and (
+                size - len(frames) < twice - covered.bit_count() or ((potential + slack) | covered) & guard != guard
+            ):
                 fail.add(state)
             else:
-                frames.append([state, potential, moves, move])
+                if move is not None:
+                    u, x = move
+                    counts = counts[:]
+                    counts[u] -= 2
+                    counts[x] += 1
+                parent, reached, moves = state, potential, expand(counts, covered)
+                frames.append((parent, reached, counts, moves, move))
             # take the next move not known to fail, backtracking as needed
-            while frames:
-                parent, reached, moves, _ = frames[-1]
+            while True:
                 for _, step, drop, move in moves:
                     state = parent + step
                     if state not in fail:
                         break
                 else:
                     fail.add(parent)
+                    if len(frames) < 2:
+                        return False, explored
                     frames.pop()
+                    parent, reached, counts, moves, _ = frames[-1]
                     continue
                 potential = reached + drop
                 break
-            else:
-                return False, explored
 
     def _winning_moves(self, counts: tuple[int, ...]) -> list[tuple[int, int]]:
         """Follow the cached win chain from a configuration just decided

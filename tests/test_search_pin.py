@@ -6,12 +6,13 @@ moves.  The cases call the memo's search directly: solve answers most
 of them by a spanning-tree pass before the search runs.  Any change to
 the move order, the pruning or the memo writes moves at least one of
 these literals, even when every answer stays right.  A change that
-means to alter the search must update them on purpose.  The move order
-and the pruning test that the search runs on each expanded state, and
-whole searches, are compared with ReferenceSearch, the tuple search the
-packed kernel replaced: the first two on every small graph, whole
-searches on the benchmark's graph families and on memos shared across
-field widths.
+means to alter the search must update them on purpose.  The pruning
+verdict, the counts each frame carries and the move order of every
+state the search expands, whole searches and every budget stop are
+compared with ReferenceSearch, the tuple search the packed kernel
+replaced: the first three on every small graph, whole searches on the
+benchmark's graph families and on memos shared across field widths,
+and budget stops on three pinned cases.
 """
 
 import itertools
@@ -92,30 +93,94 @@ def test_budget_stop_is_pinned():
     assert len(memo.win) + len(memo.fail) == 193
 
 
+@pytest.mark.parametrize("case", [0, 9, 10], ids=["W6-17", "K322", "K322-weighted"])
+def test_every_budget_stops_where_the_reference_does(case):
+    # from a budget of 0 up to the whole search, a stop reports the
+    # visit past the budget and leaves the entries the reference has
+    # written before that visit; the whole budget lets the search finish
+    g, counts, b, states, *_ = CASES[case]
+    keep = (1,) * g.n if b is None else b.marks
+    ref = ReferenceSearch(g, keep)
+    assert trace(ref, counts)[1] == states
+    log = ref.entries
+    # the log agrees with a reference stopped halfway
+    _, stop, wins, fails, _ = trace(ReferenceSearch(g, keep), counts, states // 2)
+    assert (stop, wins + fails) == (states // 2 + 1, log[states // 2])
+    for budget in range(states):
+        memo = bound_memo(g, keep)
+        with pytest.raises(BudgetExceeded) as info:
+            memo._decide(counts, budget)
+        assert (info.value.states, len(memo.win) + len(memo.fail)) == (budget + 1, log[budget]), budget
+    assert trace(bound_memo(g, keep), counts, states) == trace(ReferenceSearch(g, keep), counts)
+
+
+@pytest.mark.parametrize("case", [0, 2], ids=["unsolvable", "solvable"])
+def test_a_decided_root_costs_one_state(case):
+    # a shared memo answers a root it has decided at its first visit,
+    # which a budget of 0 still stops
+    g, counts, *_ = CASES[case]
+    memo = bound_memo(g)
+    solvable = memo._decide(counts)[0]
+    entries = len(memo.win) + len(memo.fail)
+    assert memo._decide(counts) == (solvable, 1)
+    with pytest.raises(BudgetExceeded) as info:
+        memo._decide(counts, 0)
+    assert info.value.states == 1
+    assert len(memo.win) + len(memo.fail) == entries
+
+
+def recorded_expansions(memo, ref):
+    """Lists that fill, as the searches run, with (counts, moves) of each
+    state that memo's _decide expands, through its own _expand, and that
+    ref expands; each memo move's steps are checked against the packed
+    child on the way."""
+    got, want = [], []
+
+    def expand(counts, covered):
+        moves = list(real(counts, covered))
+        parent = tuple(counts)
+        for _, step, drop, move in moves:
+            child = ReferenceSearch._apply(parent, move)
+            assert step == memo._pack(child) - memo._pack(parent), (parent, move)
+            assert drop == memo._potential(child) - memo._potential(parent), (parent, move)
+        got.append((parent, [move for *_, move in moves]))
+        return iter(moves)
+
+    def ordered_moves(state):
+        moves = ordered(state)
+        want.append((state, moves))
+        return moves
+
+    real, ordered = memo._expand, ref._ordered_moves
+    memo._expand, ref._ordered_moves = expand, ordered_moves
+    return got, want
+
+
 def test_move_order_and_pruning_match_the_reference():
-    # what _expand returns for each expanded state is what _decide runs:
-    # None when pruned, else the moves in the order they are tried, as
-    # ReferenceSearch prunes and orders them
+    # _decide expands a sampled state exactly when it neither covers the
+    # targets nor is pruned, so the root of each search shows the prune
+    # verdict that _decide itself reaches on it; and every state the
+    # search expands, with the counts its frame carries and the moves in
+    # the order they are tried, is one ReferenceSearch expands, in the
+    # same order and with the same moves
     rng = random.Random(7)
-    checked = 0
+    checked, expanded, verdicts = 0, 0, set()
     for g in small_catalog(4):
         for marks in itertools.product((0, 1), repeat=g.n):
-            memo, ref = bound_memo(g, marks), ReferenceSearch(g, marks)
             for _ in range(12):
                 state = random_config(rng, g.n, rng.randint(0, 9)).counts
-                memo._fit(sum(state))
-                packed, potential = memo._pack(state), memo._potential(state)
-                covered = (packed + memo.low) & memo.guard
-                moves = memo._expand(packed, potential, sum(state), covered)
-                assert (moves is None) == ref._prunable(state)
-                if moves is not None:
-                    moves = list(moves)
-                    assert [move for *_, move in moves] == ref._ordered_moves(state)
-                    for _, step, drop, move in moves:
-                        child = ReferenceSearch._apply(state, move)
-                        assert (packed + step, potential + drop) == (memo._pack(child), memo._potential(child))
+                memo, ref = bound_memo(g, marks), ReferenceSearch(g, marks)
+                got, want = recorded_expansions(memo, ref)
+                assert memo._decide(state)[0] == ref.decide(state)[0]
+                covers = all(state[t] for t in ref.marked)
+                verdict = "covers" if covers else "pruned" if ref._prunable(state) else "expanded"
+                assert bool(got) == (verdict == "expanded"), (g.edges, marks, state)
+                assert got == want, (g.edges, marks, state)
+                verdicts.add(verdict)
                 checked += 1
-    assert checked > 5000
+                expanded += len(got)
+    assert verdicts == {"covers", "pruned", "expanded"}
+    assert checked > 5000 and expanded > 3000
 
 
 def trace(search, counts, budget=None):
@@ -243,6 +308,23 @@ def test_solves_sharing_a_memo_at_one_width_build_the_tables_once(monkeypatch):
     for k in (17, 18, 16):
         assert solve(W6, Configuration((0, k, 0, 0, 0, 0, 0)), memo=memo).states_explored > 0
     assert built == [8]
+
+
+def test_near_rows_match_the_distance_formula():
+    # _build's rows, from BFS rings, against 2**(diam - d(v, t)) at field
+    # t for every target t: every labelled graph of order <= 4 under
+    # every keep vector, then wheel 50 and fuse(7,3) (diameter 5) under a
+    # random weighting
+    rng = random.Random(11)
+    cases = [(g, marks) for g in small_catalog(4) for marks in itertools.product((0, 1), repeat=g.n)]
+    for g in (generate(Wheel(50)), F73):
+        cases.append((g, tuple(rng.randint(0, 1) for _ in range(g.n))))
+    for g, marks in cases:
+        memo = bound_memo(g, marks)
+        memo._fit(g.n)
+        shifts = memo.shifts
+        want = [sum((1 << (g.diam - g.dist[v][t])) << shifts[t] for t in memo.marked) for v in range(g.n)]
+        assert memo.near_rows == want, (g.edges, marks)
 
 
 @pytest.mark.parametrize(

@@ -175,7 +175,9 @@ class ReferenceSearch:
     order (-c(u), near(x), u, x), near(x) being the distance from x to
     the nearest uncovered target, skipping children in ``fail``; a state
     whose moves all fail goes to ``fail``.  ``win`` and ``fail`` persist
-    across calls, as a shared memo does.
+    across calls, as a shared memo does.  ``entries`` logs, per visit of
+    the last decide, len(win) + len(fail) before it: a stop at budget b
+    leaves log[b] entries.
     """
 
     def __init__(self, g: Graph, keep: tuple[int, ...], pruning: bool = True):
@@ -218,11 +220,13 @@ class ReferenceSearch:
         """(solvable, states explored); BudgetExceeded past ``budget``."""
         win, fail = self.win, self.fail
         explored = 0
+        self.entries = []
         frames = [[tuple(counts), None, None]]
         while frames:
             frame = frames[-1]
             state = frame[0]
             if frame[1] is None:
+                self.entries.append(len(win) + len(fail))
                 explored += 1
                 if budget is not None and explored > budget:
                     raise BudgetExceeded(explored)

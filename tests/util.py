@@ -176,8 +176,8 @@ class ReferenceSearch:
     the nearest uncovered target, skipping children in ``fail``; a state
     whose moves all fail goes to ``fail``.  ``win`` and ``fail`` persist
     across calls, as a shared memo does.  ``entries`` logs, per visit of
-    the last decide, len(win) + len(fail) before it: a stop at budget b
-    leaves log[b] entries.
+    the last decide, len(win) + len(fail) before it, so a stop at budget
+    b leaves entries[b] of them.
     """
 
     def __init__(self, g: Graph, keep: tuple[int, ...], pruning: bool = True):

@@ -33,7 +33,6 @@ from operator import add, gt, lshift, mul, sub
 from typing import Iterator, Optional
 
 from .errors import BudgetExceeded, InternalAssertion, InvalidSpec, check_int
-from .formulas import bound_report
 from .graphs import Graph
 from .pebbles import BinaryWeighting, Certificate, Configuration, PebblingMove, check_length
 
@@ -102,7 +101,7 @@ class SolveMemo:
     first use, and refuses reuse under others; a graph is the same when
     its order and edges are.  Binding records, once, the graph, the keep
     vector, ``pruning`` and the tree flag ``_is_tree``, whether the graph
-    has fewer edges than vertices, and sets up ``_trees``,
+    has fewer edges than vertices, and sets up ``_trees``, ``_costs``,
     ``_potentials``, ``_twins`` and ``_top`` (last below); the other
     tables are derived at the first search.
 
@@ -182,12 +181,15 @@ class SolveMemo:
     tree ``_passing`` reads only root 0's, so the plans of the other
     roots build theirs without keeping them and keep only the steps
     they run, not those of the free-only subtrees.
+    ``_costs``: per vertex, its cost (_stack_costs), which the threshold
+    check's start, gamma_exact's L and ``_refutes`` read, built at the
+    first threshold check, not at bind, which every solve runs.
     ``_potentials``: per vertex t, the row of 2**d(w, t) over w and t's
-    cost under the keep vector, built by ``_refutes`` at its first call.
-    ``_twins``: per vertex, the next higher vertex of its twin class, or
-    None, built by ``_twin_above`` at the first threshold check on a
-    graph with cycles, not at bind, which every solve runs.  All three
-    depend on the graph and keep vector alone, so a wider W keeps them.
+    cost, built by ``_refutes`` at its first call.  ``_twins``: per
+    vertex, the next higher vertex of its twin class, or None, built by
+    ``_twin_above`` when a threshold check on a graph with cycles first
+    scans.  All four depend on the graph and keep vector alone, so a
+    wider W keeps them.
     ``_plans``: per root, the fixed part of the threshold check's DPs
     from it (_dp_plan), built by ``_below`` at the root's first DP, with
     rows of ``_top`` + 1 entries, the largest size ``_size_plans`` has
@@ -207,7 +209,7 @@ class SolveMemo:
         by its order and edges."""
         if self._graph is None:
             self._graph, self._keep, self.pruning, self._is_tree = g, keep, pruning, len(g.edges) < g.n
-            self._trees, self._potentials, self._twins, self._top = [None] * g.n, None, None, -1
+            self._trees, self._costs, self._potentials, self._twins, self._top = [None] * g.n, None, None, None, -1
         elif (g.n, g.edges, keep, pruning) != (self._graph.n, self._graph.edges, self._keep, self.pruning):
             raise InvalidSpec("memo reused with a different graph, targets, or pruning")
 
@@ -316,19 +318,25 @@ class SolveMemo:
                 return steps, bal
         return None
 
+    def _stack_costs(self) -> list[int]:
+        """Per vertex t, t's cost sum_u keep[u] * 2**d(u, t), its stack
+        cost under a threshold check's all-ones keep; built on first use."""
+        if self._costs is None:
+            self._costs = [sum(map(lshift, self._keep, dist)) for dist in self._graph.dist]
+        return self._costs
+
     def _refutes(self, vec: tuple[int, ...]) -> bool:
         """Whether vec's stack potential toward some vertex t, sum_w vec[w] *
-        2**d(w, t), in which farther pebbles count more, is below t's cost,
-        sum_u keep[u] * 2**d(u, t), which proves vec unsolvable.  A move
-        takes 2 pebbles off u and puts 1 on a neighbour at most one step
-        farther from t, so no move raises it, and a covering vector has at
-        least t's cost (Sjostrand, 2005).  Under the all-ones keep the cost
-        is t's stack cost.  The rows of 2**d(w, t) and the costs are built
-        on first use and kept.  The search's near potential is another
+        2**d(w, t), in which farther pebbles count more, is below t's cost
+        (_stack_costs), which proves vec unsolvable.  A move takes 2
+        pebbles off u and puts 1 on a neighbour at most one step farther
+        from t, so no move raises it, and a covering vector has at least
+        t's cost (Sjostrand, 2005).  The rows of 2**d(w, t) are built on
+        first use and kept.  The search's near potential is another
         quantity."""
         if self._potentials is None:
             rows = [tuple(1 << d for d in dist) for dist in self._graph.dist]
-            self._potentials = [(row, sum(map(mul, self._keep, row))) for row in rows]
+            self._potentials = list(zip(rows, self._stack_costs()))
         return any(sum(map(mul, vec, row)) < cost for row, cost in self._potentials)
 
     def _fit(self, size: int) -> None:
@@ -860,6 +868,18 @@ def verify_threshold(
     decides a full vector, and neither the refutation nor the search
     runs.
 
+    The scan starts at the least vertex w whose stack S of k is
+    unsolvable, with 0 above w: k below w's stack cost
+    (SolveMemo._stack_costs) refutes S by the potential of
+    SolveMemo._refutes, with no appeal to the cover pebbling theorem.
+    Every vector before S in colex order holds 0 above w, and so does
+    the witness.  A scan from n - 1 tries 0 first at each vertex
+    above w, and leaves it uncertified, since its completion S fails
+    every pass; so it reaches the same prefix, meets the witness below
+    it and never backtracks above w.  Starting at w changes no answer and
+    skips a DP per vertex above w.  At w = 0 S is the witness, at rank 0,
+    returned at once.  With no such w the scan starts at n - 1.
+
     On a graph with cycles only twin-sorted vectors are tried: within
     each twin class (SolveMemo._twin_above) the counts do not increase
     with the index, so v tries counts from held[the next twin above v]
@@ -901,6 +921,11 @@ def verify_threshold(
     n = g.n
     memo = memo if memo is not None else SolveMemo()
     memo.bind(g, (1,) * n, True)
+    # the least vertex whose stack of k is unsolvable, where the scan starts
+    w = next((v for v, cost in enumerate(memo._stack_costs()) if k < cost), None)
+    if w == 0:
+        return ThresholdResult(Configuration((k,) + (0,) * (n - 1)), 1)
+    w = n - 1 if w is None else w
     memo._size_plans(k)
     # the counts held so far, 0 at and below the vertex being fixed, and
     # at n a 0 that stands for the floor of a vertex with no twin above
@@ -923,7 +948,7 @@ def verify_threshold(
 
     # frames (v, pebbles left for v and below, counts of v to try); an
     # explicit stack, since recursion would overflow on large graphs
-    stack = [(n - 1, k, uncertified(n - 1, k))]
+    stack = [(w, k, uncertified(w, k))]
     while stack:
         v, spare, counts = stack[-1]
         if not counts:
@@ -955,9 +980,12 @@ def gamma_exact(g: Graph) -> GammaResult:
     the BFS trees its passes read, the DP plans, the potential rows and
     the search's tables; the size L - 1 check runs on the plans the size
     L check built.  On a tree neither size reaches the memo's search.
+    L is read from the memo's stack costs, by which the check at L - 1
+    starts at the least vertex of cost L (verify_threshold).
     """
-    k = bound_report(g).lower_stacked
     memo = SolveMemo()
+    memo.bind(g, (1,) * g.n, True)
+    k = max(memo._stack_costs())
     at = verify_threshold(g, k, memo=memo)
     if not at.ok:
         raise InternalAssertion(

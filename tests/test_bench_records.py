@@ -1,7 +1,7 @@
 """Every committed BENCH_*.json holds complete, failure-free records:
 each names its commit, machine and Python version, and carries every
-end-to-end metric that BENCHMARK.json declares.  The summary of
-tools/bench_record.py reads each of them."""
+end-to-end metric that BENCHMARK.json declares, and its pass count.
+The summary of tools/bench_record.py reads each of them."""
 
 import importlib.util
 import json
@@ -30,6 +30,7 @@ def test_every_bench_record_is_complete():
                 assert isinstance(record["nproc"], int) and record["nproc"] > 0, where
                 assert re.fullmatch(r"\d+\.\d+\.\d+", record["python"]), where
                 assert all(isinstance(record["metrics"][m]["value"], (int, float)) for m in metrics), where
+                assert isinstance(record["passes"], int) and record["passes"] > 0, where
                 assert record["failures"] == [], where
 
 
@@ -47,8 +48,10 @@ def test_the_summary_covers_every_pair_of_every_committed_file(capsys):
         bench = json.loads(path.read_text())
         lines = bench_record.summary(bench, metrics)
         seeds = {(w, run["record"]["seed"]) for w, runs in bench["workloads"].items() for run in runs}
-        assert len(lines) == len(seeds) * len(metrics), path.name
+        assert len(lines) == len(seeds) * (len(metrics) + 1), path.name
         for line in lines:
+            if re.fullmatch(r"\w+ seed \d+ passes: parent \d+(, \d+)* -> change \d+(, \d+)*", line):
+                continue
             wins, pairs = map(int, re.fullmatch(r".*, better in (\d+) of (\d+) pairs", line).groups())
             assert 0 <= wins <= pairs > 0, (path.name, line)
         assert bench_record.main(["--summary", str(path)]) == 0
@@ -58,3 +61,8 @@ def test_the_summary_covers_every_pair_of_every_committed_file(capsys):
         "gamma seed 1 op_p99_ms ms: parent 1.181 [1.180, 1.193] -> change 0.660 [0.651, 0.667], "
         "-44.1%, better in 10 of 10 pairs"
     ) in lines
+    # the pass counts, per side in run order, follow each seed's metrics
+    assert lines[len(metrics)] == (
+        "gamma seed 1 passes: parent 1554, 1636, 1556, 1551, 1683, 1579, 1534, 1667, 1723, 1757 "
+        "-> change 1897, 2125, 2018, 1945, 2118, 2047, 1929, 1981, 2152, 2184"
+    )

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import operator
 import random
@@ -513,13 +512,95 @@ def test_trees_below_the_row_bound_still_answer():
 
 
 def test_star_100_answers_in_seconds():
-    # rooted at a leaf, the DP joins 99 free leaves under the centre;
-    # after the first, each joins as a shift, not a convolution
+    # the check at L runs one DP, from the centre, which joins 100 free
+    # leaves, each after the first as a shift, not a convolution; the
+    # check at L - 1 returns the stack on leaf 0 at once
     star = generate(Star(100))
     started = time.perf_counter()
     result = gamma_exact(star)
     assert time.perf_counter() - started < 3.0
     assert result.gamma == bound_report(star).upper_diameter == 399
+
+
+def test_fuse_40_6_answers_in_under_a_second():
+    # its free end, vertex 0, is its one vertex of cost L, so the check at
+    # L - 1 returns the stack there at once; a scan down from vertex 39,
+    # one DP per vertex, took about 5 s
+    g = generate(Fuse(40, 6))
+    started = time.perf_counter()
+    result = gamma_exact(g)
+    assert time.perf_counter() - started < 1.0
+    assert result == exact.GammaResult(2239, stacked(g, 0, 2238), composition_count(40, 2239) + 1)
+
+
+def test_the_scan_starts_at_the_least_unsolvable_stack():
+    # on each graph the witness at L - 1 holds pebbles on w, the least
+    # vertex of cost L; the start follows the memo's stack-cost table, so
+    # a table that puts it at w - 1, with 0 on w and above, misses the
+    # witness, and one with no cost above k, which starts at n - 1, finds
+    # it (its refutations never fire, so the search decides instead)
+    cases = [
+        generate(Wheel(5)),
+        build_graph(6, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5)]),
+        _costliest_last(generate(Multipartite((3, 2, 2)))),
+    ]
+    for g in cases:
+        costs = [stack_cost(g, v) for v in range(g.n)]
+        k = max(costs) - 1
+        w = costs.index(k + 1)
+        result = verify_threshold(g, k)
+        assert w > 0 and result.witness.counts[w] > 0, g.edges
+        for table, same in ((costs[: w - 1] + [k + 1] * (g.n - w + 1), False), ([0] * g.n, True)):
+            memo = bound_memo(g)
+            memo._costs = table
+            assert (verify_threshold(g, k, memo=memo) == result) == same, (g.edges, table)
+
+
+def test_solve_never_builds_the_stack_cost_table():
+    # every solve binds its memo, so the table waits for a threshold check:
+    # answers by the move count, a pass and the search build none
+    wheel, path = generate(Wheel(5)), generate(Path(4))
+    memo = SolveMemo()
+    for counts in ((0, 14, 0, 0, 0, 0), (0, 15, 0, 0, 0, 0), (1, 1, 1, 1, 1, 0)):
+        solve(wheel, Configuration(counts), memo=memo)
+    assert (memo._costs, memo._potentials) == (None, None)
+    memo = SolveMemo()
+    solve(path, Configuration((14, 0, 0, 0)), memo=memo)
+    assert memo._costs is None
+    verify_threshold(path, 14, memo=memo)
+    assert memo._costs == [15, 9, 9, 15]
+
+
+def test_verify_threshold_at_every_size_on_every_relabelling_of_the_gamma_graphs():
+    # the five graphs of the gamma benchmark under every vertex labelling,
+    # at every size up to L, against the table built from the definition:
+    # the colex-first vector it lacks, or none; a labelling's unsolvable
+    # vectors are those of the generated graph, permuted
+    checked = 0
+    for spec in (Wheel(4), Multipartite((3, 2)), Star(4), Path(4), Fuse(5, 3)):
+        base = generate(spec)
+        n, top = base.n, bound_report(base).lower_stacked
+        missing = [
+            set(iter_count_vectors(n, k)) - level for k, level in enumerate(solvable_levels(base, (1,) * n, top))
+        ]
+        seen = set()
+        for perm in itertools.permutations(range(n)):
+            g = build_graph(n, [(perm[u], perm[v]) for u, v in base.edges])
+            if g.edges in seen:
+                continue
+            seen.add(g.edges)
+            for k, vecs in enumerate(missing):
+                relabelled = [tuple(vec[perm.index(v)] for v in range(n)) for vec in vecs]
+                witness = min(relabelled, key=lambda vec: vec[::-1], default=None)
+                if witness is None:
+                    want = None, composition_count(n, k)
+                else:
+                    want = Configuration(witness), exact._colex_rank(witness) + 1
+                result = verify_threshold(g, k)
+                assert (result.witness, result.configs_checked) == want, (g.edges, k)
+                checked += 1
+    # 15, 10, 5, 12 and 60 labellings
+    assert checked == 2_032
 
 
 def test_verify_threshold_rejects_a_negative_size():
@@ -570,13 +651,9 @@ def test_gamma_matches_the_closed_forms_past_order7():
 
 
 def _shift_stack_bound(monkeypatch, delta):
-    real = exact.bound_report
-
-    def shifted(g):
-        report = real(g)
-        return dataclasses.replace(report, lower_stacked=report.lower_stacked + delta)
-
-    monkeypatch.setattr(exact, "bound_report", shifted)
+    # gamma_exact's two checks run at sizes shifted by delta from L and L - 1
+    real = exact.verify_threshold
+    monkeypatch.setattr(exact, "verify_threshold", lambda g, k, **kwargs: real(g, k + delta, **kwargs))
 
 
 def test_gamma_rejects_a_failing_scan_at_the_stack_bound(monkeypatch):
@@ -629,6 +706,15 @@ def test_the_witness_is_the_colex_first_vector_missing_from_the_table():
             assert verify_threshold(g, k) == exact.ThresholdResult(Configuration(witness), rank + 1), (g.edges, k)
 
 
+def _costliest_last(g):
+    # g relabelled in order of stack cost, ties by index, so the vertices
+    # of cost L take the top labels: the check at L - 1 starts at the
+    # least of them and scans every vertex below it
+    order = sorted(range(g.n), key=lambda v: stack_cost(g, v))
+    label = {v: i for i, v in enumerate(order)}
+    return build_graph(g.n, [(label[u], label[v]) for u, v in g.edges])
+
+
 def _twins_by_definition(g):
     # per vertex v, the least u > v with N(u) - {v} = N(v) - {u}, or None
     nbrs = [set(xs) for xs in g.adj]
@@ -662,7 +748,8 @@ def test_the_twin_table_links_each_vertex_to_its_next_twin():
 
 def test_the_twin_table_is_built_once_at_the_first_threshold_check(monkeypatch):
     # solve never reads it, nor does a check on a tree, whose scan never
-    # backtracks; both of gamma_exact's checks share one
+    # backtracks, nor one that returns a stack on vertex 0 at once; both
+    # of gamma_exact's checks share one
     built = []
     real = SolveMemo._twin_above
 
@@ -671,12 +758,16 @@ def test_the_twin_table_is_built_once_at_the_first_threshold_check(monkeypatch):
         return real(self)
 
     monkeypatch.setattr(SolveMemo, "_twin_above", counted)
-    g = generate(Multipartite((3, 2)))
+    memo = SolveMemo()
+    verify_threshold(generate(Multipartite((3, 2))), 12, memo=memo)
+    assert (built, memo._twins) == ([], None)
+    # K(3,2) with its part of 2 at 0 and 1: the check at 12 starts at 2
+    g = _costliest_last(generate(Multipartite((3, 2))))
     memo = SolveMemo()
     solve(g, stacked(g, 0, 8), memo=memo)
     assert (built, memo._twins) == ([], None)
-    verify_threshold(g, 9, memo=memo)
-    verify_threshold(g, 8, memo=memo)
+    verify_threshold(g, 13, memo=memo)
+    verify_threshold(g, 12, memo=memo)
     assert built == [True, False]
     star = generate(Star(4))
     gamma_exact(star)
@@ -1030,11 +1121,25 @@ def _checked_prefix_dps(monkeypatch):
     return calls
 
 
+def _gamma_memo_with_the_zero_prefix_dps(g):
+    # the memo of gamma_exact's two checks, after the DPs its check at
+    # L - 1 skips by starting at the least vertex w of cost L: those of
+    # the zero prefixes above w, which a scan from vertex n - 1 runs first
+    costs = [stack_cost(g, v) for v in range(g.n)]
+    top = max(costs)
+    memo = SolveMemo()
+    assert verify_threshold(g, top, memo=memo).ok
+    assert not verify_threshold(g, top - 1, memo=memo).ok
+    for v in range(g.n - 1, costs.index(top), -1):
+        memo._below(v, [0] * g.n, top - 1)
+    return memo
+
+
 def test_plan_rows_match_the_reference_on_every_prefix_dp_to_order5(monkeypatch):
     calls = _checked_prefix_dps(monkeypatch)
     for g in small_catalog(5):
         if len(g.edges) >= g.n:
-            gamma_exact(g)
+            _gamma_memo_with_the_zero_prefix_dps(g)
     assert len(calls) == PREFIX_DPS_TO_ORDER5
 
 
@@ -1043,7 +1148,7 @@ def test_plan_rows_match_the_reference_on_every_prefix_dp_of_the_order6_classes(
     calls = _checked_prefix_dps(monkeypatch)
     for g in connected_classes(6):
         if len(g.edges) >= g.n:
-            gamma_exact(g)
+            _gamma_memo_with_the_zero_prefix_dps(g)
     assert len(calls) == PREFIX_DPS_OF_ORDER6
 
 
@@ -1079,21 +1184,13 @@ def _plan_entries(memo):
     return sum(map(len, rows.values()))
 
 
-def test_the_plans_keep_at_most_n_rows_of_l_plus_1_entries(monkeypatch):
-    memos = []
-
-    class Recorded(SolveMemo):
-        def __init__(self):
-            super().__init__()
-            memos.append(self)
-
-    monkeypatch.setattr(exact, "SolveMemo", Recorded)
-    # path 12 keeps a row per root above 1 and the two shared rows; star
-    # 150's fixed rows are all shared
+def test_the_plans_keep_at_most_n_rows_of_l_plus_1_entries():
+    # after a DP from every root, path 12 keeps a row per root above 1 and
+    # the two shared rows; star 150's fixed rows are all shared
     for g, rows in ((generate(Path(12)), 12), (generate(Star(150)), 2)):
-        memos.clear()
-        top = gamma_exact(g).gamma
-        [memo] = memos
+        memo = _gamma_memo_with_the_zero_prefix_dps(g)
+        top = memo._top
+        assert sum(plan is not None for plan in memo._plans) == g.n - 1, g.edges
         assert _plan_entries(memo) == memo._kept == rows * (top + 1) <= g.n * (top + 1), g.edges
 
 
@@ -1123,8 +1220,8 @@ def test_stack_potentials_refute_only_unsolvable_vectors(monkeypatch):
         return refutes(self, vec)
 
     monkeypatch.setattr(SolveMemo, "_refutes", counted)
-    refuted = 0
-    for g in small_catalog(4):
+    refuted = scanned = 0
+    for g in map(_costliest_last, small_catalog(4)):
         costs = [stack_cost(g, v) for v in range(g.n)]
         calls.clear()
         assert not verify_threshold(g, max(costs) - 1).ok, g.edges
@@ -1132,7 +1229,10 @@ def test_stack_potentials_refute_only_unsolvable_vectors(monkeypatch):
             # the pass is exact on a tree, so no refutation runs there
             assert calls == [], g.edges
             continue
-        assert calls, g.edges
+        # the check scans, and refutes its witness, unless every stack
+        # costs L, when it returns the stack on vertex 0 at once
+        assert bool(calls) == (min(costs) < max(costs)), g.edges
+        scanned += bool(calls)
         search = bound_memo(g)
         for k in range(max(costs) + 2):
             for vec in iter_count_vectors(g.n, k):
@@ -1142,13 +1242,13 @@ def test_stack_potentials_refute_only_unsolvable_vectors(monkeypatch):
         for v, cost in enumerate(costs):
             assert refutes(search, stacked(g, v, cost - 1).counts), (g.edges, v)
             assert not refutes(search, stacked(g, v, cost).counts), (g.edges, v)
-    assert refuted == 2_994
+    assert (refuted, scanned) == (2_994, 18)
 
 
 def test_a_memo_builds_the_potential_rows_once():
     # two threshold checks sharing a memo, as gamma_exact's sizes do, read
     # one set of rows; each check at L - 1 refutes its witness by them
-    for g in (generate(Wheel(5)), generate(Multipartite((3, 2, 2)))):
+    for g in (generate(Wheel(5)), _costliest_last(generate(Multipartite((3, 2, 2))))):
         memo = SolveMemo()
         below = bound_report(g).lower_stacked - 1
         assert not verify_threshold(g, below, memo=memo).ok, g.edges
@@ -1175,7 +1275,8 @@ def test_a_memo_builds_each_bfs_tree_once(monkeypatch):
         for size in range(12, 20):
             solve(w6, stacked(w6, v, size), memo=memo)
     assert sorted(built) == list(range(w6.n))
-    for g in (generate(Wheel(5)), generate(Path(5))):
+    # path 5's check at L - 1 starts at 3, the least of its ends
+    for g in (generate(Wheel(5)), _costliest_last(generate(Path(5)))):
         built.clear()
         gamma_exact(g)
         assert sorted(built) == list(range(g.n)), g.edges
@@ -1184,8 +1285,9 @@ def test_a_memo_builds_each_bfs_tree_once(monkeypatch):
 def test_a_tree_memo_keeps_only_root_0s_bfs_tree():
     # on a tree _passing reads root 0's tree alone, so the plans of the
     # other roots build theirs without keeping them; a graph with cycles
-    # keeps every root's
-    for g in (generate(Star(8)), generate(Path(7)), generate(Wheel(5))):
+    # keeps every root's.  fuse(8,3) and path 7 are relabelled so that
+    # the check at L - 1 scans from vertex 5 or 6 down
+    for g in (_costliest_last(generate(Fuse(8, 3))), _costliest_last(generate(Path(7))), generate(Wheel(5))):
         memo = SolveMemo()
         top = bound_report(g).lower_stacked
         assert verify_threshold(g, top, memo=memo).ok, g.edges

@@ -23,7 +23,9 @@ change reads better, the k-th parent run paired with the k-th change run
 in run order and a tie counting for neither side.  A gain is claimed
 when the change wins nine tenths of the pairs and the medians differ by
 more than the parent's Q3 - Q1.  Each figure is rounded to four
-significant digits of the parent's median.
+significant digits of the parent's median.  A last line per workload
+and seed lists each side's pass counts in run order: peak RSS grows with
+the passes a run fits, so a faster change can read as an RSS rise.
 """
 
 import argparse
@@ -54,14 +56,14 @@ def summary(bench: dict, metrics: list[dict]) -> list[str]:
     for workload, runs in bench["workloads"].items():
         for seed in sorted({run["record"]["seed"] for run in runs}):
             sides = [
-                [run["record"]["metrics"] for run in runs if (run["side"], run["record"]["seed"]) == (side, seed)]
+                [run["record"] for run in runs if (run["side"], run["record"]["seed"]) == (side, seed)]
                 for side in ("parent", "change")
             ]
             if not all(sides):
                 continue
             for metric in metrics:
                 name, sign = metric["name"], 1 if metric["better"] == "lower" else -1
-                parent, change = ([m[name]["value"] for m in side] for side in sides)
+                parent, change = ([r["metrics"][name]["value"] for r in side] for side in sides)
                 base, now = statistics.median(parent), statistics.median(change)
                 places = max(0, 3 - math.floor(math.log10(base)))
                 q_parent, q_change = (", ".join(f"{q:.{places}f}" for q in _quartiles(v)) for v in (parent, change))
@@ -71,6 +73,8 @@ def summary(bench: dict, metrics: list[dict]) -> list[str]:
                     f"parent {base:.{places}f} [{q_parent}] -> change {now:.{places}f} [{q_change}], "
                     f"{100 * (now - base) / base:+.1f}%, better in {wins} of {min(len(parent), len(change))} pairs"
                 )
+            parent, change = (", ".join(str(r["passes"]) for r in side) for side in sides)
+            lines.append(f"{workload} seed {seed} passes: parent {parent} -> change {change}")
     return lines
 
 

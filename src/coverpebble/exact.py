@@ -181,9 +181,11 @@ class SolveMemo:
     tree ``_passing`` reads only root 0's, so the plans of the other
     roots build theirs without keeping them and keep only the steps
     they run, not those of the free-only subtrees.
-    ``_costs``: per vertex, its cost (_stack_costs), which the threshold
-    check's start, gamma_exact's L and ``_refutes`` read, built at the
-    first threshold check, not at bind, which every solve runs.
+    ``_costs``: per vertex, its cost (_stack_costs), built at the first
+    threshold check, not at bind, which every solve runs.  A check at
+    size k starts at the least vertex whose stack of k is below its cost,
+    hence unsolvable: the witness holds 0 above it (verify_threshold has
+    the proof).  gamma_exact's L and ``_refutes`` read the costs too.
     ``_potentials``: per vertex t, the row of 2**d(w, t) over w and t's
     cost, built by ``_refutes`` at its first call.  ``_twins``: per
     vertex, the next higher vertex of its twin class, or None, built by

@@ -512,10 +512,10 @@ def test_trees_below_the_row_bound_still_answer():
 
 
 def test_star_100_answers_in_seconds():
-    # the check at L runs one DP, from the centre, which joins 100 free
-    # leaves, each after the first as a shift, not a convolution; the
-    # check at L - 1 returns the stack on leaf 0 at once
-    star = generate(Star(100))
+    # with the centre at 0, the check at L runs one DP, from leaf 100,
+    # which joins 99 free leaves under the centre, each after the first as
+    # a shift, not a convolution
+    star = _costliest_last(generate(Star(100)))
     started = time.perf_counter()
     result = gamma_exact(star)
     assert time.perf_counter() - started < 3.0
@@ -1286,7 +1286,7 @@ def test_a_tree_memo_keeps_only_root_0s_bfs_tree():
     # on a tree _passing reads root 0's tree alone, so the plans of the
     # other roots build theirs without keeping them; a graph with cycles
     # keeps every root's.  fuse(8,3) and path 7 are relabelled so that
-    # the check at L - 1 scans from vertex 5 or 6 down
+    # their checks at L - 1 scan down from vertices 7 and 5
     for g in (_costliest_last(generate(Fuse(8, 3))), _costliest_last(generate(Path(7))), generate(Wheel(5))):
         memo = SolveMemo()
         top = bound_report(g).lower_stacked

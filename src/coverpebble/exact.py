@@ -836,9 +836,11 @@ def _colex_rank(vec: tuple[int, ...]) -> int:
     """Rank of a count vector in the order of iter_count_vectors."""
     rank, rest = 0, sum(vec)
     for v in range(len(vec) - 1, 0, -1):
-        # the vectors equal above v with fewer pebbles on v come first
-        rank += comb(rest + v, v) - comb(rest - vec[v] + v, v)
-        rest -= vec[v]
+        # the vectors equal above v with fewer pebbles on v come first,
+        # none when v holds none, so its two large binomials are skipped
+        if vec[v]:
+            rank += comb(rest + v, v) - comb(rest - vec[v] + v, v)
+            rest -= vec[v]
     return rank
 
 

@@ -154,16 +154,17 @@ def _parse_sizes(text: str) -> tuple[int, ...]:
         raise UsageError(f"sizes must be comma separated integers, got {text!r}") from None
 
 
-# family name -> (spec type, the value verify compares with the search).
+# family name -> (spec type, the value verify compares with the search,
+# from the spec and the diameter bound).
 # A family's flags are its spec type's fields: an int field takes one
 # integer, or in verify a range, and the class sizes one list per use.  A
 # path or a star is a fuse, and the diameter bound is sharp on fuses.
 _FAMILIES = {
     "multipartite": (Multipartite, lambda spec, _: gamma_multipartite(spec.sizes)),
     "wheel": (Wheel, lambda spec, _: gamma_wheel(spec.n)),
-    "fuse": (Fuse, lambda _, bounds: bounds.upper_diameter),
-    "path": (Path, lambda _, bounds: bounds.upper_diameter),
-    "star": (Star, lambda _, bounds: bounds.upper_diameter),
+    "fuse": (Fuse, lambda _, upper: upper),
+    "path": (Path, lambda _, upper: upper),
+    "star": (Star, lambda _, upper: upper),
 }
 
 # Most graphs one verify range may name: each gets an exact check, so a
@@ -283,29 +284,32 @@ def cmd_verify(args) -> int:
     # a range with one graph too big to check is refused before any runs.
     # Each graph is dropped here and generated again below: keeping all of
     # star 1..723 alive would hold about 1.3e8 distance entries, about
-    # 130 MB even as byte rows.
+    # 130 MB even as byte rows.  Only its two bounds are kept, not its n
+    # stack costs.
+    bounds = []
     for _, spec in specs:
         g = generate(spec)
-        check_threshold_size(g, bound_report(g).lower_stacked)
+        report = bound_report(g)
+        check_threshold_size(g, report.lower_stacked)
+        bounds.append((report.lower_stacked, report.upper_diameter))
     reports = []
-    for label, spec in specs:
+    for (label, spec), (lower, upper) in zip(specs, bounds):
         g = generate(spec)
         started = time.perf_counter()
-        bounds = bound_report(g)
         result = gamma_exact(g)
         elapsed_ms = 0 if args.no_timing else int((time.perf_counter() - started) * 1000)
-        formula = formula_value(spec, bounds)
+        formula = formula_value(spec, upper)
         reports.append(
             VerificationReport(
                 graph=label,
                 gamma_formula=formula,
                 gamma_oracle=result.gamma,
-                bound_lower=bounds.lower_stacked,
-                bound_upper=bounds.upper_diameter,
+                bound_lower=lower,
+                bound_upper=upper,
                 witness=result.witness,
                 configs_checked=result.configs_checked,
                 elapsed_ms=elapsed_ms,
-                status=report_status(formula, result.gamma, bounds.lower_stacked, bounds.upper_diameter),
+                status=report_status(formula, result.gamma, lower, upper),
             )
         )
     _write_out(args, emit_report(reports, args.format))

@@ -38,14 +38,21 @@ from .pebbles import (
 def shortest_path(g: Graph, src: int, dst: int) -> list[int]:
     """Lexicographically least among the shortest src-dst vertex paths.
 
+    It reads the one distance row g.dist[dst], every vertex's distance
+    to dst since distances are symmetric, and steps each time to the
+    first neighbour one nearer dst: adjacency lists ascend, so that is
+    the least such neighbour.
+
     Raises InvalidSpec unless src and dst are vertices of g, as
     check_vertex states."""
     check_vertex(g, src)
     check_vertex(g, dst)
+    row = g.dist[dst]
     path = [src]
     cur = src
     while cur != dst:
-        cur = min(x for x in g.adj[cur] if g.dist[x][dst] == g.dist[cur][dst] - 1)
+        nearer = row[cur] - 1
+        cur = next(x for x in g.adj[cur] if row[x] == nearer)
         path.append(cur)
     return path
 
@@ -107,7 +114,16 @@ def solve_pigeonhole(g: Graph, b: BinaryWeighting, c: Configuration) -> Certific
 def _pigeonhole_sends(g: Graph, b: BinaryWeighting, c: Configuration, moves: list[PebblingMove]) -> list[PebblingMove]:
     """solve_pigeonhole's checks and sends, appending the moves to moves
     and returning it.  solve_diameter passes the list of its own steps,
-    so a run may continue across the handoff to the endgame."""
+    so a run may continue across the handoff to the endgame.
+
+    A send takes 2**diam pebbles off a donor holding at least
+    2**diam + 1, nets 0 on every vertex between donor and target, and
+    freezes its target.  So no marked vertex empties or fills but the
+    target, and the empty targets are those empty at the start, covered
+    in index order.  No vertex gains either, so one that holds fewer
+    than 2**diam + 1 never becomes a donor again: the first donor only
+    moves forward, and one cursor finds each in a single pass.
+    """
     check_length(c.counts, g.n, "configuration")
     if not is_permissible(c, b):
         raise PreconditionViolated("configuration has pebbles on unmarked vertices")
@@ -118,18 +134,15 @@ def _pigeonhole_sends(g: Graph, b: BinaryWeighting, c: Configuration, moves: lis
         )
     need = (1 << g.diam) + 1
     residual = list(c.counts)
-    pending = list(b.support)
-    while True:
-        target = next((v for v in pending if residual[v] == 0), None)
-        if target is None:
-            break
-        donor = next((v for v in range(g.n) if residual[v] >= need), None)
-        if donor is None:
+    donor = 0
+    for target in [v for v in b.support if residual[v] == 0]:
+        while donor < g.n and residual[donor] < need:
+            donor += 1
+        if donor == g.n:
             raise InternalAssertion("no vertex holds enough pebbles for the next empty target")
         _send_along(shortest_path(g, donor, target), g.diam, residual, moves)
         # freeze the covered target together with everything delivered to it
         residual[target] = 0
-        pending.remove(target)
     return moves
 
 
@@ -224,7 +237,13 @@ def solve_diameter(g: Graph, c: Configuration) -> tuple[Certificate, DiameterTra
             break
         if not donors:
             raise InternalAssertion("no pebbles left outside settled vertices")
-        gap, src, dst = min((g.dist[r][s], r, s) for r in donors for s in empty)
+        # the least (gap, donor, empty) triple: both lists ascend, so the
+        # first donor at the least gap and its first empty vertex there
+        gaps = [min(map(g.dist[r].__getitem__, empty)) for r in donors]
+        gap = min(gaps)
+        src = donors[gaps.index(gap)]
+        row = g.dist[src]
+        dst = next(s for s in empty if row[s] == gap)
         if gap > m + 1:
             raise InternalAssertion(
                 f"nearest empty vertex is {gap} away at step {m}, limit {m + 1}"

@@ -15,6 +15,8 @@ __all__ = [
 ]
 
 from dataclasses import dataclass
+from itertools import compress, count
+from operator import is_not
 from typing import Optional
 
 from .errors import IllegalMoveAt, InvalidSpec, LengthMismatch, NotCoveredAtEnd, ParseError, check_int
@@ -124,30 +126,39 @@ def validate_certificate(
     a move that is not a PebblingMove or whose vertex check_int refuses
     among them, and NotCoveredAtEnd when the replay ends with empty
     targets.
+
+    The replay takes one step per run, a stretch of one move object
+    repeated, as the strategies emit each hop of a send; equal moves
+    that are distinct objects start new runs.  A run's type, vertices
+    and edge are checked once, at its first index.  A run of r moves
+    u -> x then plays exactly when u holds c >= 2r pebbles, since x is
+    not u and u gains nothing meanwhile; otherwise the move at index
+    start + c // 2 is the first that finds fewer than 2 on u, where u
+    holds c % 2, as a replay move by move would report.
     """
     check_length(cert.initial.counts, g.n, "certificate start")
     if b is not None:
         check_length(b.marks, g.n, "weighting")
     counts = list(cert.initial.counts)
-    checked = object()  # no move is this object, so the first is checked
-    for index, move in enumerate(cert.moves):
-        # a run repeats one move object: check its type, vertices and edge once
-        if move is not checked:
-            if not isinstance(move, PebblingMove):
-                raise IllegalMoveAt(index, move, "not a PebblingMove")
-            src, dst = move.src, move.dst
-            try:
-                check_int(src, "move source", 0, g.n - 1)
-                check_int(dst, "move target", 0, g.n - 1)
-            except InvalidSpec:
-                raise IllegalMoveAt(index, move, "vertex out of range") from None
-            if dst not in g.adj[src]:
-                raise IllegalMoveAt(index, move, "vertices share no edge")
-            checked = move
-        if counts[src] < 2:
-            raise IllegalMoveAt(index, move, f"source holds {counts[src]} pebbles")
-        counts[src] -= 2
-        counts[dst] += 1
+    moves = cert.moves
+    starts = [0, *compress(count(1), map(is_not, moves[1:], moves))] if moves else []
+    for start, end in zip(starts, [*starts[1:], len(moves)]):
+        move = moves[start]
+        if not isinstance(move, PebblingMove):
+            raise IllegalMoveAt(start, move, "not a PebblingMove")
+        src, dst = move.src, move.dst
+        try:
+            check_int(src, "move source", 0, g.n - 1)
+            check_int(dst, "move target", 0, g.n - 1)
+        except InvalidSpec:
+            raise IllegalMoveAt(start, move, "vertex out of range") from None
+        if dst not in g.adj[src]:
+            raise IllegalMoveAt(start, move, "vertices share no edge")
+        have, run = counts[src], end - start
+        if have < 2 * run:
+            raise IllegalMoveAt(start + have // 2, move, f"source holds {have % 2} pebbles")
+        counts[src] = have - 2 * run
+        counts[dst] += run
     final = Configuration(tuple(counts))
     if not is_covered(final, b):
         targets = range(g.n) if b is None else b.support

@@ -497,6 +497,19 @@ def test_verify_answers_are_pinned(capsys):
         assert rows == expected, args
 
 
+def test_verify_works_out_each_graphs_bounds_once(capsys, monkeypatch):
+    # the report reuses the bounds of the size check, one bound_report per graph
+    calls = []
+    real = cli.bound_report
+    monkeypatch.setattr(cli, "bound_report", lambda g: calls.append(g.n) or real(g))
+    assert run_cli(["verify", "--family", "star", "--leaves", "2..5", "--no-timing"]) == 0
+    rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert calls == [3, 4, 5, 6]
+    assert [(r["bound_lower"], r["bound_upper"], r["gamma_formula"]) for r in rows] == [
+        (7, 7, 7), (11, 11, 11), (15, 15, 15), (19, 19, 19),
+    ]
+
+
 def test_verify_csv_reruns_are_byte_identical(capsys):
     argv = ["verify", "--family", "multipartite", "--sizes", "2,2",
             "--sizes", "1,1,1", "--no-timing", "--format", "csv"]

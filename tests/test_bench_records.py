@@ -50,7 +50,8 @@ def test_the_summary_covers_every_pair_of_every_committed_file(capsys):
         seeds = {(w, run["record"]["seed"]) for w, runs in bench["workloads"].items() for run in runs}
         assert len(lines) == len(seeds) * (len(metrics) + 1), path.name
         for line in lines:
-            if re.fullmatch(r"\w+ seed \d+ passes: parent \d+(, \d+)* -> change \d+(, \d+)*", line):
+            if re.fullmatch(r"\w+ seed \d+ passes: parent \d+(, \d+)* -> change \d+(, \d+)*; "
+                            r"peak_rss_mib slope (n/a|-?[0-9.e-]+ MiB per pass)", line):
                 continue
             wins, pairs = map(int, re.fullmatch(r".*, better in (\d+) of (\d+) pairs", line).groups())
             assert 0 <= wins <= pairs > 0, (path.name, line)
@@ -61,8 +62,18 @@ def test_the_summary_covers_every_pair_of_every_committed_file(capsys):
         "gamma seed 1 op_p99_ms ms: parent 1.181 [1.180, 1.193] -> change 0.660 [0.651, 0.667], "
         "-44.1%, better in 10 of 10 pairs"
     ) in lines
-    # the pass counts, per side in run order, follow each seed's metrics
+    # the pass counts, per side in run order, follow each seed's metrics,
+    # with the least-squares slope of peak RSS over the passes of both sides
     assert lines[len(metrics)] == (
         "gamma seed 1 passes: parent 1554, 1636, 1556, 1551, 1683, 1579, 1534, 1667, 1723, 1757 "
-        "-> change 1897, 2125, 2018, 1945, 2118, 2047, 1929, 1981, 2152, 2184"
+        "-> change 1897, 2125, 2018, 1945, 2118, 2047, 1929, 1981, 2152, 2184; "
+        "peak_rss_mib slope 0.00579 MiB per pass"
     )
+    lines = bench_record.summary(json.loads((ROOT / "BENCH_34.json").read_text()), metrics)
+    assert lines[-1] == (
+        "construct seed 1 passes: parent 46, 52, 51 -> change 54, 55, 46; peak_rss_mib slope 0.459 MiB per pass"
+    )
+    # one pass count on every run fits no slope
+    run = {"side": "parent", "record": {"seed": 1, "passes": 7, "metrics": {m["name"]: {"value": 1.0} for m in metrics}}}
+    flat = bench_record.summary({"workloads": {"gamma": [run, {**run, "side": "change"}]}}, metrics)
+    assert flat[-1] == "gamma seed 1 passes: parent 7 -> change 7; peak_rss_mib slope n/a"

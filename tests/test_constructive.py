@@ -2,7 +2,16 @@ import itertools
 import random
 
 import pytest
-from util import move_pairs, random_config, random_graph
+from util import (
+    move_pairs,
+    random_config,
+    random_graph,
+    random_piles,
+    random_with_diameter,
+    reference_pigeonhole_sends,
+    reference_shortest_path,
+    reference_solve_diameter,
+)
 
 from coverpebble import (
     BinaryWeighting,
@@ -391,3 +400,39 @@ def test_solvers_reject_covered_check_failures():
     cert = solve_wheel(w4, c)
     final = validate_certificate(w4, cert)
     assert is_covered(final)
+
+
+def _same_runs(a, b):
+    # equal moves, and a new move object exactly where the other has one
+    assert a == b
+    assert [x is y for x, y in zip(a, a[1:])] == [x is y for x, y in zip(b, b[1:])]
+
+
+def test_diameter_and_pigeonhole_strategies_match_their_references():
+    # the nearest pair from one minimum per donor row, the pigeonhole
+    # donor cursor and the one-row shortest path give the certificates
+    # and traces of plain minimums and rescans, on 500 graphs of order 6
+    # to 30 and diameter 2 to 8 for each strategy
+    rng = random.Random(35)
+    shapes = set()
+    for i in range(1000):
+        n = 6 + i % 25
+        g = random_with_diameter(rng, n, min(n - 1, 2 + i // 25 % 7))
+        shapes.add((n, g.diam))
+        for _ in range(3):
+            u, v = rng.randrange(n), rng.randrange(n)
+            assert shortest_path(g, u, v) == reference_shortest_path(g, u, v)
+        if i % 2:
+            b = BinaryWeighting(tuple(int(rng.random() < 0.7) for _ in range(n)))
+            b = b if b.order else BinaryWeighting((1,) * n)
+            c = random_piles(rng, n, weighted_cover_bound(b.order, g.diam) + rng.randrange(4), b.support)
+            cert = solve_pigeonhole(g, b, c)
+            _same_runs(cert.moves, tuple(reference_pigeonhole_sends(g, b, c, [])))
+        else:
+            c = random_piles(rng, n, diameter_bound(n, g.diam) + rng.randrange(4), range(n))
+            cert, trace = solve_diameter(g, c)
+            expected, expected_trace = reference_solve_diameter(g, c)
+            _same_runs(cert.moves, expected.moves)
+            assert (cert.initial, trace) == (expected.initial, expected_trace)
+    assert {d for _, d in shapes} == set(range(2, 9))
+    assert {n for n, _ in shapes} == set(range(6, 31))

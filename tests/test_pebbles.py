@@ -1,6 +1,8 @@
 import itertools
+import random
 
 import pytest
+from util import random_piles, random_with_diameter, replay_moves
 
 from coverpebble import (
     BinaryWeighting,
@@ -17,6 +19,7 @@ from coverpebble import (
     PebblingMove,
     SolveMemo,
     Wheel,
+    diameter_bound,
     format_config,
     format_weighting,
     generate,
@@ -26,8 +29,11 @@ from coverpebble import (
     parse_config,
     parse_weighting,
     solve,
+    solve_diameter,
+    solve_pigeonhole,
     stacked,
     validate_certificate,
+    weighted_cover_bound,
 )
 
 K2 = generate(Multipartite((1, 1)))
@@ -232,3 +238,96 @@ def test_weighting_text_round_trip():
         parse_weighting("1 2 0", 3)
     with pytest.raises(LengthMismatch):
         parse_weighting("1 0", 3)
+
+
+def _replayed(replay, g, cert, b=None):
+    # the final configuration, or the exception with its index, move
+    # object and message
+    try:
+        return Configuration, replay(g, cert, b)
+    except IllegalMoveAt as exc:
+        return IllegalMoveAt, exc.index, id(exc.move), str(exc)
+    except NotCoveredAtEnd as exc:
+        return NotCoveredAtEnd, exc.uncovered, str(exc)
+
+
+def _assert_replays_agree(g, cert, b=None):
+    outcome = _replayed(validate_certificate, g, cert, b)
+    assert outcome == _replayed(replay_moves, g, cert, b), (g.edges, cert, b)
+    return outcome
+
+
+def _run_starts(moves):
+    return [i for i in range(len(moves)) if i == 0 or moves[i] is not moves[i - 1]]
+
+
+def _corruptions(rng, g, cert, b):
+    # each corrupted copy of a certificate, on a few of its runs
+    moves, initial = list(cert.moves), list(cert.initial.counts)
+    starts = _run_starts(moves)
+    yield Certificate(cert.initial, ())
+    for start, end in rng.sample(list(zip(starts, [*starts[1:], len(moves)])), min(3, len(starts))):
+        move = moves[start]
+        # the run's source short by 1 to 2r + 1 pebbles, or the run cut short at every offset
+        for short in range(1, min(initial[move.src], 2 * (end - start) + 1) + 1):
+            yield Certificate(Configuration(tuple(c - short * (v == move.src) for v, c in enumerate(initial))), cert.moves)
+        for cut in range(start, end):
+            yield Certificate(cert.initial, (*moves[:cut], *moves[end:]))
+        inside = rng.randrange(start, end)
+        for odd in (None, (move.src, move.dst), f"{move.src}->{move.dst}", PebblingMove(move.src, move.dst)):
+            # a non-PebblingMove inside the run, or an equal move that is a distinct object
+            yield Certificate(cert.initial, (*moves[:inside], odd, *moves[inside + 1:]))
+        for bad in (PebblingMove(True, move.dst), PebblingMove(move.src, float(move.dst)),
+                    PebblingMove(move.src, next(v for v in range(g.n) if v != move.src and v not in g.adj[move.src]))
+                    if len(g.adj[move.src]) < g.n - 1 else PebblingMove(move.src, move.src)):
+            # bool and float vertices, and a missing edge, over the whole run or at one move of it
+            yield Certificate(cert.initial, (*moves[:start], *[bad] * (end - start), *moves[end:]))
+            yield Certificate(cert.initial, (*moves[:inside], bad, *moves[inside + 1:]))
+        # the equal distinct object inside a run that then runs dry
+        split = (*moves[:inside], PebblingMove(move.src, move.dst), *moves[inside + 1:])
+        yield Certificate(Configuration(tuple(c - (v == move.src and c > 0) for v, c in enumerate(initial))), split)
+
+
+def test_replay_by_runs_agrees_with_the_move_by_move_replay():
+    # strategy certificates, their corruptions and random move sequences
+    # replay to the same final configuration, or raise the same exception
+    # at the same index with the same move object and message
+    rng = random.Random(35)
+    seen = set()
+    for i in range(120):
+        n = 6 + i % 7
+        g = random_with_diameter(rng, n, 2 + i // 7 % 4)
+        if i % 2:
+            b = BinaryWeighting(tuple(int(rng.random() < 0.6) for _ in range(n)))
+            b = b if b.order else BinaryWeighting((1,) * n)
+            c = random_piles(rng, n, weighted_cover_bound(b.order, g.diam) + rng.randrange(3), b.support)
+            cert = solve_pigeonhole(g, b, c)
+        else:
+            b = None
+            cert = solve_diameter(g, random_piles(rng, n, diameter_bound(n, g.diam) + rng.randrange(3), range(n)))[0]
+        assert _assert_replays_agree(g, cert, b) == (Configuration, validate_certificate(g, cert, b))
+        for bad in _corruptions(rng, g, cert, b):
+            seen.add(_assert_replays_agree(g, bad, b)[0])
+        # random runs of random moves, from random piles
+        counts = Configuration(tuple(rng.randrange(9) for _ in range(n)))
+        moves = []
+        for _ in range(rng.randrange(8)):
+            u = rng.randrange(n)
+            move = PebblingMove(u, rng.choice(g.adj[u]) if rng.random() < 0.9 else rng.randrange(n))
+            moves += [move] * rng.randint(1, 4) + [PebblingMove(move.src, move.dst)] * rng.randrange(2)
+        seen.add(_assert_replays_agree(g, Certificate(counts, tuple(moves)))[0])
+    assert seen == {Configuration, IllegalMoveAt, NotCoveredAtEnd}
+
+
+def test_replay_fails_a_run_at_every_offset():
+    # a run of r moves 0 -> 1 after p moves 2 -> 1 on P3, with c pebbles on
+    # 0: it fails at index p + c // 2 with c % 2 pebbles left, or plays
+    for p, r in itertools.product(range(3), range(1, 6)):
+        for c in range(2 * r + 2):
+            cert = Certificate(Configuration((c, 0, 2 * p)), (PebblingMove(2, 1),) * p + (PebblingMove(0, 1),) * r)
+            outcome = _assert_replays_agree(P3, cert, BinaryWeighting((0, 1, 0)))
+            if c >= 2 * r:
+                assert outcome == (Configuration, Configuration((c - 2 * r, p + r, 0)))
+            else:
+                assert outcome[:2] == (IllegalMoveAt, p + c // 2)
+                assert outcome[3].endswith(f"source holds {c % 2} pebbles")

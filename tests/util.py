@@ -1,8 +1,11 @@
 """Shared helpers for the test suite: small-graph catalogs, weighting
 enumeration, uniform configuration sampling, and three independent
 references for the exact layer: a table of solvable vectors, a plain
-tuple cover search and the prefix DP run afresh per call; and bound
-memos, whose search the tests call directly."""
+tuple cover search and the prefix DP run afresh per call; bound memos,
+whose search the tests call directly; and references for replay and
+the constructive layer: a move-by-move replay, and the diameter and
+pigeonhole strategies with their nearest pair, donor and path found by
+plain minimums and rescans."""
 
 from __future__ import annotations
 
@@ -14,16 +17,32 @@ from typing import Optional
 from coverpebble import (
     BinaryWeighting,
     BudgetExceeded,
+    Certificate,
     Configuration,
+    DiameterStep,
+    DiameterTrace,
     Fuse,
     Graph,
+    IllegalMoveAt,
+    InternalAssertion,
+    InvalidSpec,
     Multipartite,
+    NotCoveredAtEnd,
     Path,
+    PebblingMove,
+    PreconditionViolated,
     SolveMemo,
     Star,
     build_graph,
+    diameter_bound,
     generate,
+    is_covered,
+    is_permissible,
+    weighted_cover_bound,
 )
+from coverpebble.constructive import _check_diameter_state, _send_along
+from coverpebble.errors import check_int
+from coverpebble.pebbles import check_length
 
 
 def _connected(n: int, edges: list[tuple[int, int]]) -> bool:
@@ -330,3 +349,150 @@ def random_config(rng, n: int, size: int) -> Configuration:
 
 def move_pairs(cert) -> list[tuple[int, int]]:
     return [(m.src, m.dst) for m in cert.moves]
+
+
+def replay_moves(g: Graph, cert: Certificate, b: Optional[BinaryWeighting] = None) -> Configuration:
+    """validate_certificate move by move, as it was before it replayed
+    run by run: the same checks, exceptions and final configuration."""
+    check_length(cert.initial.counts, g.n, "certificate start")
+    if b is not None:
+        check_length(b.marks, g.n, "weighting")
+    counts = list(cert.initial.counts)
+    checked = object()  # no move is this object, so the first is checked
+    for index, move in enumerate(cert.moves):
+        # a run repeats one move object: check its type, vertices and edge once
+        if move is not checked:
+            if not isinstance(move, PebblingMove):
+                raise IllegalMoveAt(index, move, "not a PebblingMove")
+            src, dst = move.src, move.dst
+            try:
+                check_int(src, "move source", 0, g.n - 1)
+                check_int(dst, "move target", 0, g.n - 1)
+            except InvalidSpec:
+                raise IllegalMoveAt(index, move, "vertex out of range") from None
+            if dst not in g.adj[src]:
+                raise IllegalMoveAt(index, move, "vertices share no edge")
+            checked = move
+        if counts[src] < 2:
+            raise IllegalMoveAt(index, move, f"source holds {counts[src]} pebbles")
+        counts[src] -= 2
+        counts[dst] += 1
+    final = Configuration(tuple(counts))
+    if not is_covered(final, b):
+        targets = range(g.n) if b is None else b.support
+        raise NotCoveredAtEnd(v for v in targets if counts[v] == 0)
+    return final
+
+
+def reference_shortest_path(g: Graph, src: int, dst: int) -> list[int]:
+    """shortest_path by a min over the neighbours one step nearer dst,
+    each distance read from the neighbour's own row."""
+    path = [src]
+    cur = src
+    while cur != dst:
+        cur = min(x for x in g.adj[cur] if g.dist[x][dst] == g.dist[cur][dst] - 1)
+        path.append(cur)
+    return path
+
+
+def reference_pigeonhole_sends(g: Graph, b: BinaryWeighting, c: Configuration, moves: list) -> list:
+    """The pigeonhole endgame rescanning the targets and the donors from
+    the start before each send."""
+    check_length(c.counts, g.n, "configuration")
+    if not is_permissible(c, b):
+        raise PreconditionViolated("configuration has pebbles on unmarked vertices")
+    threshold = weighted_cover_bound(b.order, g.diam)
+    if c.size < threshold:
+        raise PreconditionViolated(f"size {c.size} is below the pigeonhole threshold {threshold}")
+    need = (1 << g.diam) + 1
+    residual = list(c.counts)
+    pending = list(b.support)
+    while True:
+        target = next((v for v in pending if residual[v] == 0), None)
+        if target is None:
+            break
+        donor = next((v for v in range(g.n) if residual[v] >= need), None)
+        if donor is None:
+            raise InternalAssertion("no vertex holds enough pebbles for the next empty target")
+        _send_along(reference_shortest_path(g, donor, target), g.diam, residual, moves)
+        residual[target] = 0
+        pending.remove(target)
+    return moves
+
+
+def reference_solve_diameter(g: Graph, c: Configuration) -> tuple[Certificate, DiameterTrace]:
+    """solve_diameter with its nearest pair the min over every (gap,
+    donor, empty) triple, and the reference endgame and paths."""
+    check_length(c.counts, g.n, "configuration")
+    n, d = g.n, g.diam
+    bound = diameter_bound(n, d)
+    if c.size < bound:
+        raise PreconditionViolated(f"size {c.size} is below the diameter threshold {bound}")
+    counts = list(c.counts)
+    moves: list[PebblingMove] = []
+    settled: list[int] = []
+    steps: list[DiameterStep] = []
+    for m in range(max(d - 1, 0)):
+        donors = [v for v in range(n) if counts[v] > 0 and v not in settled]
+        empty = [v for v in range(n) if counts[v] == 0]
+        _check_diameter_state(m, donors, settled, counts, bound)
+        if not empty:
+            break
+        if not donors:
+            raise InternalAssertion("no pebbles left outside settled vertices")
+        gap, src, dst = min((g.dist[r][s], r, s) for r in donors for s in empty)
+        if gap > m + 1:
+            raise InternalAssertion(f"nearest empty vertex is {gap} away at step {m}, limit {m + 1}")
+        quota = 1 << (m + 1)
+        snapshot = (tuple(donors), tuple(empty), tuple(settled))
+        if counts[src] <= quota:
+            settled.append(src)
+            steps.append(DiameterStep(m, *snapshot, "retire", src, None, 0, ()))
+        else:
+            path = reference_shortest_path(g, src, dst)
+            _send_along(path, m + 1, counts, moves)
+            settled.append(dst)
+            steps.append(DiameterStep(m, *snapshot, "send", src, dst, quota, tuple(path)))
+    if all(x > 0 for x in counts):
+        return Certificate(c, tuple(moves)), DiameterTrace(tuple(steps), None, None)
+    weighting = BinaryWeighting(tuple(0 if v in settled else 1 for v in range(n)))
+    residual = Configuration(tuple(0 if v in settled else counts[v] for v in range(n)))
+    reference_pigeonhole_sends(g, weighting, residual, moves)
+    return Certificate(c, tuple(moves)), DiameterTrace(tuple(steps), weighting, residual)
+
+
+def random_with_diameter(rng, n: int, d: int) -> Graph:
+    """A random connected graph of order n > d and diameter d, randomly
+    labelled: a path of d edges, each other vertex joined to one inner
+    path vertex or to two consecutive ones, and some pairs of vertices
+    joined at the same place.  No distance then exceeds d, and vertices
+    at one place tie, so the strategies meet ties."""
+    place = list(range(d + 1))
+    edges = [(i, i + 1) for i in range(d)]
+    for v in range(d + 1, n):
+        if d >= 3 and rng.random() < 0.3:
+            p = rng.randrange(1, d - 1)
+            edges += [(p, v), (p + 1, v)]
+        else:
+            p = rng.randrange(1, d)
+            edges.append((p, v))
+        place.append(p)
+    for _ in range(rng.randrange(n)):
+        u, v = rng.sample(range(d + 1, n), 2) if n - d > 2 else (0, 0)
+        if u != v and place[u] == place[v]:
+            edges.append((u, v))
+    labels = list(range(n))
+    rng.shuffle(labels)
+    g = build_graph(n, [(labels[u], labels[v]) for u, v in edges])
+    assert g.diam == d, (n, d, edges)
+    return g
+
+
+def random_piles(rng, n: int, size: int, support) -> Configuration:
+    """size pebbles on 1 to len(support) random vertices of support, in
+    a uniform composition, so stacks and spread configurations both come."""
+    piles = rng.sample(list(support), rng.randint(1, len(support)))
+    counts = [0] * n
+    for v, k in zip(piles, random_composition(rng, size, len(piles))):
+        counts[v] = k
+    return Configuration(tuple(counts))

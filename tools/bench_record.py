@@ -25,7 +25,11 @@ when the change wins nine tenths of the pairs and the medians differ by
 more than the parent's Q3 - Q1.  Each figure is rounded to four
 significant digits of the parent's median.  A last line per workload
 and seed lists each side's pass counts in run order: peak RSS grows with
-the passes a run fits, so a faster change can read as an RSS rise.
+the passes a run fits, so a faster change can read as an RSS rise.  That
+line ends with the least-squares slope of peak_rss_mib over the passes,
+across both sides' runs, in MiB per pass to three significant digits,
+or "n/a" when every run made the same number of passes; a change's RSS
+reading is then read against the rise its extra passes explain.
 """
 
 import argparse
@@ -47,6 +51,14 @@ def _quartiles(values: list[float]) -> list[float]:
         return values * 2
     q1, _, q3 = statistics.quantiles(values, n=4)
     return [q1, q3]
+
+
+def _rss_slope(sides: list[list[dict]]) -> str:
+    passes = [r["passes"] for side in sides for r in side]
+    if len(set(passes)) == 1:
+        return "peak_rss_mib slope n/a"
+    rss = [r["metrics"]["peak_rss_mib"]["value"] for side in sides for r in side]
+    return f"peak_rss_mib slope {statistics.linear_regression(passes, rss).slope:.3g} MiB per pass"
 
 
 def summary(bench: dict, metrics: list[dict]) -> list[str]:
@@ -74,7 +86,7 @@ def summary(bench: dict, metrics: list[dict]) -> list[str]:
                     f"{100 * (now - base) / base:+.1f}%, better in {wins} of {min(len(parent), len(change))} pairs"
                 )
             parent, change = (", ".join(str(r["passes"]) for r in side) for side in sides)
-            lines.append(f"{workload} seed {seed} passes: parent {parent} -> change {change}")
+            lines.append(f"{workload} seed {seed} passes: parent {parent} -> change {change}; {_rss_slope(sides)}")
     return lines
 
 

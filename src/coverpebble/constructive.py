@@ -17,6 +17,7 @@ __all__ = [
     "solve_multipartite", "solve_pigeonhole", "solve_wheel",
 ]
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
@@ -314,11 +315,6 @@ def solve_wheel(g: Graph, c: Configuration) -> Certificate:
     return Certificate(c, tuple(moves))
 
 
-def _active_threshold(groups: dict[int, list[int]]) -> int:
-    shape = tuple(sorted((len(vs) for vs in groups.values()), reverse=True))
-    return gamma_multipartite(shape)
-
-
 def _star_base(groups: dict[int, list[int]], counts: list[int], moves: list[PebblingMove]) -> None:
     # two classes, at least one a singleton; the singleton from the later
     # class plays the hub, adjacent to every leaf
@@ -358,6 +354,32 @@ def solve_multipartite(g: Graph, sizes, c: Configuration) -> Certificate:
     Each removal lowers the closed-form threshold of what remains by at
     least two while spending at most two pebbles, so the invariant holds
     until only a star remains, which is covered directly.
+
+    Each round takes a constant number of steps but for scans that only
+    move forward.  active[v] flags the vertices not yet set aside,
+    left[k] counts the active vertices of class k, classes the classes
+    with any left, pool the active vertices and held the pebbles on
+    them.  The threshold of the active shape is then 4*s1 + 2*(pool -
+    s1) - 3 = 2*pool + 2*s1 - 3, s1 being max(left).  held is read from
+    the board: around each move it adds the after-minus-before counts of
+    the two vertices the move touches, and it drops each vertex's count
+    as that vertex is set aside.  So a move that spends the wrong number
+    of pebbles still trips the threshold check.
+
+    A round sets aside the first active vertex holding one or two; else
+    it fills the first empty active vertex, the hole, from the first
+    occupied active vertex outside the hole's class; else it pushes a
+    pair from the first occupied active vertex, in the hole's class, to
+    the first active vertex past that class.  Moves start only once no
+    active vertex holds one or two, so each source keeps a pebble and is
+    the only vertex a move can leave holding one or two: a queue in
+    index order lists those.  Every vertex set aside holds a pebble and
+    no vertex empties, so the hole is the first empty vertex at or past
+    the last hole, and its class only rises.  Only the vertex set aside
+    with a move gains, so the first occupied active vertex, and the
+    first past the hole's class, only move forward too.  The cursors
+    rest on the moves being right; a last check that every vertex holds
+    a pebble keeps a wrong move from passing as a cover.
     """
     sizes = tuple(sizes)
     threshold = gamma_multipartite(sizes)
@@ -367,45 +389,69 @@ def solve_multipartite(g: Graph, sizes, c: Configuration) -> Certificate:
     check_length(c.counts, g.n, "configuration")
     if c.size < threshold:
         raise PreconditionViolated(f"size {c.size} is below the threshold {threshold}")
-    class_of = []
+    n = g.n
+    class_of, ends = [], []
     for idx, s in enumerate(sizes):
         class_of.extend([idx] * s)
+        ends.append(len(class_of))
     counts = list(c.counts)
     moves: list[PebblingMove] = []
-    active = list(range(g.n))
+    active = [True] * n
+    left = list(sizes)
+    classes, pool, held = len(sizes), n, c.size
+    smalls = deque(v for v in range(n) if counts[v] in (1, 2))
+    hole = lead = beyond = 0
     while True:
-        groups: dict[int, list[int]] = {}
-        for v in active:
-            groups.setdefault(class_of[v], []).append(v)
-        held = sum(counts[v] for v in active)
-        if held < _active_threshold(groups):
+        top = max(left)
+        if held < 2 * pool + 2 * top - 3:
             raise InternalAssertion("active pool dropped below its cover threshold")
-        if len(groups) == 1:
-            if len(active) == 1 and counts[active[0]] >= 1:
+        if classes == 1:
+            if pool == 1 and counts[active.index(True)] >= 1:
                 break
             raise InternalAssertion("active subgraph collapsed into one class")
-        if len(groups) == 2 and min(len(vs) for vs in groups.values()) == 1:
+        if classes == 2 and pool - top == 1:
+            groups: dict[int, list[int]] = {}
+            for v in range(n):
+                if active[v]:
+                    groups.setdefault(class_of[v], []).append(v)
             _star_base(groups, counts, moves)
             break
-        small = next((v for v in active if counts[v] in (1, 2)), None)
-        if small is not None:
+        if smalls:
             # covered already and cheap to protect: never touched again
-            active.remove(small)
-            continue
-        empties = [v for v in active if counts[v] == 0]
-        if not empties:
-            break
-        hole = empties[0]
-        donor = next(
-            (v for v in active if counts[v] > 0 and class_of[v] != class_of[hole]), None
-        )
-        if donor is not None:
-            _unit_move(donor, hole, counts, moves)
-            active.remove(hole)
-            continue
-        # every remaining pebble sits in the hole's class: push a pair out
-        rich = next(v for v in active if counts[v] > 0)
-        target = next(v for v in active if class_of[v] != class_of[rich])
-        _unit_move(rich, target, counts, moves)
-        active.remove(target)
+            out = smalls.popleft()
+        else:
+            try:
+                hole = counts.index(0, hole)
+            except ValueError:
+                break
+            while not (active[lead] and counts[lead]):
+                lead += 1
+            k = class_of[hole]
+            if class_of[lead] != k:
+                src = lead
+            else:
+                beyond = max(beyond, ends[k])
+                while beyond < n and not (active[beyond] and counts[beyond]):
+                    beyond += 1
+                src = beyond
+            if src < n:
+                out = hole
+            else:
+                # every remaining pebble sits in the hole's class: push a
+                # pair out to the first active vertex past it, all empty
+                src, out = lead, counts.index(0, ends[k])
+            before = counts[src] + counts[out]
+            _unit_move(src, out, counts, moves)
+            held += counts[src] + counts[out] - before
+            if counts[src] in (1, 2):
+                smalls.append(src)
+        active[out] = False
+        k = class_of[out]
+        left[k] -= 1
+        if not left[k]:
+            classes -= 1
+        pool -= 1
+        held -= counts[out]
+    if 0 in counts:
+        raise InternalAssertion("multipartite strategy finished with an uncovered vertex")
     return Certificate(c, tuple(moves))

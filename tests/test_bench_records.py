@@ -51,7 +51,9 @@ def test_the_summary_covers_every_pair_of_every_committed_file(capsys):
         assert len(lines) == len(seeds) * (len(metrics) + 1), path.name
         for line in lines:
             if re.fullmatch(r"\w+ seed \d+ passes: parent \d+(, \d+)* -> change \d+(, \d+)*; "
-                            r"peak_rss_mib slope (n/a|-?[0-9.e-]+ MiB per pass)", line):
+                            r"peak_rss_mib slope (n/a|-?[0-9.e-]+ MiB per pass); "
+                            r"at equal passes(: within-side slope -?[0-9.e-]+ MiB per pass, "
+                            r"change - parent [+-][0-9.]+ MiB \([+-][0-9.]+%\)| n/a)", line):
                 continue
             wins, pairs = map(int, re.fullmatch(r".*, better in (\d+) of (\d+) pairs", line).groups())
             assert 0 <= wins <= pairs > 0, (path.name, line)
@@ -67,13 +69,28 @@ def test_the_summary_covers_every_pair_of_every_committed_file(capsys):
     assert lines[len(metrics)] == (
         "gamma seed 1 passes: parent 1554, 1636, 1556, 1551, 1683, 1579, 1534, 1667, 1723, 1757 "
         "-> change 1897, 2125, 2018, 1945, 2118, 2047, 1929, 1981, 2152, 2184; "
-        "peak_rss_mib slope 0.00579 MiB per pass"
+        "peak_rss_mib slope 0.00579 MiB per pass; "
+        "at equal passes: within-side slope 0.00537 MiB per pass, change - parent +0.21 MiB (+0.7%)"
     )
     lines = bench_record.summary(json.loads((ROOT / "BENCH_34.json").read_text()), metrics)
     assert lines[-1] == (
-        "construct seed 1 passes: parent 46, 52, 51 -> change 54, 55, 46; peak_rss_mib slope 0.459 MiB per pass"
+        "construct seed 1 passes: parent 46, 52, 51 -> change 54, 55, 46; peak_rss_mib slope 0.459 MiB per pass; "
+        "at equal passes: within-side slope 0.455 MiB per pass, change - parent +0.09 MiB (+0.2%)"
+    )
+    # the change's RSS less the parent's at equal passes: one slope fit
+    # within the sides, and the two sides' intercepts
+    lines = bench_record.summary(json.loads((ROOT / "BENCH_35.json").read_text()), metrics)
+    assert lines[len(metrics)].endswith(
+        "; peak_rss_mib slope 0.465 MiB per pass; "
+        "at equal passes: within-side slope 0.466 MiB per pass, change - parent +0.15 MiB (+0.3%)"
     )
     # one pass count on every run fits no slope
     run = {"side": "parent", "record": {"seed": 1, "passes": 7, "metrics": {m["name"]: {"value": 1.0} for m in metrics}}}
     flat = bench_record.summary({"workloads": {"gamma": [run, {**run, "side": "change"}]}}, metrics)
-    assert flat[-1] == "gamma seed 1 passes: parent 7 -> change 7; peak_rss_mib slope n/a"
+    assert flat[-1] == "gamma seed 1 passes: parent 7 -> change 7; peak_rss_mib slope n/a; at equal passes n/a"
+    # nor does one side with a single pass count fit a slope within sides
+    runs = [run, {**run, "side": "change"}, {**run, "record": {**run["record"], "passes": 9}}]
+    one_sided = bench_record.summary({"workloads": {"gamma": runs}}, metrics)
+    assert one_sided[-1] == (
+        "gamma seed 1 passes: parent 7, 9 -> change 7; peak_rss_mib slope 0 MiB per pass; at equal passes n/a"
+    )

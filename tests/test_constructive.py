@@ -11,15 +11,18 @@ from util import (
     reference_pigeonhole_sends,
     reference_shortest_path,
     reference_solve_diameter,
+    reference_solve_multipartite,
 )
 
 from coverpebble import (
     BinaryWeighting,
     Configuration,
     Fuse,
+    InternalAssertion,
     LengthMismatch,
     Multipartite,
     Path,
+    PebblingError,
     PreconditionViolated,
     Star,
     Wheel,
@@ -41,6 +44,7 @@ from coverpebble import (
     validate_certificate,
     weighted_cover_bound,
 )
+from coverpebble import constructive
 
 K2 = generate(Multipartite((1, 1)))
 P3 = generate(Path(3))
@@ -436,3 +440,84 @@ def test_diameter_and_pigeonhole_strategies_match_their_references():
             assert (cert.initial, trace) == (expected.initial, expected_trace)
     assert {d for _, d in shapes} == set(range(2, 9))
     assert {n for n, _ in shapes} == set(range(6, 31))
+
+
+def _shapes(n, most=None):
+    # every list of class sizes summing to n, nonincreasing
+    if n == 0:
+        yield ()
+    for s in range(min(n, most or n), 0, -1):
+        for rest in _shapes(n - s, s):
+            yield (s, *rest)
+
+
+def _multipartite_outcome(solver, g, sizes, c):
+    # the moves and which of them share one object, or the refusal
+    try:
+        moves = solver(g, sizes, c).moves
+    except PebblingError as exc:
+        return type(exc), str(exc)
+    return moves, [x is y for x, y in zip(moves, moves[1:])]
+
+
+def test_multipartite_strategy_matches_its_reference():
+    # the per-round counts, the queue of small vertices and the forward
+    # cursors give the certificates, runs and refusals of rebuilding the
+    # pool every round: on every configuration at the threshold of every
+    # shape of order 5 or less, the one-vertex graph and the two-class
+    # stars included, and on 2,400 inputs 0 to 3 pebbles over it on
+    # shapes of order 6 to 30, half spread and half in piles
+    def same(g, sizes, c):
+        outcome = _multipartite_outcome(solve_multipartite, g, sizes, c)
+        assert outcome == _multipartite_outcome(reference_solve_multipartite, g, sizes, c), (sizes, c)
+        return outcome
+
+    covered = 0
+    for n in range(1, 6):
+        for sizes in _shapes(n):
+            if len(sizes) > 1 or n == 1:
+                g = generate(Multipartite(sizes))
+                for c in map(Configuration, iter_count_vectors(n, gamma_multipartite(sizes))):
+                    covered += isinstance(same(g, sizes, c)[1], list)
+    assert covered == 13067
+    rng = random.Random(37)
+    for i in range(2400):
+        n = 6 + i % 25
+        sizes = [1] * rng.randint(2, min(n, 8))
+        for _ in range(n - len(sizes)):
+            sizes[rng.randrange(len(sizes))] += 1
+        sizes = tuple(sorted(sizes, reverse=True))
+        g = generate(Multipartite(sizes))
+        size = gamma_multipartite(sizes) + rng.randrange(4)
+        c = random_config(rng, n, size) if i % 2 else random_piles(rng, n, size, range(n))
+        assert isinstance(same(g, sizes, c)[1], list)
+    # below the threshold, the wrong graph, the wrong length
+    k22 = generate(Multipartite((2, 2)))
+    star = build_graph(3, [(0, 1), (0, 2)])
+    for g, sizes, c in [
+        (k22, (2, 2), stacked(k22, 0, 8)),
+        (k22, (2, 1), stacked(k22, 0, 9)),
+        (k22, (3, 1), stacked(k22, 0, 9)),
+        (k22, (1, 2), stacked(k22, 0, 9)),
+        (star, (2, 1), Configuration((7, 0, 0))),
+        (k22, (2, 2), Configuration((9, 0, 0))),
+    ]:
+        assert issubclass(same(g, sizes, c)[0], PebblingError)
+
+
+def test_multipartite_check_catches_a_move_that_spends_too_much(monkeypatch):
+    # held is read off the board, not lowered by one per move, so a move
+    # that takes a third pebble off its source still trips the per-round
+    # threshold check: K(2, 2) from 9 on vertex 0 pushes a pair to vertex
+    # 2, after which 6 pebbles stand where the threshold of K(2, 1) is 7
+    unit_move = constructive._unit_move
+
+    def greedy(src, dst, counts, moves):
+        unit_move(src, dst, counts, moves)
+        counts[src] -= 1
+
+    monkeypatch.setattr(constructive, "_unit_move", greedy)
+    k22 = generate(Multipartite((2, 2)))
+    for solver in (solve_multipartite, reference_solve_multipartite):
+        with pytest.raises(InternalAssertion, match="active pool dropped below its cover threshold"):
+            solver(k22, (2, 2), stacked(k22, 0, 9))

@@ -3,9 +3,10 @@ enumeration, uniform configuration sampling, and three independent
 references for the exact layer: a table of solvable vectors, a plain
 tuple cover search and the prefix DP run afresh per call; bound memos,
 whose search the tests call directly; and references for replay and
-the constructive layer: a move-by-move replay, and the diameter and
+the constructive layer: a move-by-move replay, the diameter and
 pigeonhole strategies with their nearest pair, donor and path found by
-plain minimums and rescans."""
+plain minimums and rescans, and the multipartite strategy rebuilding
+its pool and threshold every round."""
 
 from __future__ import annotations
 
@@ -35,13 +36,16 @@ from coverpebble import (
     Star,
     build_graph,
     diameter_bound,
+    gamma_multipartite,
     generate,
     is_covered,
     is_permissible,
     weighted_cover_bound,
 )
+from coverpebble import constructive
 from coverpebble.constructive import _check_diameter_state, _send_along
 from coverpebble.errors import check_int
+from coverpebble.graphs import multipartite_edges
 from coverpebble.pebbles import check_length
 
 
@@ -496,3 +500,57 @@ def random_piles(rng, n: int, size: int, support) -> Configuration:
     for v, k in zip(piles, random_composition(rng, size, len(piles))):
         counts[v] = k
     return Configuration(tuple(counts))
+
+
+def reference_solve_multipartite(g: Graph, sizes, c: Configuration) -> Certificate:
+    """solve_multipartite as it stood with per-round rebuilding: the
+    active classes regrouped, held summed over them, the threshold taken
+    from gamma_multipartite of their shape, and every choice a scan of
+    the active list from its start.  Its moves go through the module's
+    _unit_move, so a test that patches that patches both."""
+    sizes = tuple(sizes)
+    threshold = gamma_multipartite(sizes)
+    if g.n != sum(sizes) or g.edges != multipartite_edges(sizes):
+        shape = ", ".join(map(str, sizes))
+        raise PreconditionViolated(f"graph is not K({shape}) with its classes in index blocks, largest first")
+    check_length(c.counts, g.n, "configuration")
+    if c.size < threshold:
+        raise PreconditionViolated(f"size {c.size} is below the threshold {threshold}")
+    class_of = []
+    for idx, s in enumerate(sizes):
+        class_of.extend([idx] * s)
+    counts = list(c.counts)
+    moves: list[PebblingMove] = []
+    active = list(range(g.n))
+    while True:
+        groups: dict[int, list[int]] = {}
+        for v in active:
+            groups.setdefault(class_of[v], []).append(v)
+        held = sum(counts[v] for v in active)
+        if held < gamma_multipartite(tuple(sorted((len(vs) for vs in groups.values()), reverse=True))):
+            raise InternalAssertion("active pool dropped below its cover threshold")
+        if len(groups) == 1:
+            if len(active) == 1 and counts[active[0]] >= 1:
+                break
+            raise InternalAssertion("active subgraph collapsed into one class")
+        if len(groups) == 2 and min(len(vs) for vs in groups.values()) == 1:
+            constructive._star_base(groups, counts, moves)
+            break
+        small = next((v for v in active if counts[v] in (1, 2)), None)
+        if small is not None:
+            active.remove(small)
+            continue
+        empties = [v for v in active if counts[v] == 0]
+        if not empties:
+            break
+        hole = empties[0]
+        donor = next((v for v in active if counts[v] > 0 and class_of[v] != class_of[hole]), None)
+        if donor is not None:
+            constructive._unit_move(donor, hole, counts, moves)
+            active.remove(hole)
+            continue
+        rich = next(v for v in active if counts[v] > 0)
+        target = next(v for v in active if class_of[v] != class_of[rich])
+        constructive._unit_move(rich, target, counts, moves)
+        active.remove(target)
+    return Certificate(c, tuple(moves))

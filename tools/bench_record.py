@@ -29,7 +29,12 @@ the passes a run fits, so a faster change can read as an RSS rise.  That
 line ends with the least-squares slope of peak_rss_mib over the passes,
 across both sides' runs, in MiB per pass to three significant digits,
 or "n/a" when every run made the same number of passes; a change's RSS
-reading is then read against the rise its extra passes explain.
+reading is then read against the rise its extra passes explain.  Then
+comes the change's peak_rss_mib less the parent's at equal passes, in
+MiB and as a share of the parent's median: a least-squares fit of one
+slope to both sides, each side about its own means, with an intercept
+per side, the difference being that of the intercepts.  It reads "n/a"
+when either side has fewer than two distinct pass counts.
 """
 
 import argparse
@@ -61,6 +66,29 @@ def _rss_slope(sides: list[list[dict]]) -> str:
     return f"peak_rss_mib slope {statistics.linear_regression(passes, rss).slope:.3g} MiB per pass"
 
 
+def _rss_at_equal_passes(sides: list[list[dict]]) -> str:
+    # rss = a_side + b * passes: b from the deviations from each side's
+    # means, so the sides' intercepts differ by a_change - a_parent
+    if any(len({r["passes"] for r in side}) < 2 for side in sides):
+        return "at equal passes n/a"
+    means, sxy, sxx = [], 0.0, 0.0
+    for side in sides:
+        x = [r["passes"] for r in side]
+        y = [r["metrics"]["peak_rss_mib"]["value"] for r in side]
+        mx, my = statistics.fmean(x), statistics.fmean(y)
+        sxy += sum((a - mx) * (b - my) for a, b in zip(x, y))
+        sxx += sum((a - mx) ** 2 for a in x)
+        means.append((mx, my))
+    slope = sxy / sxx
+    (px, py), (cx, cy) = means
+    shift = cy - py - slope * (cx - px)
+    base = statistics.median(r["metrics"]["peak_rss_mib"]["value"] for r in sides[0])
+    return (
+        f"at equal passes: within-side slope {slope:.3g} MiB per pass, "
+        f"change - parent {shift:+.2f} MiB ({100 * shift / base:+.1f}%)"
+    )
+
+
 def summary(bench: dict, metrics: list[dict]) -> list[str]:
     """The summary lines of a BENCH_<pr>.json file, given the end-to-end
     metrics of BENCHMARK.json, each with its name, unit and better side."""
@@ -86,7 +114,10 @@ def summary(bench: dict, metrics: list[dict]) -> list[str]:
                     f"{100 * (now - base) / base:+.1f}%, better in {wins} of {min(len(parent), len(change))} pairs"
                 )
             parent, change = (", ".join(str(r["passes"]) for r in side) for side in sides)
-            lines.append(f"{workload} seed {seed} passes: parent {parent} -> change {change}; {_rss_slope(sides)}")
+            lines.append(
+                f"{workload} seed {seed} passes: parent {parent} -> change {change}; "
+                f"{_rss_slope(sides)}; {_rss_at_equal_passes(sides)}"
+            )
     return lines
 
 

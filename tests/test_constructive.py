@@ -521,3 +521,9 @@ def test_multipartite_check_catches_a_move_that_spends_too_much(monkeypatch):
     for solver in (solve_multipartite, reference_solve_multipartite):
         with pytest.raises(InternalAssertion, match="active pool dropped below its cover threshold"):
             solver(k22, (2, 2), stacked(k22, 0, 9))
+    # the cursors rest on right moves: on K(2, 2, 1) the move 0 -> 3
+    # empties vertex 0, behind the hole cursor, and the last check keeps
+    # the strategy from returning with vertex 0 empty
+    k221 = generate(Multipartite((2, 2, 1)))
+    with pytest.raises(InternalAssertion, match="finished with an uncovered vertex"):
+        solve_multipartite(k221, (2, 2, 1), Configuration((3, 1, 4, 0, 3)))
